@@ -12,7 +12,6 @@ All arithmetic is exact: matrices carry explicit integer denominators and
 spectra live in {-1, 0, 1}.
 """
 
-from .backend import BACKEND, has_compiled_kernels
 from .counting import (
     ENUMERATION_CAP,
     CountTable,
@@ -85,7 +84,6 @@ from .topes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BudgetExceeded",
     "CapExceeded",
     "CountTable",
@@ -124,7 +122,6 @@ __all__ = [
     "equinumerosity_indicator",
     "formula_table",
     "gram_entry",
-    "has_compiled_kernels",
     "interval_partition",
     "inverse_gram_entry",
     "inverse_gram_matrix",

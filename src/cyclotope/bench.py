@@ -1,4 +1,4 @@
-"""Timing comparisons between the spectrum routes and kernel backends.
+"""Timing comparisons between the spectrum routes.
 
 All timings use the monotonic performance counter and report the median of
 an odd number of repetitions, so a single noisy run cannot skew a ratio.
@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels_py, backend
 from .cycle import inverse_rows
 from .decomposition import spectrum_dense, spectrum_fast
 from .topes import Tope
@@ -62,40 +61,18 @@ def time_fast_spectrum(t: int, reps: int = 9, seed: int = 0) -> dict:
     T = random_tope(t, seed)
     spectrum_fast(T)
     fast = _median_time(lambda: spectrum_fast(T), reps)
-    return {"t": t, "reps": reps, "fast_seconds": fast, "backend": backend.BACKEND}
-
-
-def compare_backends(t: int, reps: int = 9, seed: int = 0) -> dict:
-    """Median times of the compiled and pure-Python spectrum kernels.
-
-    Returns a dict with one entry per available backend; when the compiled
-    extension is absent only the python timing is present.
-    """
-    T = random_tope(t, seed)
-    signs = T.signs
-    out = np.empty(t, dtype=np.int8)
-    result = {"t": t, "reps": reps}
-    _kernels_py.spectrum_signs(signs, out)
-    result["python_seconds"] = _median_time(lambda: _kernels_py.spectrum_signs(signs, out), reps)
-    if backend.has_compiled_kernels():
-        from . import _kernels
-
-        _kernels.spectrum_signs(signs, out)
-        result["compiled_seconds"] = _median_time(lambda: _kernels.spectrum_signs(signs, out), reps)
-        result["compiled_speedup"] = result["python_seconds"] / result["compiled_seconds"]
-    return result
+    return {"t": t, "reps": reps, "fast_seconds": fast}
 
 
 def run_bench(t: int, reps: int = 9, seed: int = 0) -> dict:
-    """Full benchmark card: route comparison plus backend comparison.
+    """Full benchmark card for the spectrum routes.
 
     The dense route is skipped above 4096 because the t x t matrix becomes
     the dominant cost and tells nothing new about the linear route.
     """
-    card = {"t": t, "reps": reps, "backend": backend.BACKEND}
+    card = {"t": t, "reps": reps}
     if t <= 4096:
         card["routes"] = compare_spectrum_routes(t, reps, seed)
     else:
         card["fast"] = time_fast_spectrum(t, reps, seed)
-    card["kernels"] = compare_backends(t, reps, seed)
     return card

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from . import __version__, backend
+from . import __version__
 from .bench import run_bench
 from .counting import ENUMERATION_CAP, enumerate_statistics, formula_table
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--omega", action="store_const", dest="matrix_kind", const="omega",
                       help="inverse Gram matrix, scaled by 4")
 
-    p = sub.add_parser("bench", help="time the spectrum routes and kernel backends")
+    p = sub.add_parser("bench", help="time the spectrum routes")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--reps", type=int, default=9, help="odd repetition count; median is reported")
 
@@ -114,18 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> CommandConfig:
     )
 
 
-def _parse_tope(text: str, t: int) -> Tope:
-    if len(text) != t:
-        raise CyclotopeError(f"tope string has length {len(text)}, expected {t}")
-    if set(text) - {"+", "-"}:
-        raise CyclotopeError("tope string must use only '+' and '-'")
-    return Tope([1 if c == "+" else -1 for c in text])
-
-
-def _parse_subset(text: str, t: int) -> GroundSubset:
-    return GroundSubset.from_string(t, text)
-
-
 def _emit(lines, path: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -136,7 +124,7 @@ def _emit(lines, path: Optional[str]) -> None:
 
 
 def _cmd_decompose(config: CommandConfig) -> int:
-    T = _parse_tope(config.tope, config.t)
+    T = Tope.from_string(config.tope)
     if config.method == "all":
         spectra = {name: fn(T) for name, fn in _METHODS.items()}
         values = list(spectra.values())
@@ -210,8 +198,8 @@ def _cmd_verify(config: CommandConfig) -> int:
 
 
 def _cmd_equinum(config: CommandConfig) -> int:
-    T = _parse_tope(config.tope, config.t)
-    A = _parse_subset(config.subset, config.t)
+    T = Tope.from_string(config.tope)
+    A = GroundSubset.from_string(config.t, config.subset)
     report = equal_size_criterion(T, A, include_direct=config.oracle)
     record = {"equal": report.equal, "lhs_sum": report.lhs_sum, "rhs": report.rhs}
     if report.direct_equal is not None:
@@ -259,21 +247,17 @@ _DISPATCH = {
 def run(config: CommandConfig) -> int:
     """Dispatch a validated configuration; returns the process exit status."""
     try:
+        if config.tope is not None and len(config.tope) != config.t:
+            raise CyclotopeError(f"tope string has length {len(config.tope)}, expected {config.t}")
         return _DISPATCH[config.subcommand](config)
-    except CyclotopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CyclotopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if backend.BACKEND == "python" and args.subcommand == "bench":
-        print("note: compiled kernels unavailable, timing pure python only", file=sys.stderr)
-    return run(_config_from_args(args))
+    return run(_config_from_args(parser.parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -2,24 +2,24 @@
 
 The central table counts topes by (j, l) where j is the size of the negative
 part and l the size of the minimal decomposition.  Closed forms exist for
-every cell; enumerate_statistics tallies all 2^t topes as an independent
-check.  Counts are exact arbitrary-precision integers throughout.
+every cell; enumerate_statistics tallies all 2^t topes with numpy as an
+independent check.  Counts are exact arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 import numpy as np
 
-from . import backend
 from .errors import CapExceeded, CyclotopeError
 from .topes import _check_dimension
 
 ENUMERATION_CAP = 20
+
+# Masks per tally block: small enough that the block's arrays stay in cache.
+_TALLY_BLOCK = 1 << 16
 
 _CASES = ("left-only", "right-only", "both-ends", "neither")
 
@@ -202,20 +202,14 @@ def formula_table(t: int) -> CountTable:
     return CountTable(t, rows)
 
 
-def _worker_count(span: int) -> int:
-    cap = os.environ.get("CYCLOTOPE_THREADS", "").strip()
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    limit = max(1, min(limit, 8))
-    # Below ~2^18 masks per worker the threading overhead dominates.
-    return max(1, min(limit, span >> 18))
-
-
 def enumerate_statistics(t: int) -> CountTable:
     """Tally all 2^t topes by (negative-part size, decomposition size).
 
-    Kernel-backed and shardable across threads; the worker count is capped
-    by the CYCLOTOPE_THREADS environment variable.  Raises CapExceeded above
-    the enumeration cap (default 20); use the formula path beyond it.
+    Bit e-1 of a mask set means coordinate e is -1, so j is the popcount and
+    l the number of adjacent sign changes plus one when the first and last
+    coordinates agree.  With t <= ENUMERATION_CAP the masks fit in uint32 and
+    the keys j*(t+1)+l in uint16.  Raises CapExceeded above the cap; use the
+    formula path beyond it.
     """
     _check_dimension(t)
     if t > ENUMERATION_CAP:
@@ -224,28 +218,32 @@ def enumerate_statistics(t: int) -> CountTable:
             "use formula_table instead"
         )
     span = 1 << t
-    workers = _worker_count(span)
-    if workers == 1:
-        counts = np.zeros((t + 1, t + 1), dtype=np.int64)
-        backend.tally_negpart_size(t, 0, span, counts)
-    else:
-        step = (span + workers - 1) // workers
-        shards = [np.zeros((t + 1, t + 1), dtype=np.int64) for _ in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(backend.tally_negpart_size, t, w * step, min((w + 1) * step, span), shards[w])
-                for w in range(workers)
-            ]
-            for f in futures:
-                f.result()
-        counts = sum(shards)
+    width = t + 1
+    low = (1 << (t - 1)) - 1
+    block = min(span, _TALLY_BLOCK)
+    counts = np.zeros(width * width, dtype=np.int64)
+    x = np.empty(block, dtype=np.uint32)
+    for start in range(0, span, block):
+        m = np.arange(start, start + block, dtype=np.uint32)
+        np.right_shift(m, 1, out=x)
+        x ^= m
+        x &= low
+        l = np.bitwise_count(x)
+        np.right_shift(m, t - 1, out=x)
+        x ^= m
+        x &= 1
+        l += x == 0
+        keys = np.bitwise_count(m).astype(np.uint16)
+        keys *= width
+        keys += l
+        counts += np.bincount(keys, minlength=width * width)
     if int(counts.sum()) != span:
         raise CyclotopeError(f"tally lost topes: {int(counts.sum())} != 2^{t}")
+    counts = counts.reshape(width, width)
     rows = [
         (j, l, int(counts[j, l]))
-        for l in range(t + 1)
-        for j in range(t + 1)
+        for l in range(width)
+        for j in range(width)
         if counts[j, l]
     ]
-    rows.sort(key=lambda r: (r[1], r[0]))
     return CountTable(t, rows)

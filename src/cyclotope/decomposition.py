@@ -23,13 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
-from . import backend
 from .cycle import cycle_vertex, gram_entry, inverse_rows
 from .errors import DimensionMismatch, InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
     _check_dimension,
+    _int_array,
     interval_partition,
     negative_part,
 )
@@ -41,12 +41,11 @@ class Spectrum:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable[int]):
-        arr = np.asarray(coords, dtype=np.int8).copy()
-        if arr.ndim != 1:
-            raise ValueError("a spectrum is a one-dimensional vector")
-        _check_dimension(arr.shape[0])
-        if arr.size and int(np.abs(arr).max()) > 1:
+        arr = _int_array(coords, "spectrum")
+        # Check the original values: an int8 cast would wrap 256 to 0.
+        if int(arr.min()) < -1 or int(arr.max()) > 1:
             raise InvalidSpectrum("spectrum entries must lie in {-1, 0, 1}")
+        arr = arr.astype(np.int8)
         arr.flags.writeable = False
         self._coords = arr
 
@@ -179,9 +178,20 @@ def spectrum_dense(T: Tope) -> Spectrum:
 
 
 def spectrum_fast(T: Tope) -> Spectrum:
-    """Coordinate vector via the O(t) telescoping form."""
-    out = np.empty(T.t, dtype=np.int8)
-    backend.spectrum_signs(T.signs, out)
+    """Coordinate vector via the O(t) telescoping form.
+
+    x_1 = (T(1)+T(t))/2 and x_j = (T(j)-T(j-1))/2.  Every numerator of a
+    +-1 vector is even; an odd one means corrupt entries slipped past the
+    trusted constructor and is a hard error.
+    """
+    signs = T.signs
+    out = np.empty(signs.shape[0], dtype=np.int8)
+    np.subtract(signs[1:], signs[:-1], out=out[1:])
+    first = int(signs[0]) + int(signs[-1])
+    if (first & 1) or (out[1:] & 1).any():
+        raise ValueError("sign entries must be exactly +1 or -1")
+    out[0] = first >> 1
+    out[1:] >>= 1
     return Spectrum._wrap(out)
 
 

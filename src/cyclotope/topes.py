@@ -8,6 +8,7 @@ coordinates).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +25,24 @@ def _check_dimension(t: int) -> int:
     return t
 
 
+def _index(value) -> int:
+    """An exact integer: bools and floats raise TypeError instead of coercing."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got a bool: {value!r}")
+    return operator.index(value)
+
+
+def _int_array(values, what: str) -> np.ndarray:
+    """values as a 1-d integer array, rejecting bool, float and object data."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"a {what} is a one-dimensional vector")
+    _check_dimension(arr.shape[0])
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"{what} entries must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 class Tope:
     """An immutable vertex of H(t,2): t entries, each +1 or -1, indexed 1..t.
 
@@ -35,12 +54,11 @@ class Tope:
     __slots__ = ("_signs", "_mask")
 
     def __init__(self, signs: Iterable[int]):
-        arr = np.asarray(signs, dtype=np.int8).copy()
-        if arr.ndim != 1:
-            raise ValueError("a tope is a one-dimensional sign vector")
-        _check_dimension(arr.shape[0])
+        arr = _int_array(signs, "tope")
+        # Check the original values: an int8 cast would wrap 257 to 1.
         if not np.all(np.abs(arr) == 1):
             raise ValueError("tope entries must be exactly +1 or -1")
+        arr = arr.astype(np.int8)
         arr.flags.writeable = False
         self._signs = arr
         self._mask = None
@@ -67,15 +85,18 @@ class Tope:
     @classmethod
     def from_string(cls, text: str) -> "Tope":
         """Parse a '+'/'-' string such as "++-+-"."""
-        if not text or set(text) - {"+", "-"}:
+        raw = np.frombuffer(text.encode(), dtype=np.uint8)
+        plus = raw == ord("+")
+        if not text or not (plus | (raw == ord("-"))).all():
             raise ValueError(f"tope string must be nonempty over '+'/'-': {text!r}")
-        signs = np.where(np.frombuffer(text.encode(), dtype=np.uint8) == ord("+"), 1, -1)
-        return cls(signs)
+        _check_dimension(raw.shape[0])
+        return cls._wrap(plus.view(np.int8) * np.int8(2) - np.int8(1))
 
     @classmethod
     def from_bitmask(cls, mask: int, t: int) -> "Tope":
         """Unpack a bitmask: bit e-1 set means entry e is -1."""
         t = _check_dimension(t)
+        mask = _index(mask)
         if not 0 <= mask < (1 << t):
             raise ValueError(f"mask {mask} out of range for t={t}")
         raw = mask.to_bytes((t + 7) // 8, "little")
@@ -129,7 +150,7 @@ class GroundSubset:
 
     def __init__(self, t: int, members: Iterable[int] = ()):
         self._t = _check_dimension(t)
-        ms = tuple(sorted(int(m) for m in members))
+        ms = tuple(sorted(map(_index, members)))
         for a, b in zip(ms, ms[1:]):
             if a == b:
                 raise ValueError(f"duplicate member {a}")

@@ -75,6 +75,11 @@ class TestDecomposeCommand:
         assert proc.returncode == 2
         assert "length" in proc.stderr
 
+    def test_leading_minus_via_equals_form(self):
+        proc = run_cli("decompose", "--t", "3", "--tope=-+-")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["x"] == [-1, 1, -1]
+
     def test_bad_characters_usage_error(self):
         proc = run_cli("decompose", "--t", "3", "--tope", "+0-")
         assert proc.returncode == 2
@@ -117,6 +122,12 @@ class TestStatsCommand:
         assert proc.returncode == 0
         assert proc.stdout == ""
         assert target.read_text().startswith("t,j,l,count_formula")
+
+    def test_unwritable_output_is_usage_error(self, tmp_path):
+        proc = run_cli("stats", "--t", "5", "--output", str(tmp_path / "missing" / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_determinism(self):
         a = run_cli("stats", "--t", "7", "--enumerate")

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 
 from cyclotope import (
+    ENUMERATION_CAP,
     CapExceeded,
     CountTable,
     GroundSubset,
@@ -202,6 +204,20 @@ class TestEnumerateStatistics:
     def test_matches_formulas(self):
         for t in range(3, 13):
             assert enumerate_statistics(t).rows == formula_table(t).rows
+
+    def test_matches_formulas_at_cap(self):
+        # t > 16 tallies in several blocks
+        table = enumerate_statistics(ENUMERATION_CAP)
+        assert table.total() == 1 << ENUMERATION_CAP
+        assert table == formula_table(ENUMERATION_CAP)
+
+    def test_matches_spectrum_route(self):
+        t = 9
+        expected = Counter(
+            (bin(mask).count("1"), spectrum_fast(Tope.from_bitmask(mask, t)).support_size)
+            for mask in range(1 << t)
+        )
+        assert {(j, l): c for j, l, c in enumerate_statistics(t)} == expected
 
     def test_matches_direct_python_tally(self):
         # independent of the kernel bit tricks

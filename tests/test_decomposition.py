@@ -41,6 +41,10 @@ class TestSpectrum:
         with pytest.raises(InvalidSpectrum):
             Spectrum([0, 2, 0])
 
+    def test_rejects_values_that_wrap_in_int8(self):
+        with pytest.raises(InvalidSpectrum):
+            Spectrum(np.array([256, 1, 0]))
+
     def test_coord_accessor(self):
         x = Spectrum([1, -1, 1])
         assert x.coord(1) == 1 and x.coord(2) == -1
@@ -78,6 +82,18 @@ class TestSpectrumFast:
         T = Tope([1, -1, -1, 1])
         assert spectrum_fast(T).coords.tolist() == [1, -1, 0, 1]
         assert spectrum_fast(T) == spectrum_dense(T)
+
+    @pytest.mark.parametrize("t", [3, 17, 64, 1023])
+    def test_matches_dense_random(self, t):
+        rng = np.random.default_rng(t)
+        for _ in range(20):
+            T = Tope(rng.choice(np.array([-1, 1], dtype=np.int8), size=t))
+            assert spectrum_fast(T) == spectrum_dense(T)
+
+    def test_rejects_corrupt_signs(self):
+        # _wrap trusts its input; the kernel's parity check still catches a 0
+        with pytest.raises(ValueError, match="exactly"):
+            spectrum_fast(Tope._wrap(np.array([1, 0, 1], dtype=np.int8)))
 
 
 class TestSpectrumIntervals:

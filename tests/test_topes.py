@@ -29,6 +29,18 @@ class TestTope:
         with pytest.raises(ValueError):
             Tope([2, 1, 1])
 
+    def test_rejects_values_that_wrap_in_int8(self):
+        with pytest.raises(ValueError):
+            Tope(np.array([257, 1, 1]))
+
+    def test_rejects_float_entries(self):
+        with pytest.raises(TypeError):
+            Tope([1.5, 1, -1])
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(TypeError):
+            Tope([True] * 3)
+
     def test_rejects_small_dimension(self):
         with pytest.raises(DimensionTooSmall):
             Tope([1, 1])
@@ -50,6 +62,10 @@ class TestTope:
             for mask in range(1 << t):
                 T = Tope.from_bitmask(mask, t)
                 assert T.bitmask == mask
+
+    def test_bitmask_rejects_bool(self):
+        with pytest.raises(TypeError):
+            Tope.from_bitmask(True, 3)
 
     def test_bitmask_wide(self):
         # masks beyond 64 bits must survive the round trip
@@ -97,6 +113,10 @@ class TestGroundSubset:
             GroundSubset(4, [0])
         with pytest.raises(ValueError):
             GroundSubset(4, [5])
+
+    def test_rejects_float_members(self):
+        with pytest.raises(TypeError):
+            GroundSubset(3, [1.7])
 
     def test_complement(self):
         A = GroundSubset(5, [1, 4])
