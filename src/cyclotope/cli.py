@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
 from .bench import run_bench
 from .counting import ENUMERATION_CAP, enumerate_statistics, formula_table
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
-from .decomposition import spectrum_dense, spectrum_fast, spectrum_intervals
+from .decomposition import _spectrum_terms, spectrum_dense, spectrum_fast, spectrum_intervals
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError
 from .topes import GroundSubset, Tope
@@ -29,24 +28,6 @@ _METHODS = {
     "fast": spectrum_fast,
     "intervals": spectrum_intervals,
 }
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated invocation: one subcommand plus its options."""
-
-    subcommand: str
-    t: int
-    tope: Optional[str] = None
-    subset: Optional[str] = None
-    method: str = "fast"
-    format: str = "text"
-    output: Optional[str] = None
-    enumerate_counts: bool = False
-    oracle: bool = False
-    oracle_max: int = 7
-    reps: int = 9
-    matrix_kind: Optional[str] = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="spectrum and minimal decomposition of one tope")
     p.add_argument("--t", type=int, required=True, help="dimension (>= 3)")
-    p.add_argument("--tope", required=True, help="sign string over '+'/'-' of length t")
+    p.add_argument("--tope", required=True,
+                   help="sign string over '+'/'-' of length t, or '-' to read it from stdin")
     p.add_argument("--method", choices=["dense", "fast", "intervals", "all"], default="fast")
 
     p = sub.add_parser("stats", help="counts of topes by negative-part size and term count")
@@ -76,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equinum", help="equal-size criterion for a tope and a reorientation set")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--tope", required=True)
+    p.add_argument("--tope", required=True, help="as for decompose, including '-' for stdin")
     p.add_argument("--subset", required=True, help="comma-separated 1-based indices, or 'none'")
     p.add_argument("--oracle", action="store_true", help="also compare the two sizes directly")
 
@@ -97,23 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CommandConfig:
-    return CommandConfig(
-        subcommand=args.subcommand,
-        t=args.t,
-        tope=getattr(args, "tope", None),
-        subset=getattr(args, "subset", None),
-        method=getattr(args, "method", "fast"),
-        format=getattr(args, "format", "text"),
-        output=getattr(args, "output", None),
-        enumerate_counts=getattr(args, "enumerate_counts", False),
-        oracle=getattr(args, "oracle", False),
-        oracle_max=getattr(args, "oracle_max", 7),
-        reps=getattr(args, "reps", 9),
-        matrix_kind=getattr(args, "matrix_kind", None),
-    )
-
-
 def _emit(lines, path: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -123,23 +88,31 @@ def _emit(lines, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _cmd_decompose(config: CommandConfig) -> int:
-    T = Tope.from_string(config.tope)
-    if config.method == "all":
+def _read_tope(args: argparse.Namespace) -> Tope:
+    """The --tope argument as a Tope; '-' reads the string from stdin.
+
+    One trailing newline is stripped from stdin, so `echo ... |` works.  The
+    argv route caps a string near 128 KiB; stdin has no such limit.
+    """
+    text = sys.stdin.read().removesuffix("\n") if args.tope == "-" else args.tope
+    if len(text) != args.t:
+        raise CyclotopeError(f"tope string has length {len(text)}, expected {args.t}")
+    return Tope.from_string(text)
+
+
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    T = _read_tope(args)
+    if args.method == "all":
         spectra = {name: fn(T) for name, fn in _METHODS.items()}
         values = list(spectra.values())
         agreement = all(x == values[0] for x in values)
         x = values[0]
     else:
         agreement = None
-        x = _METHODS[config.method](T)
+        x = _METHODS[args.method](T)
     record = {
-        "x": [int(c) for c in x.coords],
-        "terms": [
-            {"sign": int(x.coords[i]), "index": int(i)}
-            for i in range(config.t)
-            if x.coords[i]
-        ],
+        "x": x.coords.tolist(),
+        "terms": [{"sign": sign, "index": index} for sign, index in _spectrum_terms(x)],
         "size": x.support_size,
     }
     if agreement is not None:
@@ -148,13 +121,13 @@ def _cmd_decompose(config: CommandConfig) -> int:
     return 0 if agreement in (None, True) else 1
 
 
-def _cmd_stats(config: CommandConfig) -> int:
-    formula = formula_table(config.t)
-    enum = enumerate_statistics(config.t) if config.enumerate_counts else None
+def _cmd_stats(args: argparse.Namespace) -> int:
+    formula = formula_table(args.t)
+    enum = enumerate_statistics(args.t) if args.enumerate_counts else None
     mismatch = False
     rows = []
     for j, l, count in formula:
-        row = {"t": config.t, "j": j, "l": l, "count_formula": count}
+        row = {"t": args.t, "j": j, "l": l, "count_formula": count}
         if enum is not None:
             row["count_enum"] = enum.count(j, l)
             mismatch = mismatch or row["count_enum"] != count
@@ -164,7 +137,7 @@ def _cmd_stats(config: CommandConfig) -> int:
         # row is itself a mismatch.
         known = {(j, l) for j, l, _ in formula}
         mismatch = mismatch or any((j, l) not in known for j, l, _ in enum)
-    if config.format == "json":
+    if args.format == "json":
         lines = [json.dumps(rows)]
     else:
         header = "t,j,l,count_formula" + (",count_enum" if enum is not None else "")
@@ -174,14 +147,14 @@ def _cmd_stats(config: CommandConfig) -> int:
             if enum is not None:
                 cells.append(row["count_enum"])
             lines.append(",".join(str(c) for c in cells))
-    _emit(lines, config.output)
+    _emit(lines, args.output)
     return 1 if mismatch else 0
 
 
-def _cmd_verify(config: CommandConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     from .verification import failures, run_all
 
-    results = run_all(config.t, oracle_max=config.oracle_max)
+    results = run_all(args.t, oracle_max=args.oracle_max)
     for name in sorted(results):
         issues = results[name]
         if issues == ["skipped"]:
@@ -193,14 +166,14 @@ def _cmd_verify(config: CommandConfig) -> int:
             for issue in issues[:5]:
                 print(f"  {issue}")
     bad = failures(results)
-    print(f"verify t={config.t}: {'FAIL' if bad else 'ok'}")
+    print(f"verify t={args.t}: {'FAIL' if bad else 'ok'}")
     return 1 if bad else 0
 
 
-def _cmd_equinum(config: CommandConfig) -> int:
-    T = Tope.from_string(config.tope)
-    A = GroundSubset.from_string(config.t, config.subset)
-    report = equal_size_criterion(T, A, include_direct=config.oracle)
+def _cmd_equinum(args: argparse.Namespace) -> int:
+    T = _read_tope(args)
+    A = GroundSubset.from_string(args.t, args.subset)
+    report = equal_size_criterion(T, A, include_direct=args.oracle)
     record = {"equal": report.equal, "lhs_sum": report.lhs_sum, "rhs": report.rhs}
     if report.direct_equal is not None:
         record["direct_equal"] = report.direct_equal
@@ -211,25 +184,25 @@ def _cmd_equinum(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_cycle(config: CommandConfig) -> int:
-    if config.matrix_kind is None:
-        cycle = build_cycle(config.t)
-        for k in range(2 * config.t):
+def _cmd_cycle(args: argparse.Namespace) -> int:
+    if args.matrix_kind is None:
+        cycle = build_cycle(args.t)
+        for k in range(2 * args.t):
             print(cycle.vertex(k))
         return 0
     matrix = {
         "matrix": tope_matrix,
         "inverse": inverse_rows,
         "omega": inverse_gram_matrix,
-    }[config.matrix_kind](config.t)
+    }[args.matrix_kind](args.t)
     print(f"denom: {matrix.denom}")
     for row in matrix.entries:
         print(" ".join(str(int(v)) for v in row))
     return 0
 
 
-def _cmd_bench(config: CommandConfig) -> int:
-    card = run_bench(config.t, reps=config.reps)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    card = run_bench(args.t, reps=args.reps)
     print(json.dumps(card, indent=2))
     return 0
 
@@ -244,20 +217,17 @@ _DISPATCH = {
 }
 
 
-def run(config: CommandConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments; returns the process exit status."""
     try:
-        if config.tope is not None and len(config.tope) != config.t:
-            raise CyclotopeError(f"tope string has length {len(config.tope)}, expected {config.t}")
-        return _DISPATCH[config.subcommand](config)
+        return _DISPATCH[args.subcommand](args)
     except (CyclotopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    return run(_config_from_args(parser.parse_args(argv)))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

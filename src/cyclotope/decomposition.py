@@ -23,13 +23,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycle import cycle_vertex, gram_entry, inverse_rows
+from .cycle import cycle_vertex, inverse_rows
 from .errors import DimensionMismatch, InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
     _check_dimension,
     _int_array,
+    _member_mask,
     interval_partition,
     negative_part,
 )
@@ -130,6 +131,14 @@ class Decomposition:
             raise ValueError("terms must be in strictly ascending index order")
         self._terms = ts
 
+    @classmethod
+    def _wrap(cls, t: int, terms: tuple) -> "Decomposition":
+        # Trusted constructor for terms read off a spectrum by _spectrum_terms.
+        self = object.__new__(cls)
+        self._t = t
+        self._terms = terms
+        return self
+
     @property
     def t(self) -> int:
         return self._t
@@ -227,11 +236,15 @@ def spectrum_intervals(T: Tope) -> Spectrum:
     return Spectrum._wrap(coords)
 
 
+def _spectrum_terms(x: Spectrum) -> tuple:
+    """(sign, index) pairs of the nonzero coordinates of x, ascending by index."""
+    nz = np.flatnonzero(x.coords)
+    return tuple(zip(x.coords[nz].tolist(), nz.tolist()))
+
+
 def decomposition_set(T: Tope) -> Decomposition:
     """The unique inclusion-minimal signed set of cycle vertices summing to T."""
-    x = spectrum_fast(T)
-    nz = np.flatnonzero(x.coords)
-    return Decomposition(T.t, [(int(x.coords[i]), int(i)) for i in nz])
+    return Decomposition._wrap(T.t, _spectrum_terms(spectrum_fast(T)))
 
 
 def decomposition_size(T: Tope) -> int:
@@ -239,28 +252,28 @@ def decomposition_size(T: Tope) -> int:
     return spectrum_fast(T).support_size
 
 
+def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
+    # v times twice the inverse matrix, in O(t): the columns telescope.
+    out = np.empty(v.shape[0], dtype=np.int64)
+    out[0] = v[0] + v[-1]
+    out[1:] = v[1:] - v[:-1]
+    return out
+
+
 def spectrum_update(x1: Spectrum, T1: Tope, S: GroundSubset) -> Spectrum:
-    """Spectrum of the reorientation of T1 on S, in O(|S|) from x1.
+    """Spectrum of the reorientation of T1 on S, from x1 without recomputation.
 
     Flipping coordinate s subtracts twice T1(s) times row s of the inverse
     matrix from the spectrum; each such row has at most two nonzero entries,
-    so the update touches at most 2|S| coordinates.
+    so the update touches at most 2|S| coordinates.  All flips together
+    subtract the telescoping transform of T1 restricted to S.
     """
     if x1.t != T1.t:
         raise DimensionMismatch(f"dimension mismatch: {x1.t} vs {T1.t}")
     if T1.t != S.t:
         raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {S.t}")
-    t = T1.t
-    coords = x1.coords.astype(np.int16)
-    for s in S:
-        v = T1.sign(s)
-        if s < t:
-            coords[s - 1] -= v
-            coords[s] += v
-        else:
-            coords[0] -= v
-            coords[t - 1] -= v
-    if coords.size and int(np.abs(coords).max()) > 1:
+    coords = x1.coords - _half_inverse_transform(np.where(_member_mask(S), T1.signs, 0))
+    if int(np.abs(coords).max()) > 1:
         raise InvalidSpectrum("update left the coordinate range; x1 does not match T1")
     return Spectrum._wrap(coords.astype(np.int8))
 
@@ -333,14 +346,6 @@ def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
     return Spectrum(acc)
 
 
-def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
-    # v times twice the inverse matrix, in O(t): the columns telescope.
-    out = np.empty(v.shape[0], dtype=np.int64)
-    out[0] = v[0] + v[-1]
-    out[1:] = v[1:] - v[:-1]
-    return out
-
-
 def size_difference(T1: Tope, T2: Tope) -> int:
     """|Q(T1)| - |Q(T2)| via one exact inner product, without either size.
 
@@ -369,12 +374,19 @@ def negpart_size_from_spectrum(x: Spectrum) -> int:
     return (x.t + 1 + weighted) if total == -1 else (-1 + weighted)
 
 
+def _vertex_sum(coords: np.ndarray) -> np.ndarray:
+    # coords times the cycle-vertex matrix M, in O(t): entry e is twice the
+    # prefix sum through e minus the total.
+    prefix = np.cumsum(coords, dtype=np.int64)
+    return 2 * prefix - prefix[-1]
+
+
 def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
     """(|T1- intersect T2-|, |T1- union T2-|) from the two spectra alone.
 
     Uses the three-case quarter-integer formulas keyed on the coordinate
-    sums, with the Gram pairing of the supports supplying the tope inner
-    product.  Divisions are checked to be exact.
+    sums, with the Gram pairing x1 G x2 supplying the tope inner product.
+    Divisions are checked to be exact.
     """
     if x1.t != x2.t:
         raise DimensionMismatch(f"dimension mismatch: {x1.t} vs {x2.t}")
@@ -382,15 +394,10 @@ def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
     if s1 not in (-1, 1) or s2 not in (-1, 1):
         raise InvalidSpectrum("tope spectra have coordinate sum +-1")
     t = x1.t
-    sup1 = np.flatnonzero(x1.coords)
-    sup2 = np.flatnonzero(x2.coords)
-    g = 0
-    for i in sup1:
-        xi = int(x1.coords[i])
-        for j in sup2:
-            g += xi * int(x2.coords[j]) * gram_entry(t, int(i) + 1, int(j) + 1)
+    # x1 G x2 with G = M M^T is the inner product of the two vectors x M.
+    g = int(_vertex_sum(x1.coords) @ _vertex_sum(x2.coords))
     idx = np.arange(1, t + 1, dtype=np.int64)
-    w = int((x1.coords.astype(np.int64) + x2.coords.astype(np.int64)) @ idx)
+    w = int((x1.coords + x2.coords) @ idx)
     if s1 == -1 and s2 == -1:
         meet4 = 3 * t + 4 + g + 2 * w
         join4 = 5 * t + 4 - g + 2 * w
@@ -407,8 +414,7 @@ def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
 
 def reconstruct_tope(x: Spectrum) -> Tope:
     """Invert the spectrum map: entry e is twice the prefix sum minus the total."""
-    prefix = np.cumsum(x.coords.astype(np.int64))
-    signs = 2 * prefix - x.total
+    signs = _vertex_sum(x.coords)
     if int(np.abs(signs).max()) != 1 or int(np.abs(signs).min()) != 1:
         raise InvalidSpectrum("vector is not the spectrum of any tope")
     return Tope(signs.astype(np.int8))

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycle import inverse_gram_entry
+import numpy as np
+
 from .decomposition import spectrum_fast
 from .errors import DimensionMismatch, EmptySetError, NotProperSubset
-from .topes import GroundSubset, Tope, interval_partition, reorient, separation_set
+from .topes import GroundSubset, Tope, _member_mask, interval_partition, reorient
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,20 @@ class CriterionReport:
     direct_equal: Optional[bool] = None
 
 
+def _boundary_sum(signs: np.ndarray, split: np.ndarray) -> tuple:
+    """(lhs, rhs) of the boundary sum of a sign vector over a split mask.
+
+    lhs sums T(i)*T(i+1) over the adjacent pairs that the mask splits (one
+    coordinate inside, one outside); rhs is T(1)*T(t) when the mask splits
+    the corner pair {1, t}, else 0.
+    """
+    cut = split[1:] != split[:-1]
+    flips = signs[1:] != signs[:-1]
+    lhs = int(np.count_nonzero(cut)) - 2 * int(np.count_nonzero(cut & flips))
+    rhs = int(signs[0] * signs[-1]) if split[0] != split[-1] else 0
+    return lhs, rhs
+
+
 def equal_size_criterion(T: Tope, A: GroundSubset, include_direct: bool = False) -> CriterionReport:
     """Decide |Q(T)| = |Q(reorient(T, A))| from the boundary of A alone.
 
@@ -46,15 +61,9 @@ def equal_size_criterion(T: Tope, A: GroundSubset, include_direct: bool = False)
     """
     if T.t != A.t:
         raise DimensionMismatch(f"dimension mismatch: {T.t} vs {A.t}")
-    t = T.t
-    if len(A) == t:
+    if len(A) == T.t:
         raise NotProperSubset("the criterion is stated for proper subsets only")
-    inside = set(A)
-    lhs = 0
-    for i in range(1, t):
-        if (i in inside) != (i + 1 in inside):
-            lhs += T.sign(i) * T.sign(i + 1)
-    rhs = T.sign(1) * T.sign(t) if A.boundary_count == 1 else 0
+    lhs, rhs = _boundary_sum(T.signs, _member_mask(A))
     direct = None
     if include_direct:
         direct = spectrum_fast(T).support_size == spectrum_fast(reorient(T, A)).support_size
@@ -70,15 +79,11 @@ def equinumerosity_indicator(T1: Tope, T2: Tope) -> int:
     """
     if T1.t != T2.t:
         raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {T2.t}")
-    t = T1.t
-    split = set(separation_set(T1, T2))
-    acc = 0
-    for i in range(1, t):
-        if (i in split) != (i + 1 in split):
-            acc += T1.sign(i) * T1.sign(i + 1) * inverse_gram_entry(t, i, i + 1)
-    if (1 in split) != (t in split):
-        acc += T1.sign(1) * T1.sign(t) * inverse_gram_entry(t, 1, t)
-    return acc
+    # Four times the inverse Gram matrix is -1 on adjacent pairs and +1 on
+    # the corner pair {1, t}, so the pairing is the boundary sum negated on
+    # the adjacent part.
+    lhs, rhs = _boundary_sum(T1.signs, T1.signs != T2.signs)
+    return rhs - lhs
 
 
 def equal_size_by_interval_count(A: GroundSubset, B: GroundSubset) -> bool:

@@ -283,6 +283,13 @@ def reorient(T: Tope, A: GroundSubset) -> Tope:
     return Tope._wrap(signs)
 
 
+def _member_mask(A: GroundSubset) -> np.ndarray:
+    """Boolean membership vector of A (position k holds coordinate k+1)."""
+    inside = np.zeros(A.t + 1, dtype=bool)
+    inside[list(A.members)] = True
+    return inside[1:]
+
+
 def negative_part(T: Tope) -> GroundSubset:
     """The set of coordinates where T is -1."""
     return GroundSubset(T.t, (np.flatnonzero(T.signs < 0) + 1).tolist())

@@ -1,9 +1,12 @@
-"""Exhaustive invariant sweeps at a given dimension.
+"""Independent cross-checks of the production formulas, as exhaustive sweeps.
 
-Each sweep returns a list of human-readable mismatch strings; an empty list
-means the sweep passed.  The CLI `verify` subcommand and the acceptance
-tests both run these, so there is exactly one implementation of every
-cross-check.
+The library evaluates each quantity through one formula.  The sweeps here
+compare it against references that never run on the production path: full
+enumeration, the other printed closed forms, the dense matrix route, direct
+set arithmetic and the brute-force oracle.  Each sweep returns a list of
+human-readable mismatch strings; an empty list means the sweep passed.  The
+CLI `verify` subcommand runs every sweep; the acceptance tests reuse the
+pairwise ones.
 
 Sweeps that enumerate pairs of topes grow as 4^t; callers cap t accordingly
 (run_all applies sensible caps and reports skipped sweeps).
@@ -16,6 +19,7 @@ import random
 import numpy as np
 
 from .counting import (
+    _closed_form_values,
     count_by_boundary_class,
     count_by_negpart_and_size,
     count_cycle_topes_by_negpart,
@@ -186,7 +190,11 @@ def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int =
 
 
 def sweep_counting(t: int) -> list:
-    """Enumerated (j, l) statistics against every closed form."""
+    """Enumerated (j, l) statistics against every closed form.
+
+    Each cell is compared with the production count and with each of the
+    four printed forms from _closed_form_values.
+    """
     bad = []
     table = enumerate_statistics(t)
     if table.total() != 1 << t:
@@ -204,6 +212,9 @@ def sweep_counting(t: int) -> list:
             want = count_by_negpart_and_size(t, j, l)
             if got != want:
                 bad.append(f"t={t}, j={j}, l={l}: enumerated {got} != formula {want}")
+            values = _closed_form_values(t, j, l)
+            if any(v != got for v in values):
+                bad.append(f"t={t}, j={j}, l={l}: closed forms {values} != enumerated {got}")
         if l == 3:
             for j in range(1, t):
                 if table.count(j, 3) != 2 * j * (t - j) - t:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -84,6 +85,31 @@ class TestDecomposeCommand:
         proc = run_cli("decompose", "--t", "3", "--tope", "+0-")
         assert proc.returncode == 2
 
+    def test_tope_from_stdin_past_the_argv_limit(self):
+        # 200000 characters exceed the 128 KiB argv cap on one argument.
+        t = 200000
+        rng = random.Random(3)
+        tope = "-" + "".join(rng.choice("+-") for _ in range(t - 1))
+        proc = run_cli("decompose", "--t", str(t), "--tope", "-", input=tope + "\n")
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        changes = sum(a != b for a, b in zip(tope, tope[1:]))
+        assert record["size"] == changes + (tope[0] == tope[-1])
+        assert len(record["x"]) == t and len(record["terms"]) == record["size"]
+
+    def test_stdin_strips_one_trailing_newline_only(self):
+        proc = run_cli("decompose", "--t", "5", "--tope", "-", input="+--++\n")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["size"] == 3
+        proc = run_cli("decompose", "--t", "5", "--tope", "-", input="+--++\n\n")
+        assert proc.returncode == 2
+        assert "length" in proc.stderr
+
+    def test_stdin_wrong_length_is_usage_error(self):
+        proc = run_cli("decompose", "--t", "5", "--tope", "-", input="+--+")
+        assert proc.returncode == 2
+        assert "length" in proc.stderr
+
     def test_determinism(self):
         a = run_cli("decompose", "--t", "6", "--tope", "+-+-+-", "--method", "all")
         b = run_cli("decompose", "--t", "6", "--tope", "+-+-+-", "--method", "all")
@@ -140,6 +166,11 @@ class TestEquinumCommand:
         proc = run_cli("equinum", "--t", "4", "--tope", "++++", "--subset", "1")
         record = json.loads(proc.stdout)
         assert record == {"equal": True, "lhs_sum": 1, "rhs": 1}
+        assert proc.returncode == 0
+
+    def test_tope_from_stdin(self):
+        proc = run_cli("equinum", "--t", "4", "--tope", "-", "--subset", "1", input="++++\n")
+        assert json.loads(proc.stdout) == {"equal": True, "lhs_sum": 1, "rhs": 1}
         assert proc.returncode == 0
 
     def test_unequal_case_with_oracle(self):

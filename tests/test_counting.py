@@ -21,6 +21,8 @@ from cyclotope import (
     negative_part,
     spectrum_fast,
 )
+from cyclotope import verification
+from cyclotope.counting import _closed_form_values
 
 
 class TestCompositionCount:
@@ -115,6 +117,27 @@ class TestCountByNegpartAndSize:
     def test_rejects_even_size(self):
         with pytest.raises(ValueError):
             count_by_negpart_and_size(5, 2, 4)
+
+
+@pytest.mark.parametrize("t", [21, 64, 129])
+def test_closed_forms_agree_past_the_enumeration_cap(t):
+    cases = ("left-only", "right-only", "both-ends", "neither")
+    for l in range(3, t + 1, 2):
+        for j in range(t + 1):
+            count = count_by_negpart_and_size(t, j, l)
+            assert all(v == count for v in _closed_form_values(t, j, l)), (t, j, l)
+            assert sum(count_by_boundary_class(t, l, case, j) for case in cases) == count
+
+
+def test_sweep_counting_reports_a_disagreeing_closed_form(monkeypatch):
+    def skewed(t, j, l):
+        values = real(t, j, l)
+        return values[:3] + (values[3] + 1,)
+
+    real = verification._closed_form_values
+    assert verification.sweep_counting(6) == []
+    monkeypatch.setattr(verification, "_closed_form_values", skewed)
+    assert any("closed forms" in issue for issue in verification.sweep_counting(6))
 
 
 class TestCycleVertexCounts:
