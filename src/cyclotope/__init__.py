@@ -67,6 +67,7 @@ from .errors import (
     EmptySetError,
     InvalidSpectrum,
     NotProperSubset,
+    VerificationMismatch,
 )
 from .oracle import ORACLE_CAP, OracleResult, bruteforce_minimal_decomposition
 from .topes import (
@@ -105,6 +106,7 @@ __all__ = [
     "Spectrum",
     "SymmetricCycle",
     "Tope",
+    "VerificationMismatch",
     "bruteforce_minimal_decomposition",
     "build_cycle",
     "composition_count",

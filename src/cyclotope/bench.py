@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .cycle import inverse_rows
-from .decomposition import spectrum_dense, spectrum_fast
+from .decomposition import DENSE_CAP, spectrum_dense, spectrum_fast
 from .topes import Tope
 
 
@@ -67,11 +67,11 @@ def time_fast_spectrum(t: int, reps: int = 9, seed: int = 0) -> dict:
 def run_bench(t: int, reps: int = 9, seed: int = 0) -> dict:
     """Full benchmark card for the spectrum routes.
 
-    The dense route is skipped above 4096 because the t x t matrix becomes
-    the dominant cost and tells nothing new about the linear route.
+    The dense route is skipped above DENSE_CAP, where spectrum_dense refuses
+    to build its t x t matrix.
     """
     card = {"t": t, "reps": reps}
-    if t <= 4096:
+    if t <= DENSE_CAP:
         card["routes"] = compare_spectrum_routes(t, reps, seed)
     else:
         card["fast"] = time_fast_spectrum(t, reps, seed)

@@ -20,7 +20,7 @@ from .counting import ENUMERATION_CAP, enumerate_statistics, formula_table
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import _spectrum_terms, spectrum_dense, spectrum_fast, spectrum_intervals
 from .equinumerosity import equal_size_criterion
-from .errors import CyclotopeError
+from .errors import CyclotopeError, VerificationMismatch
 from .topes import GroundSubset, Tope
 
 _METHODS = {
@@ -223,7 +223,7 @@ def run(args: argparse.Namespace) -> int:
         return _DISPATCH[args.subcommand](args)
     except (CyclotopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationMismatch) else 2
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, CyclotopeError
+from .errors import CapExceeded, VerificationMismatch
 from .topes import _check_dimension
 
 ENUMERATION_CAP = 20
@@ -240,7 +240,7 @@ def enumerate_statistics(t: int) -> CountTable:
         keys += l
         counts += np.bincount(keys, minlength=width * width)
     if int(counts.sum()) != span:
-        raise CyclotopeError(f"tally lost topes: {int(counts.sum())} != 2^{t}")
+        raise VerificationMismatch(f"tally lost topes: {int(counts.sum())} != 2^{t}")
     counts = counts.reshape(width, width)
     rows = [
         (j, l, int(counts[j, l]))

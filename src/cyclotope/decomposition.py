@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .cycle import cycle_vertex, inverse_rows
-from .errors import DimensionMismatch, InvalidSpectrum
+from .errors import CapExceeded, DimensionMismatch, InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
@@ -34,6 +34,10 @@ from .topes import (
     interval_partition,
     negative_part,
 )
+
+# Largest t for the dense route: its t x t int64 inverse takes 128 MiB at
+# t = 4096 and grows quadratically.
+DENSE_CAP = 4096
 
 
 class Spectrum:
@@ -178,8 +182,14 @@ def spectrum_dense(T: Tope) -> Spectrum:
     """Coordinate vector via the exact scaled-integer matrix product.
 
     This is the reference route: it multiplies by the stored inverse matrix
-    (scaled by 2) and halves, checking exactness.  Quadratic in t.
+    (scaled by 2) and halves, checking exactness.  Quadratic in t, so it
+    raises CapExceeded above DENSE_CAP before building the matrix.
     """
+    if T.t > DENSE_CAP:
+        raise CapExceeded(
+            f"the dense route builds a {T.t} x {T.t} matrix; it is capped at t = {DENSE_CAP}, "
+            "use the fast or intervals route"
+        )
     doubled = T.signs.astype(np.int64) @ inverse_rows(T.t).entries
     if np.any(doubled & 1):
         raise InvalidSpectrum("matrix product produced a non-integer coordinate")
@@ -253,10 +263,12 @@ def decomposition_size(T: Tope) -> int:
 
 
 def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
-    # v times twice the inverse matrix, in O(t): the columns telescope.
-    out = np.empty(v.shape[0], dtype=np.int64)
-    out[0] = v[0] + v[-1]
-    out[1:] = v[1:] - v[:-1]
+    # v times twice the inverse matrix along the last axis, in O(t): the
+    # columns telescope.
+    out = np.empty(v.shape, dtype=np.int64)
+    # [()] turns the 0-d views of a 1-d v into scalars, which add cheaply.
+    out[..., 0] = v[..., 0][()] + v[..., -1][()]
+    out[..., 1:] = v[..., 1:] - v[..., :-1]
     return out
 
 
@@ -355,10 +367,17 @@ def size_difference(T1: Tope, T2: Tope) -> int:
     """
     if T1.t != T2.t:
         raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {T2.t}")
-    differs = T1.signs != T2.signs
-    u = np.where(differs, T1.signs, 0).astype(np.int64)
-    rest = T1.signs.astype(np.int64) - u
-    return int(_half_inverse_transform(rest) @ _half_inverse_transform(u))
+    return int(_size_difference(T1.signs, T2.signs))
+
+
+def _size_difference(signs1: np.ndarray, signs2: np.ndarray) -> np.ndarray:
+    # With u = (T1 - T2)/2 the restriction of T1 to the separation set and
+    # T1 - u = (T1 + T2)/2, the inner product of the transforms of T1 - u
+    # and u is a quarter of that of T1 + T2 and T1 - T2; along the last axis.
+    both = np.vecdot(
+        _half_inverse_transform(signs1 + signs2), _half_inverse_transform(signs1 - signs2)
+    )
+    return both >> 2
 
 
 def negpart_size_from_spectrum(x: Spectrum) -> int:
@@ -375,10 +394,10 @@ def negpart_size_from_spectrum(x: Spectrum) -> int:
 
 
 def _vertex_sum(coords: np.ndarray) -> np.ndarray:
-    # coords times the cycle-vertex matrix M, in O(t): entry e is twice the
-    # prefix sum through e minus the total.
-    prefix = np.cumsum(coords, dtype=np.int64)
-    return 2 * prefix - prefix[-1]
+    # coords times the cycle-vertex matrix M along the last axis, in O(t):
+    # entry e is twice the prefix sum through e minus the total.
+    prefix = np.add.accumulate(coords, axis=-1, dtype=np.int64)
+    return 2 * prefix - prefix[..., -1:]
 
 
 def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
@@ -390,26 +409,31 @@ def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
     """
     if x1.t != x2.t:
         raise DimensionMismatch(f"dimension mismatch: {x1.t} vs {x2.t}")
-    s1, s2 = x1.total, x2.total
-    if s1 not in (-1, 1) or s2 not in (-1, 1):
+    meet, join = _meet_join_from_spectra(x1.coords, x2.coords)
+    return int(meet), int(join)
+
+
+def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
+    # The meet/join formulas along the last axis.  With sums s1, s2 in
+    # {-1, 1}, Gram pairing g and weight w = sum_i (x1_i + x2_i) * i:
+    #   s1 = s2 = -1:  4 meet = 3t + 4 + g + 2w,  4 join = 5t + 4 - g + 2w
+    #   s1 = s2 = +1:  4 meet = -t - 4 + g + 2w,  4 join = t - 4 - g + 2w
+    #   mixed:         4 meet = t + g + 2w,       4 join = 3t - g + 2w
+    # which is 4 meet = t - (s1 + s2)(t + 2) + g + 2w, 4 join = 4 meet + 2t - 2g.
+    s1 = np.add.reduce(x1, axis=-1)
+    s2 = np.add.reduce(x2, axis=-1)
+    # Integer sums lie in {-1, 1} exactly when their product does.
+    if np.count_nonzero(np.abs(s1 * s2) != 1):
         raise InvalidSpectrum("tope spectra have coordinate sum +-1")
-    t = x1.t
+    t = x1.shape[-1]
     # x1 G x2 with G = M M^T is the inner product of the two vectors x M.
-    g = int(_vertex_sum(x1.coords) @ _vertex_sum(x2.coords))
-    idx = np.arange(1, t + 1, dtype=np.int64)
-    w = int((x1.coords + x2.coords) @ idx)
-    if s1 == -1 and s2 == -1:
-        meet4 = 3 * t + 4 + g + 2 * w
-        join4 = 5 * t + 4 - g + 2 * w
-    elif s1 == 1 and s2 == 1:
-        meet4 = -t - 4 + g + 2 * w
-        join4 = t - 4 - g + 2 * w
-    else:
-        meet4 = t + g + 2 * w
-        join4 = 3 * t - g + 2 * w
-    if meet4 % 4 or join4 % 4:
+    g = np.vecdot(_vertex_sum(x1), _vertex_sum(x2))
+    w = (x1 + x2) @ np.arange(1, t + 1, dtype=np.int64)
+    meet4 = t - (s1 + s2) * (t + 2) + g + 2 * w
+    join4 = meet4 + 2 * (t - g)
+    if np.count_nonzero((meet4 | join4) & 3):
         raise InvalidSpectrum("cardinality formulas did not divide exactly")
-    return meet4 // 4, join4 // 4
+    return meet4 >> 2, join4 >> 2
 
 
 def reconstruct_tope(x: Spectrum) -> Tope:

@@ -22,7 +22,7 @@ class NotProperSubset(CyclotopeError):
 
 
 class CapExceeded(CyclotopeError):
-    """Exhaustive enumeration was requested above the configured cap."""
+    """An enumeration or the dense route was requested above its size cap."""
 
 
 class BudgetExceeded(CyclotopeError):
@@ -31,3 +31,7 @@ class BudgetExceeded(CyclotopeError):
 
 class InvalidSpectrum(CyclotopeError):
     """A coordinate vector does not satisfy the spectrum invariants."""
+
+
+class VerificationMismatch(CyclotopeError):
+    """An internal cross-check found two computations that disagree."""

@@ -286,7 +286,7 @@ def reorient(T: Tope, A: GroundSubset) -> Tope:
 def _member_mask(A: GroundSubset) -> np.ndarray:
     """Boolean membership vector of A (position k holds coordinate k+1)."""
     inside = np.zeros(A.t + 1, dtype=bool)
-    inside[list(A.members)] = True
+    inside[np.fromiter(A.members, dtype=np.intp, count=len(A))] = True
     return inside[1:]
 
 
@@ -329,13 +329,20 @@ def negpart_meet_join_cards(T1: Tope, T2: Tope) -> tuple:
     <T1,T2> and the entry sums; the divisions are checked to be exact.
     """
     _require_same_t(T1, T2)
-    t = T1.t
-    a = T1.signs.astype(np.int64)
-    b = T2.signs.astype(np.int64)
-    dot = int(a @ b)
-    total = int(a.sum() + b.sum())
+    meet, join = _meet_join_cards(T1.signs, T2.signs)
+    return int(meet), int(join)
+
+
+def _meet_join_cards(a: np.ndarray, b: np.ndarray) -> tuple:
+    # 4|A- & B-| = t + <a, b> - sum(a) - sum(b) and 4|A- | B-| = 3t - <a, b>
+    # - sum(a) - sum(b), along the last axis of the two sign arrays.
+    t = a.shape[-1]
+    a = a.astype(np.int64)
+    b = b.astype(np.int64)
+    dot = np.vecdot(a, b)
+    total = np.add.reduce(a, axis=-1) + np.add.reduce(b, axis=-1)
     meet4 = t + dot - total
     join4 = 3 * t - dot - total
-    if meet4 % 4 or join4 % 4:
+    if np.count_nonzero((meet4 | join4) & 3):
         raise ValueError("inner products of sign vectors must give multiples of 4")
-    return meet4 // 4, join4 // 4
+    return meet4 >> 2, join4 >> 2

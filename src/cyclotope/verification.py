@@ -8,8 +8,15 @@ human-readable mismatch strings; an empty list means the sweep passed.  The
 CLI `verify` subcommand runs every sweep; the acceptance tests reuse the
 pairwise ones.
 
-Sweeps that enumerate pairs of topes grow as 4^t; callers cap t accordingly
-(run_all applies sensible caps and reports skipped sweeps).
+The pairwise sweeps (equinumerosity, size-difference, negpart-cardinalities)
+cover all 4^t pairs of topes or reorientation sets.  They build the 2^t
+sign and membership rows once from the masks 0..2^t-1, evaluate each
+production kernel over whole row blocks of the pair grid by broadcasting,
+and compare the results with plain mask arithmetic: sizes from popcounts of
+adjacent sign changes, meets and joins from popcounts of m1 & m2 and
+m1 | m2, interval counts from popcounts of run starts.  run_all caps every
+sweep at a dimension that keeps `verify` at desk scale and reports a capped
+sweep as skipped.
 """
 
 from __future__ import annotations
@@ -29,8 +36,9 @@ from .counting import (
 )
 from .cycle import build_cycle, gram_entry, inverse_gram_entry, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import (
+    _meet_join_from_spectra,
+    _size_difference,
     decomposition_set,
-    negpart_meet_join_from_spectra,
     negpart_size_from_spectrum,
     reconstruct_tope,
     spectrum_dense,
@@ -39,19 +47,22 @@ from .decomposition import (
     spectrum_from_unit_flips,
     spectrum_intervals,
     spectrum_update,
-    size_difference,
 )
-from .equinumerosity import equal_size_by_interval_count, equal_size_criterion, equinumerosity_indicator
+from .equinumerosity import _boundary_sum, _interval_count_rule
 from .oracle import bruteforce_minimal_decomposition
 from .topes import (
     GroundSubset,
     Tope,
+    _meet_join_cards,
     interval_partition,
     negative_part,
-    negpart_meet_join_cards,
     reorient,
     separation_set,
 )
+
+# Cells (row x column x coordinate) per block of a pairwise sweep: the int64
+# temporaries of one block then take about 512 KiB whatever t is.
+_PAIR_BLOCK = 1 << 16
 
 
 def _all_topes(t):
@@ -59,9 +70,37 @@ def _all_topes(t):
         yield Tope.from_bitmask(mask, t)
 
 
+def _subset(mask, t):
+    return GroundSubset(t, [e + 1 for e in range(t) if int(mask) >> e & 1])
+
+
 def _all_subsets(t):
     for mask in range(1 << t):
-        yield GroundSubset(t, [e + 1 for e in range(t) if mask >> e & 1])
+        yield _subset(mask, t)
+
+
+def _mask_rows(t):
+    """(masks, signs, members, sizes) for every t-bit mask, in mask order.
+
+    Bit e-1 of a mask set means entry e of the tope is -1 and coordinate e
+    belongs to the subset; signs and members are the (2^t, t) int8 and bool
+    rows.  The size of the minimal decomposition is read off the mask: the
+    adjacent sign changes plus one when T(1) = T(t).
+    """
+    masks = np.arange(1 << t, dtype=np.int64)
+    members = (masks[:, None] >> np.arange(t)) & 1 == 1
+    signs = np.where(members, -1, 1).astype(np.int8)
+    changes = np.bitwise_count((masks ^ (masks >> 1)) & ((1 << (t - 1)) - 1))
+    sizes = changes.astype(np.int64) + ((masks ^ (masks >> (t - 1))) & 1 == 0)
+    return masks, signs, members, sizes
+
+
+def _row_blocks(n, t):
+    """Slices of the n rows of an n x n pair grid, at most _PAIR_BLOCK cells each."""
+    step = max(1, _PAIR_BLOCK // (n * t))
+    for start in range(0, n, step):
+        yield slice(start, min(n, start + step))
+
 
 
 def sweep_cycle_structure(t: int) -> list:
@@ -264,69 +303,85 @@ def sweep_boundary_classes(t: int) -> list:
 
 
 def sweep_equinumerosity(t: int) -> list:
-    """Criterion, indicator and interval rule against direct size comparison."""
+    """Criterion, indicator and interval rule against popcount sizes, all pairs.
+
+    The criterion runs on every subset A, the full set included: there it
+    reads 0 = 0, and T and its antipode have equal sizes.
+    """
     bad = []
-    topes = list(_all_topes(t))
-    sizes = {str(T): spectrum_fast(T).support_size for T in topes}
-    subsets = list(_all_subsets(t))
-    for T in topes:
-        base = sizes[str(T)]
-        for A in subsets:
-            if len(A) == t:
-                continue
-            direct = base == sizes[str(reorient(T, A))]
-            report = equal_size_criterion(T, A)
-            if report.equal != direct:
-                bad.append(f"{T}, A={A}: criterion {report.equal} != direct {direct}")
-    for T1 in topes:
-        s1 = sizes[str(T1)]
-        for T2 in topes:
-            ind = equinumerosity_indicator(T1, T2)
-            if (ind == 0) != (s1 == sizes[str(T2)]):
-                bad.append(f"{T1}, {T2}: indicator {ind} vs sizes {s1}, {sizes[str(T2)]}")
-            if ind != size_difference(T1, T2):
+    masks, signs, members, sizes = _mask_rows(t)
+    n = masks.shape[0]
+    for rows in _row_blocks(n, t):
+        lhs, rhs = _boundary_sum(signs[rows, None], members[None])
+        equal = lhs == rhs
+        direct = sizes[rows, None] == sizes[masks[rows, None] ^ masks]
+        for i, a in np.argwhere(equal != direct):
+            T = Tope.from_bitmask(rows.start + i, t)
+            bad.append(f"{T}, A={_subset(a, t)}: criterion {equal[i, a]} != direct {direct[i, a]}")
+    for rows in _row_blocks(n, t):
+        lhs, rhs = _boundary_sum(signs[rows, None], signs[rows, None] != signs[None])
+        ind = rhs - lhs
+        wrong = (ind == 0) != (sizes[rows, None] == sizes)
+        differs = ind != _size_difference(signs[rows, None], signs[None])
+        for i, j in np.argwhere(wrong | differs):
+            a = rows.start + i
+            T1, T2 = Tope.from_bitmask(a, t), Tope.from_bitmask(j, t)
+            if wrong[i, j]:
+                bad.append(f"{T1}, {T2}: indicator {ind[i, j]} vs sizes {sizes[a]}, {sizes[j]}")
+            if differs[i, j]:
                 bad.append(f"{T1}, {T2}: indicator != size difference")
-    plus = Tope.positive(t)
-    nonempty = [A for A in subsets if len(A)]
-    for A in nonempty:
-        size_a = sizes[str(reorient(plus, A))]
-        for B in nonempty:
-            want = size_a == sizes[str(reorient(plus, B))]
-            if equal_size_by_interval_count(A, B) != want:
-                bad.append(f"A={A}, B={B}: interval rule != direct comparison")
+    # Nonempty A and B, as reorientations of all-plus: mask m's tope.  The
+    # interval count is the number of run starts, set bits whose lower
+    # neighbour is clear.
+    nonempty = masks[1:]
+    rho = np.bitwise_count(nonempty & ~(nonempty << 1)).astype(np.int64)
+    touch = nonempty & (1 | 1 << (t - 1)) != 0
+    for rows in _row_blocks(n - 1, t):
+        same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
+        for i, j in np.argwhere(same != (sizes[1:][rows, None] == sizes[1:])):
+            A, B = _subset(rows.start + i + 1, t), _subset(j + 1, t)
+            bad.append(f"A={A}, B={B}: interval rule != direct comparison")
     return bad
 
 
 def sweep_size_difference(t: int) -> list:
-    """Inner-product size difference against direct subtraction, all pairs."""
+    """Inner-product size difference against popcount sizes, all pairs."""
     bad = []
-    topes = list(_all_topes(t))
-    sizes = [spectrum_fast(T).support_size for T in topes]
-    for a, T1 in enumerate(topes):
-        for b, T2 in enumerate(topes):
-            if size_difference(T1, T2) != sizes[a] - sizes[b]:
-                bad.append(f"{T1}, {T2}: size difference mismatch")
+    masks, signs, _, sizes = _mask_rows(t)
+    for rows in _row_blocks(masks.shape[0], t):
+        diff = _size_difference(signs[rows, None], signs[None])
+        for i, j in np.argwhere(diff != sizes[rows, None] - sizes):
+            T1, T2 = Tope.from_bitmask(rows.start + i, t), Tope.from_bitmask(j, t)
+            bad.append(f"{T1}, {T2}: size difference mismatch")
     return bad
 
 
 def sweep_negpart_cardinalities(t: int) -> list:
-    """Negative-part size and meet/join cardinalities from spectra alone."""
+    """Negative-part size and meet/join cardinalities against mask popcounts."""
     bad = []
-    topes = list(_all_topes(t))
-    spectra = [spectrum_fast(T) for T in topes]
-    for T, x in zip(topes, spectra):
-        direct = len(negative_part(T))
-        if negpart_size_from_spectrum(x) != direct:
-            bad.append(f"{T}: negative-part size from spectrum != {direct}")
-    for T1, x1 in zip(topes, spectra):
-        neg1 = set(negative_part(T1))
-        for T2, x2 in zip(topes, spectra):
-            neg2 = set(negative_part(T2))
-            want = (len(neg1 & neg2), len(neg1 | neg2))
-            got = negpart_meet_join_from_spectra(x1, x2)
-            if got != want:
+    masks, signs, _, _ = _mask_rows(t)
+    spectra = []
+    for m in range(masks.shape[0]):
+        T = Tope.from_bitmask(m, t)
+        x = spectrum_fast(T)
+        spectra.append(x.coords)
+        if negpart_size_from_spectrum(x) != m.bit_count():
+            bad.append(f"{T}: negative-part size from spectrum != {m.bit_count()}")
+    spectra = np.stack(spectra)
+    for rows in _row_blocks(masks.shape[0], t):
+        meet = np.bitwise_count(masks[rows, None] & masks)
+        join = np.bitwise_count(masks[rows, None] | masks)
+        spectral = _meet_join_from_spectra(spectra[rows, None], spectra[None])
+        wrong_spectra = (spectral[0] != meet) | (spectral[1] != join)
+        cards = _meet_join_cards(signs[rows, None], signs[None])
+        wrong_cards = (cards[0] != meet) | (cards[1] != join)
+        for i, j in np.argwhere(wrong_spectra | wrong_cards):
+            T1, T2 = Tope.from_bitmask(rows.start + i, t), Tope.from_bitmask(j, t)
+            want = (int(meet[i, j]), int(join[i, j]))
+            if wrong_spectra[i, j]:
+                got = (int(spectral[0][i, j]), int(spectral[1][i, j]))
                 bad.append(f"{T1}, {T2}: meet/join {got} != {want}")
-            if negpart_meet_join_cards(T1, T2) != want:
+            if wrong_cards[i, j]:
                 bad.append(f"{T1}, {T2}: inner-product meet/join != direct")
     return bad
 
@@ -364,8 +419,9 @@ def sweep_oracle(t: int) -> list:
     return bad
 
 
-# Caps keep the pairwise 4^t sweeps inside desk scale when verify is run at
-# larger t; a capped sweep is reported as skipped, not silently shrunk.
+# Caps keep every sweep inside desk scale when verify is run at larger t; a
+# capped sweep is reported as skipped, not silently shrunk.  The pairwise
+# sweeps cover 4^t pairs, so each step up in t quadruples their time.
 _SWEEPS = (
     ("cycle-structure", sweep_cycle_structure, None),
     ("matrix-identities", sweep_matrix_identities, 64),
@@ -374,9 +430,9 @@ _SWEEPS = (
     ("spectrum-updates", sweep_spectrum_updates, None),
     ("counting", sweep_counting, 14),
     ("boundary-classes", sweep_boundary_classes, 12),
-    ("equinumerosity", sweep_equinumerosity, 8),
-    ("size-difference", sweep_size_difference, 8),
-    ("negpart-cardinalities", sweep_negpart_cardinalities, 8),
+    ("equinumerosity", sweep_equinumerosity, 11),
+    ("size-difference", sweep_size_difference, 11),
+    ("negpart-cardinalities", sweep_negpart_cardinalities, 11),
     ("flip-spectra", sweep_unit_flip_spectra, 12),
 )
 

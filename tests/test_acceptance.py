@@ -165,20 +165,20 @@ def test_criterion_07_equinumerosity_exhaustive(capsys):
     ok = False
     try:
         start = time.perf_counter()
-        for t in range(3, 9):
+        for t in range(3, 11):
             mismatches = sweep_equinumerosity(t)
             assert not mismatches, mismatches[:3]
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f} s, budget 60 s"
         ok = True
     finally:
-        _report(capsys, 7, "equal-size criterion, indicator and interval rule, t in [3,8]", ok)
+        _report(capsys, 7, "equal-size criterion, indicator and interval rule, t in [3,10]", ok)
 
 
 def test_criterion_08_cardinality_and_spectrum_identities(capsys):
     ok = False
     try:
-        for t in range(3, 9):
+        for t in range(3, 11):
             mismatches = sweep_negpart_cardinalities(t)
             assert not mismatches, mismatches[:3]
         for t in range(3, 11):
@@ -192,12 +192,12 @@ def test_criterion_08_cardinality_and_spectrum_identities(capsys):
 def test_criterion_09_size_difference_all_pairs(capsys):
     ok = False
     try:
-        for t in range(3, 9):
+        for t in range(3, 11):
             mismatches = sweep_size_difference(t)
             assert not mismatches, mismatches[:3]
         ok = True
     finally:
-        _report(capsys, 9, "inner-product size difference on all pairs, t in [3,8]", ok)
+        _report(capsys, 9, "inner-product size difference on all pairs, t in [3,10]", ok)
 
 
 def test_criterion_10_performance(capsys):

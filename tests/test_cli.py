@@ -115,6 +115,14 @@ class TestDecomposeCommand:
         b = run_cli("decompose", "--t", "6", "--tope", "+-+-+-", "--method", "all")
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("method", ["dense", "all"])
+    def test_dense_route_is_capped(self, method):
+        proc = run_cli("decompose", "--t", "4097", "--tope", "+" * 4097, "--method", method)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "4096" in lines[0]
+
 
 class TestStatsCommand:
     def test_csv_formula_only(self):

@@ -9,6 +9,7 @@ from cyclotope import (
     CountTable,
     GroundSubset,
     Tope,
+    VerificationMismatch,
     composition_count,
     count_by_boundary_class,
     count_by_negpart_and_size,
@@ -21,7 +22,8 @@ from cyclotope import (
     negative_part,
     spectrum_fast,
 )
-from cyclotope import verification
+from cyclotope import counting, verification
+from cyclotope.cli import main
 from cyclotope.counting import _closed_form_values
 
 
@@ -138,6 +140,17 @@ def test_sweep_counting_reports_a_disagreeing_closed_form(monkeypatch):
     assert verification.sweep_counting(6) == []
     monkeypatch.setattr(verification, "_closed_form_values", skewed)
     assert any("closed forms" in issue for issue in verification.sweep_counting(6))
+
+
+def test_lost_tally_is_a_mismatch_with_exit_code_1(monkeypatch, capsys):
+    real = counting.np.bincount
+    monkeypatch.setattr(counting.np, "bincount", lambda keys, minlength: real(keys[1:], minlength=minlength))
+    with pytest.raises(VerificationMismatch, match="tally lost topes"):
+        enumerate_statistics(5)
+    assert main(["stats", "--t", "5", "--enumerate"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tally lost topes: 31 != 2^5\n"
 
 
 class TestCycleVertexCounts:

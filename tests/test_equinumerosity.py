@@ -8,6 +8,7 @@ from cyclotope import (
     equal_size_by_interval_count,
     equal_size_criterion,
     equinumerosity_indicator,
+    negative_part,
     reorient,
     size_difference,
     spectrum_fast,
@@ -81,6 +82,17 @@ class TestIndicator:
         for a, T1 in enumerate(topes):
             for b, T2 in enumerate(topes):
                 assert (equinumerosity_indicator(T1, T2) == 0) == (sizes[a] == sizes[b])
+
+    @pytest.mark.parametrize("t", [2**15 - 1, 2**15, 2**15 + 1, 2**16 + 1])
+    def test_largest_boundary_sums_around_the_accumulator_switch(self, t):
+        # Alternating signs flip at every adjacent pair, and their negative
+        # part splits every one of them: |lhs| = t - 1, the largest possible.
+        alternating = Tope([(-1) ** e for e in range(t)])
+        size = t - 1 + t % 2
+        report = equal_size_criterion(alternating, negative_part(alternating))
+        assert (report.equal, report.lhs_sum, report.rhs) == (False, 1 - t, t % 2 - 1)
+        assert equinumerosity_indicator(alternating, Tope.positive(t)) == size - 1
+        assert size_difference(alternating, Tope.positive(t)) == size - 1
 
 
 class TestIntervalCountRule:

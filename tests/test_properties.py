@@ -7,6 +7,7 @@ arithmetic that shares no code with the library.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,14 +15,25 @@ from cyclotope import (
     GroundSubset,
     Tope,
     decomposition_set,
+    equal_size_by_interval_count,
     equal_size_criterion,
     equinumerosity_indicator,
+    negpart_meet_join_cards,
     negpart_meet_join_from_spectra,
     reconstruct_tope,
     reorient,
+    size_difference,
     spectrum_fast,
     spectrum_update,
 )
+from cyclotope.decomposition import (
+    _half_inverse_transform,
+    _meet_join_from_spectra,
+    _size_difference,
+    _vertex_sum,
+)
+from cyclotope.equinumerosity import _boundary_sum, _interval_count_rule
+from cyclotope.topes import _meet_join_cards
 
 MAX_T = 512
 
@@ -51,6 +63,15 @@ def _mask(draw, top: int) -> int:
     if draw(st.booleans()):
         return draw(st.integers(0, top))
     return random.Random(draw(st.integers(0, 2**32 - 1))).randrange(top + 1)
+
+
+@st.composite
+def pair_stacks(draw):
+    """(t, [(mask_1, mask_2), ...]): one to four mask pairs at one t."""
+    t = draw(st.integers(3, MAX_T))
+    full = (1 << t) - 1
+    count = draw(st.integers(1, 4))
+    return t, [(_mask(draw, full), _mask(draw, full)) for _ in range(count)]
 
 
 @st.composite
@@ -122,3 +143,48 @@ def test_update_equals_recomputation(case):
     T = Tope.from_bitmask(m, t)
     x = spectrum_update(spectrum_fast(T), T, _subset(s, t))
     assert x.coords.tolist() == _spectrum(m ^ s, t)
+
+
+@relaxed
+@given(pair_stacks())
+def test_batched_kernels_match_the_scalar_functions_row_by_row(case):
+    t, pairs = case
+    first = [Tope.from_bitmask(m1, t) for m1, _ in pairs]
+    second = [Tope.from_bitmask(m2, t) for _, m2 in pairs]
+    subsets = [_subset(m2, t) for _, m2 in pairs]
+    s1 = np.stack([T.signs for T in first])
+    s2 = np.stack([T.signs for T in second])
+    x1 = np.stack([spectrum_fast(T).coords for T in first])
+    x2 = np.stack([spectrum_fast(T).coords for T in second])
+    members = np.array([[m2 >> e & 1 for e in range(t)] for _, m2 in pairs], dtype=bool)
+    lhs, rhs = _boundary_sum(s1, members)
+    ind_lhs, ind_rhs = _boundary_sum(s1, s1 != s2)
+    diff = _size_difference(s1, s2)
+    meet, join = _meet_join_from_spectra(x1, x2)
+    card_meet, card_join = _meet_join_cards(s1, s2)
+    doubled = _half_inverse_transform(s1)
+    rebuilt = _vertex_sum(x1)
+    for k, (T1, T2, A) in enumerate(zip(first, second, subsets)):
+        if len(A) < t:
+            report = equal_size_criterion(T1, A)
+            assert (report.lhs_sum, report.rhs) == (lhs[k], rhs[k])
+        assert equinumerosity_indicator(T1, T2) == ind_rhs[k] - ind_lhs[k]
+        assert size_difference(T1, T2) == diff[k]
+        assert negpart_meet_join_from_spectra(spectrum_fast(T1), spectrum_fast(T2)) == (meet[k], join[k])
+        assert negpart_meet_join_cards(T1, T2) == (card_meet[k], card_join[k])
+        assert doubled[k].tolist() == (2 * spectrum_fast(T1).coords).tolist()
+        assert Tope(rebuilt[k]) == T1
+
+
+@relaxed
+@given(pair_stacks())
+def test_batched_interval_rule_matches_the_scalar_rule_row_by_row(case):
+    t, pairs = case
+    pairs = [(m1 or 1, m2 or 1) for m1, m2 in pairs]  # the rule needs nonempty sets
+    corners = 1 | 1 << (t - 1)
+    # Interval counts are run starts: set bits whose lower neighbour is clear.
+    rho = np.array([[(m & ~(m << 1)).bit_count() for m in pair] for pair in pairs], dtype=np.int64)
+    touch = np.array([[m & corners != 0 for m in pair] for pair in pairs], dtype=bool)
+    rule = _interval_count_rule(rho[:, 0], touch[:, 0], rho[:, 1], touch[:, 1])
+    for k, (m1, m2) in enumerate(pairs):
+        assert equal_size_by_interval_count(_subset(m1, t), _subset(m2, t)) == rule[k]
