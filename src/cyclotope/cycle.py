@@ -43,14 +43,6 @@ class ScaledIntMatrix:
     def denom(self) -> int:
         return self._denom
 
-    @property
-    def rows(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._entries.shape[1]
-
     def __matmul__(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
         if not isinstance(other, ScaledIntMatrix):
             return NotImplemented

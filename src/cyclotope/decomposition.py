@@ -24,13 +24,13 @@ from typing import Iterable
 import numpy as np
 
 from .cycle import cycle_vertex, inverse_rows
-from .errors import CapExceeded, DimensionMismatch, InvalidSpectrum
+from .errors import CapExceeded, InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
     _check_dimension,
     _int_array,
-    _member_mask,
+    _require_same_t,
     interval_partition,
     negative_part,
 )
@@ -46,11 +46,10 @@ class Spectrum:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable[int]):
-        arr = _int_array(coords, "spectrum")
-        # Check the original values: an int8 cast would wrap 256 to 0.
-        if int(arr.min()) < -1 or int(arr.max()) > 1:
-            raise InvalidSpectrum("spectrum entries must lie in {-1, 0, 1}")
+        arr = _int_array(coords, "spectrum", -1, 1, InvalidSpectrum)
+        _check_dimension(arr.shape[0])
         arr = arr.astype(np.int8)
+        _tope_signs(arr)  # InvalidSpectrum unless arr is the spectrum of a tope
         arr.flags.writeable = False
         self._coords = arr
 
@@ -280,11 +279,9 @@ def spectrum_update(x1: Spectrum, T1: Tope, S: GroundSubset) -> Spectrum:
     so the update touches at most 2|S| coordinates.  All flips together
     subtract the telescoping transform of T1 restricted to S.
     """
-    if x1.t != T1.t:
-        raise DimensionMismatch(f"dimension mismatch: {x1.t} vs {T1.t}")
-    if T1.t != S.t:
-        raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {S.t}")
-    coords = x1.coords - _half_inverse_transform(np.where(_member_mask(S), T1.signs, 0))
+    _require_same_t(x1, T1)
+    _require_same_t(T1, S)
+    coords = x1.coords - _half_inverse_transform(np.where(S.inside, T1.signs, 0))
     if int(np.abs(coords).max()) > 1:
         raise InvalidSpectrum("update left the coordinate range; x1 does not match T1")
     return Spectrum._wrap(coords.astype(np.int8))
@@ -322,7 +319,8 @@ def spectrum_from_unit_flips(A: GroundSubset) -> Spectrum:
     acc[0] = 1 - len(A)
     for s in A:
         acc += unit_flip_spectrum(s, t).coords
-    return Spectrum(acc)
+    # Trusted like every route: the flip-spectra sweep reports a wrong sum.
+    return Spectrum._wrap(acc.astype(np.int8))
 
 
 def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
@@ -355,7 +353,7 @@ def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
             continue
         acc[i - 1] -= 1
         acc[i] += 1
-    return Spectrum(acc)
+    return Spectrum._wrap(acc.astype(np.int8))
 
 
 def size_difference(T1: Tope, T2: Tope) -> int:
@@ -365,8 +363,7 @@ def size_difference(T1: Tope, T2: Tope) -> int:
     squared spectrum norms collapses to the inner product of the transforms
     of T1 - u and u under twice the inverse matrix.
     """
-    if T1.t != T2.t:
-        raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {T2.t}")
+    _require_same_t(T1, T2)
     return int(_size_difference(T1.signs, T2.signs))
 
 
@@ -407,8 +404,7 @@ def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
     sums, with the Gram pairing x1 G x2 supplying the tope inner product.
     Divisions are checked to be exact.
     """
-    if x1.t != x2.t:
-        raise DimensionMismatch(f"dimension mismatch: {x1.t} vs {x2.t}")
+    _require_same_t(x1, x2)
     meet, join = _meet_join_from_spectra(x1.coords, x2.coords)
     return int(meet), int(join)
 
@@ -436,9 +432,15 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     return meet4 >> 2, join4 >> 2
 
 
+def _tope_signs(coords: np.ndarray) -> np.ndarray:
+    # The int8 tope whose spectrum is coords; InvalidSpectrum when the vertex
+    # sum is not a +-1 vector.
+    signs = _vertex_sum(coords)
+    if np.count_nonzero(np.abs(signs) != 1):
+        raise InvalidSpectrum("vector is not the spectrum of any tope")
+    return signs.astype(np.int8)
+
+
 def reconstruct_tope(x: Spectrum) -> Tope:
     """Invert the spectrum map: entry e is twice the prefix sum minus the total."""
-    signs = _vertex_sum(x.coords)
-    if int(np.abs(signs).max()) != 1 or int(np.abs(signs).min()) != 1:
-        raise InvalidSpectrum("vector is not the spectrum of any tope")
-    return Tope(signs.astype(np.int8))
+    return Tope._wrap(_tope_signs(x.coords))

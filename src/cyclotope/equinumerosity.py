@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import spectrum_fast
-from .errors import DimensionMismatch, EmptySetError, NotProperSubset
-from .topes import GroundSubset, Tope, _member_mask, interval_partition, reorient
+from .errors import EmptySetError, NotProperSubset
+from .topes import GroundSubset, Tope, _require_same_t, interval_partition, reorient
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,10 @@ def equal_size_criterion(T: Tope, A: GroundSubset, include_direct: bool = False)
     contains exactly one boundary coordinate, and 0 otherwise.  A must be a
     proper subset; for the full set the sizes agree trivially (antipodes).
     """
-    if T.t != A.t:
-        raise DimensionMismatch(f"dimension mismatch: {T.t} vs {A.t}")
+    _require_same_t(T, A)
     if len(A) == T.t:
         raise NotProperSubset("the criterion is stated for proper subsets only")
-    lhs, rhs = _boundary_sum(T.signs, _member_mask(A))
+    lhs, rhs = _boundary_sum(T.signs, A.inside)
     lhs, rhs = int(lhs), int(rhs)
     direct = None
     if include_direct:
@@ -84,8 +83,7 @@ def equinumerosity_indicator(T1: Tope, T2: Tope) -> int:
     unordered pairs {i, j} split by the separation set.  Only adjacent pairs
     and the (1, t) pair can contribute, so the sum is O(t).
     """
-    if T1.t != T2.t:
-        raise DimensionMismatch(f"dimension mismatch: {T1.t} vs {T2.t}")
+    _require_same_t(T1, T2)
     # Four times the inverse Gram matrix is -1 on adjacent pairs and +1 on
     # the corner pair {1, t}, so the pairing is the boundary sum negated on
     # the adjacent part.
@@ -100,8 +98,7 @@ def equal_size_by_interval_count(A: GroundSubset, B: GroundSubset) -> bool:
     sizes agree iff their interval counts agree; when exactly one touches,
     the toucher needs one more interval than the other.
     """
-    if A.t != B.t:
-        raise DimensionMismatch(f"dimension mismatch: {A.t} vs {B.t}")
+    _require_same_t(A, B)
     if not len(A) or not len(B):
         raise EmptySetError("both subsets must be nonempty")
     return _interval_count_rule(

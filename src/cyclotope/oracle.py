@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
-
 import numpy as np
 
-from .cycle import SymmetricCycle, cycle_vertex
+from .cycle import cycle_vertex
 from .errors import BudgetExceeded, CyclotopeError
 from .topes import Tope
 
@@ -53,7 +51,7 @@ def _subset_sums(t: int):
     return sums, popcounts
 
 
-def bruteforce_minimal_decomposition(T: Tope, cycle: Optional[SymmetricCycle] = None) -> OracleResult:
+def bruteforce_minimal_decomposition(T: Tope) -> OracleResult:
     """Search all subsets of cycle vertices for minimal sums equal to T.
 
     Solutions are ranked by cardinality; the least cardinality is asserted
@@ -64,13 +62,6 @@ def bruteforce_minimal_decomposition(T: Tope, cycle: Optional[SymmetricCycle] = 
     t = T.t
     if t > ORACLE_CAP:
         raise BudgetExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
-    if cycle is not None:
-        if cycle.t != t:
-            raise CyclotopeError(f"cycle dimension {cycle.t} does not match tope dimension {t}")
-        # The sum table is built for the distinguished cycle; reject others.
-        for k in range(2 * t):
-            if not np.array_equal(cycle.vertex(k).signs, cycle_vertex(t, k)):
-                raise CyclotopeError("oracle supports the distinguished symmetric cycle only")
     sums, popcounts = _subset_sums(t)
     matches = np.flatnonzero((sums == T.signs.astype(np.int16)).all(axis=1))
     if matches.size == 0:

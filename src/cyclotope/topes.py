@@ -25,22 +25,35 @@ def _check_dimension(t: int) -> int:
     return t
 
 
-def _index(value) -> int:
-    """An exact integer: bools and floats raise TypeError instead of coercing."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got a bool: {value!r}")
-    return operator.index(value)
+# Entry types that numpy would read as the integers 0 and 1.
+_BOOLS = {bool, np.bool_}
 
 
-def _int_array(values, what: str) -> np.ndarray:
-    """values as a 1-d integer array, rejecting bool, float and object data."""
-    arr = np.asarray(values)
+def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndarray:
+    """values as a 1-d integer array with entries in [lo, hi]; error if out of range.
+
+    Bool, float and object data raise TypeError.  An ndarray is judged by its
+    dtype; in other input a bool anywhere raises (numpy reads [1, True] as
+    [1, 1]), and an integer too large for int64 is out of range.
+    """
+    if isinstance(values, np.ndarray):
+        arr, types = values, set()
+    else:
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        types = set(map(type, values))
+        if types & _BOOLS:
+            raise TypeError(f"{what} entries must be integers, got a bool")
+        arr = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"a {what} is a one-dimensional vector")
-    _check_dimension(arr.shape[0])
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind in "iu":
+        # Compare in the original dtype: an int8 cast would wrap 257 to 1.
+        if not arr.size or (lo <= arr.min() and arr.max() <= hi):
+            return arr
+    elif not types or not all(issubclass(ty, (int, np.integer)) for ty in types):
         raise TypeError(f"{what} entries must be integers, got dtype {arr.dtype}")
-    return arr
+    raise error(f"{what} entries must lie in [{lo}, {hi}]")
 
 
 class Tope:
@@ -51,17 +64,15 @@ class Tope:
     mask 0 and the all-minus tope is mask 2**t - 1.
     """
 
-    __slots__ = ("_signs", "_mask")
+    __slots__ = ("_signs",)
 
     def __init__(self, signs: Iterable[int]):
-        arr = _int_array(signs, "tope")
-        # Check the original values: an int8 cast would wrap 257 to 1.
-        if not np.all(np.abs(arr) == 1):
+        arr = _int_array(signs, "tope", -1, 1)
+        _check_dimension(arr.shape[0])
+        if not arr.all():
             raise ValueError("tope entries must be exactly +1 or -1")
-        arr = arr.astype(np.int8)
-        arr.flags.writeable = False
-        self._signs = arr
-        self._mask = None
+        self._signs = arr.astype(np.int8)
+        self._signs.flags.writeable = False
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tope":
@@ -69,7 +80,6 @@ class Tope:
         self = object.__new__(cls)
         arr.flags.writeable = False
         self._signs = arr
-        self._mask = None
         return self
 
     @classmethod
@@ -96,7 +106,9 @@ class Tope:
     def from_bitmask(cls, mask: int, t: int) -> "Tope":
         """Unpack a bitmask: bit e-1 set means entry e is -1."""
         t = _check_dimension(t)
-        mask = _index(mask)
+        if isinstance(mask, bool):
+            raise TypeError(f"expected an integer, got a bool: {mask!r}")
+        mask = operator.index(mask)
         if not 0 <= mask < (1 << t):
             raise ValueError(f"mask {mask} out of range for t={t}")
         raw = mask.to_bytes((t + 7) // 8, "little")
@@ -114,10 +126,8 @@ class Tope:
 
     @property
     def bitmask(self) -> int:
-        if self._mask is None:
-            packed = np.packbits(self._signs < 0, bitorder="little")
-            self._mask = int.from_bytes(packed.tobytes(), "little")
-        return self._mask
+        packed = np.packbits(self._signs < 0, bitorder="little")
+        return int.from_bytes(packed.tobytes(), "little")
 
     def sign(self, e: int) -> int:
         """Entry at 1-based coordinate e."""
@@ -144,34 +154,48 @@ class Tope:
 
 
 class GroundSubset:
-    """An immutable subset of the coordinate ground set E_t = {1,...,t}."""
+    """An immutable subset of the coordinate ground set E_t = {1,...,t}.
 
-    __slots__ = ("_t", "_members")
+    Stored as its membership vector, the layout of ``T.signs < 0``: the
+    negative part of a tope and the reorientation that makes it from the
+    all-plus tope are the same vector.
+    """
+
+    __slots__ = ("_inside",)
 
     def __init__(self, t: int, members: Iterable[int] = ()):
-        self._t = _check_dimension(t)
-        ms = tuple(sorted(map(_index, members)))
-        for a, b in zip(ms, ms[1:]):
-            if a == b:
-                raise ValueError(f"duplicate member {a}")
-        if ms and not (1 <= ms[0] and ms[-1] <= self._t):
-            raise ValueError(f"members must lie in [1, {self._t}]: {ms}")
-        self._members = ms
+        t = _check_dimension(t)
+        arr = _int_array(members, "subset", 1, t)
+        inside = np.zeros(t, dtype=bool)
+        inside[arr - 1] = True
+        if np.count_nonzero(inside) != arr.shape[0]:
+            values, counts = np.unique(arr, return_counts=True)
+            raise ValueError(f"duplicate member {values[counts > 1][0]}")
+        inside.flags.writeable = False
+        self._inside = inside
+
+    @classmethod
+    def _wrap(cls, inside: np.ndarray) -> "GroundSubset":
+        # Trusted constructor: inside is a bool vector of length t >= 3.
+        self = object.__new__(cls)
+        inside.flags.writeable = False
+        self._inside = inside
+        return self
 
     @classmethod
     def empty(cls, t: int) -> "GroundSubset":
-        return cls(t)
+        return cls._wrap(np.zeros(_check_dimension(t), dtype=bool))
 
     @classmethod
     def full(cls, t: int) -> "GroundSubset":
-        return cls(t, range(1, t + 1))
+        return cls._wrap(np.ones(_check_dimension(t), dtype=bool))
 
     @classmethod
     def from_string(cls, t: int, text: str) -> "GroundSubset":
         """Parse "2,3,5"-style 1-based lists; the keyword "none" is empty."""
         text = text.strip()
         if text.lower() == "none":
-            return cls(t)
+            return cls.empty(t)
         try:
             members = [int(part) for part in text.split(",")]
         except ValueError:
@@ -180,43 +204,48 @@ class GroundSubset:
 
     @property
     def t(self) -> int:
-        return self._t
+        return self._inside.shape[0]
+
+    @property
+    def inside(self) -> np.ndarray:
+        """Read-only bool membership vector (position k holds coordinate k+1)."""
+        return self._inside
 
     @property
     def members(self) -> tuple:
-        return self._members
+        """The members in ascending order."""
+        return tuple((self._inside.nonzero()[0] + 1).tolist())
 
     @property
     def boundary_count(self) -> int:
         """How many of the two boundary coordinates {1, t} belong to the set."""
-        return (1 in self) + (self._t in self)
+        return int(self._inside[0]) + int(self._inside[-1])
 
     def complement(self) -> "GroundSubset":
-        inside = set(self._members)
-        return GroundSubset(self._t, (e for e in range(1, self._t + 1) if e not in inside))
+        return GroundSubset._wrap(~self._inside)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return int(np.count_nonzero(self._inside))
 
     def __iter__(self):
-        return iter(self._members)
+        return iter(self.members)
 
     def __contains__(self, e) -> bool:
-        return e in self._members
+        return isinstance(e, (int, np.integer)) and 1 <= e <= self.t and bool(self._inside[e - 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroundSubset):
             return NotImplemented
-        return self._t == other._t and self._members == other._members
+        return self.t == other.t and bool(np.array_equal(self._inside, other._inside))
 
     def __hash__(self) -> int:
-        return hash((self._t, self._members))
+        return hash((self.t, self._inside.tobytes()))
 
     def __str__(self) -> str:
-        return ",".join(map(str, self._members)) if self._members else "none"
+        return ",".join(map(str, self.members)) or "none"
 
     def __repr__(self) -> str:
-        return f"GroundSubset(t={self._t}, members={self._members})"
+        return f"GroundSubset(t={self.t}, members={self.members})"
 
 
 class IntervalPartition:
@@ -276,29 +305,18 @@ def reorient(T: Tope, A: GroundSubset) -> Tope:
     Applying the same reorientation twice restores T.
     """
     _require_same_t(T, A)
-    signs = T.signs.copy()
-    if len(A):
-        idx = np.fromiter(A, dtype=np.int64) - 1
-        signs[idx] = -signs[idx]
-    return Tope._wrap(signs)
-
-
-def _member_mask(A: GroundSubset) -> np.ndarray:
-    """Boolean membership vector of A (position k holds coordinate k+1)."""
-    inside = np.zeros(A.t + 1, dtype=bool)
-    inside[np.fromiter(A.members, dtype=np.intp, count=len(A))] = True
-    return inside[1:]
+    return Tope._wrap(np.where(A.inside, -T.signs, T.signs))
 
 
 def negative_part(T: Tope) -> GroundSubset:
     """The set of coordinates where T is -1."""
-    return GroundSubset(T.t, (np.flatnonzero(T.signs < 0) + 1).tolist())
+    return GroundSubset._wrap(T.signs < 0)
 
 
 def separation_set(T1: Tope, T2: Tope) -> GroundSubset:
     """The set of coordinates where two topes disagree."""
     _require_same_t(T1, T2)
-    return GroundSubset(T1.t, (np.flatnonzero(T1.signs != T2.signs) + 1).tolist())
+    return GroundSubset._wrap(T1.signs != T2.signs)
 
 
 def interval_partition(A: GroundSubset) -> IntervalPartition:

@@ -14,7 +14,8 @@ sign and membership rows once from the masks 0..2^t-1, evaluate each
 production kernel over whole row blocks of the pair grid by broadcasting,
 and compare the results with plain mask arithmetic: sizes from popcounts of
 adjacent sign changes, meets and joins from popcounts of m1 & m2 and
-m1 | m2, interval counts from popcounts of run starts.  run_all caps every
+m1 | m2, interval counts from popcounts of run starts.  The per-tope and
+per-subset sweeps cut their objects from the same rows.  run_all caps every
 sweep at a dimension that keeps `verify` at desk scale and reports a capped
 sweep as skipped.
 """
@@ -66,17 +67,13 @@ _PAIR_BLOCK = 1 << 16
 
 
 def _all_topes(t):
-    for mask in range(1 << t):
-        yield Tope.from_bitmask(mask, t)
-
-
-def _subset(mask, t):
-    return GroundSubset(t, [e + 1 for e in range(t) if int(mask) >> e & 1])
+    """The 2^t topes in mask order, cut from the sign rows of _mask_rows."""
+    return (Tope._wrap(row) for row in _mask_rows(t)[1])
 
 
 def _all_subsets(t):
-    for mask in range(1 << t):
-        yield _subset(mask, t)
+    """The 2^t subsets in mask order, cut from the member rows of _mask_rows."""
+    return (GroundSubset._wrap(row) for row in _mask_rows(t)[2])
 
 
 def _mask_rows(t):
@@ -316,8 +313,8 @@ def sweep_equinumerosity(t: int) -> list:
         equal = lhs == rhs
         direct = sizes[rows, None] == sizes[masks[rows, None] ^ masks]
         for i, a in np.argwhere(equal != direct):
-            T = Tope.from_bitmask(rows.start + i, t)
-            bad.append(f"{T}, A={_subset(a, t)}: criterion {equal[i, a]} != direct {direct[i, a]}")
+            T, A = Tope._wrap(signs[rows.start + i]), GroundSubset._wrap(members[a])
+            bad.append(f"{T}, A={A}: criterion {equal[i, a]} != direct {direct[i, a]}")
     for rows in _row_blocks(n, t):
         lhs, rhs = _boundary_sum(signs[rows, None], signs[rows, None] != signs[None])
         ind = rhs - lhs
@@ -325,7 +322,7 @@ def sweep_equinumerosity(t: int) -> list:
         differs = ind != _size_difference(signs[rows, None], signs[None])
         for i, j in np.argwhere(wrong | differs):
             a = rows.start + i
-            T1, T2 = Tope.from_bitmask(a, t), Tope.from_bitmask(j, t)
+            T1, T2 = Tope._wrap(signs[a]), Tope._wrap(signs[j])
             if wrong[i, j]:
                 bad.append(f"{T1}, {T2}: indicator {ind[i, j]} vs sizes {sizes[a]}, {sizes[j]}")
             if differs[i, j]:
@@ -339,7 +336,8 @@ def sweep_equinumerosity(t: int) -> list:
     for rows in _row_blocks(n - 1, t):
         same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
         for i, j in np.argwhere(same != (sizes[1:][rows, None] == sizes[1:])):
-            A, B = _subset(rows.start + i + 1, t), _subset(j + 1, t)
+            A = GroundSubset._wrap(members[rows.start + i + 1])
+            B = GroundSubset._wrap(members[j + 1])
             bad.append(f"A={A}, B={B}: interval rule != direct comparison")
     return bad
 
@@ -351,7 +349,7 @@ def sweep_size_difference(t: int) -> list:
     for rows in _row_blocks(masks.shape[0], t):
         diff = _size_difference(signs[rows, None], signs[None])
         for i, j in np.argwhere(diff != sizes[rows, None] - sizes):
-            T1, T2 = Tope.from_bitmask(rows.start + i, t), Tope.from_bitmask(j, t)
+            T1, T2 = Tope._wrap(signs[rows.start + i]), Tope._wrap(signs[j])
             bad.append(f"{T1}, {T2}: size difference mismatch")
     return bad
 
@@ -362,7 +360,7 @@ def sweep_negpart_cardinalities(t: int) -> list:
     masks, signs, _, _ = _mask_rows(t)
     spectra = []
     for m in range(masks.shape[0]):
-        T = Tope.from_bitmask(m, t)
+        T = Tope._wrap(signs[m])
         x = spectrum_fast(T)
         spectra.append(x.coords)
         if negpart_size_from_spectrum(x) != m.bit_count():
@@ -376,7 +374,7 @@ def sweep_negpart_cardinalities(t: int) -> list:
         cards = _meet_join_cards(signs[rows, None], signs[None])
         wrong_cards = (cards[0] != meet) | (cards[1] != join)
         for i, j in np.argwhere(wrong_spectra | wrong_cards):
-            T1, T2 = Tope.from_bitmask(rows.start + i, t), Tope.from_bitmask(j, t)
+            T1, T2 = Tope._wrap(signs[rows.start + i]), Tope._wrap(signs[j])
             want = (int(meet[i, j]), int(join[i, j]))
             if wrong_spectra[i, j]:
                 got = (int(spectral[0][i, j]), int(spectral[1][i, j]))
@@ -406,9 +404,8 @@ def sweep_unit_flip_spectra(t: int) -> list:
 def sweep_oracle(t: int) -> list:
     """Brute-force minimal decompositions equal the spectral ones, uniquely."""
     bad = []
-    cycle = build_cycle(t)
     for T in _all_topes(t):
-        result = bruteforce_minimal_decomposition(T, cycle)
+        result = bruteforce_minimal_decomposition(T)
         d = decomposition_set(T)
         if not result.unique:
             bad.append(f"{T}: minimal decomposition is not unique")

@@ -201,6 +201,14 @@ class TestEquinumCommand:
         proc = run_cli("equinum", "--t", "4", "--tope", "++++", "--subset", "1,9")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("subset", ["99999999999999999999999", "1,-99999999999999999999999", "2,2"])
+    def test_out_of_range_or_repeated_member_is_one_error_line(self, subset):
+        proc = run_cli("equinum", "--t", "4", "--tope", "++++", "--subset", subset)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestVerifyCommand:
     def test_smallest_instance_passes(self):

@@ -52,7 +52,18 @@ class TestSpectrum:
             x.coord(4)
 
     def test_negation(self):
-        assert -Spectrum([1, -1, 0]) == Spectrum([-1, 1, 0])
+        assert -Spectrum([1, -1, 1]) == Spectrum([-1, 1, -1])
+
+    @pytest.mark.parametrize("coords", [[0, 0, 0], [1, 1, -1], [1, -1, 0]])
+    def test_rejects_non_tope_vectors(self, coords):
+        # Every tope spectrum has a +-1 vertex sum; these vectors do not.
+        with pytest.raises(InvalidSpectrum):
+            Spectrum(coords)
+
+    def test_rejects_mixed_bool_list(self):
+        # numpy reads [1, True, -1] as the integers [1, 1, -1]
+        with pytest.raises(TypeError):
+            Spectrum([1, True, -1])
 
 
 class TestSpectrumDense:
@@ -266,7 +277,8 @@ class TestNegpartFromSpectrum:
 
     def test_rejects_non_tope_spectrum(self):
         with pytest.raises(InvalidSpectrum):
-            negpart_size_from_spectrum(Spectrum([1, 0, 1]))  # sum 2
+            # sum 2; the constructor would reject it, so build it unchecked
+            negpart_size_from_spectrum(Spectrum._wrap(np.array([1, 0, 1], dtype=np.int8)))
 
 
 class TestReconstruction:
@@ -278,7 +290,8 @@ class TestReconstruction:
 
     def test_invalid_spectrum_rejected(self):
         with pytest.raises(InvalidSpectrum):
-            reconstruct_tope(Spectrum([1, -1, 1, -1]))  # prefix sums leave the sign range
+            # prefix sums leave the sign range; built unchecked past the constructor
+            reconstruct_tope(Spectrum._wrap(np.array([1, -1, 1, -1], dtype=np.int8)))
 
 
 class TestSpectrumLaws:

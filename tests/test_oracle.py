@@ -2,10 +2,8 @@ import pytest
 
 from cyclotope import (
     BudgetExceeded,
-    CyclotopeError,
     Tope,
     bruteforce_minimal_decomposition,
-    build_cycle,
     decomposition_set,
     spectrum_fast,
 )
@@ -33,18 +31,6 @@ def test_matches_spectral_route_exhaustively():
             assert result.unique
             assert result.minimal_set == decomposition_set(T).vertex_indices()
             assert len(result.minimal_set) == spectrum_fast(T).support_size
-
-
-def test_accepts_the_distinguished_cycle():
-    T = Tope([1, -1, 1, 1])
-    with_cycle = bruteforce_minimal_decomposition(T, build_cycle(4))
-    without = bruteforce_minimal_decomposition(T)
-    assert with_cycle == without
-
-
-def test_rejects_mismatched_cycle():
-    with pytest.raises(CyclotopeError):
-        bruteforce_minimal_decomposition(Tope.positive(4), build_cycle(5))
 
 
 def test_budget_cap():

@@ -8,11 +8,14 @@ arithmetic that shares no code with the library.
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclotope import (
     GroundSubset,
+    InvalidSpectrum,
+    Spectrum,
     Tope,
     decomposition_set,
     equal_size_by_interval_count,
@@ -188,3 +191,97 @@ def test_batched_interval_rule_matches_the_scalar_rule_row_by_row(case):
     rule = _interval_count_rule(rho[:, 0], touch[:, 0], rho[:, 1], touch[:, 1])
     for k, (m1, m2) in enumerate(pairs):
         assert equal_size_by_interval_count(_subset(m1, t), _subset(m2, t)) == rule[k]
+
+
+@relaxed
+@given(masks(1))
+def test_antipodal_law(case):
+    t, m = case
+    T = Tope.from_bitmask(m, t)
+    assert spectrum_fast(-T) == -spectrum_fast(T)
+    assert spectrum_fast(-T).coords.tolist() == _spectrum(m ^ ((1 << t) - 1), t)
+
+
+# What each constructor raises for an entry out of its range.
+_RANGE_ERRORS = {"tope": ValueError, "spectrum": InvalidSpectrum, "subset": ValueError}
+
+
+@st.composite
+def invalid_inputs(draw):
+    """(kind, t, entries, error): a valid input with one entry made invalid.
+
+    A bool (Python or numpy) or a float anywhere raises TypeError; an integer
+    outside the range, however large, raises the constructor's range error;
+    a repeated subset member raises ValueError.  Repeats are valid in topes
+    and spectra, so only subsets get them.
+    """
+    kind = draw(st.sampled_from(sorted(_RANGE_ERRORS)))
+    t = draw(st.integers(3, 64))
+    m = _mask(draw, (1 << t) - 1)
+    if kind == "tope":
+        entries, lo, hi = [-1 if m >> e & 1 else 1 for e in range(t)], -1, 1
+    elif kind == "spectrum":
+        entries, lo, hi = _spectrum(m, t), -1, 1
+    else:
+        entries, lo, hi = [e + 1 for e in range(t) if m >> e & 1], 1, t
+    fault = draw(st.sampled_from(["bool", "float", "range"] + ["duplicate"] * (kind == "subset")))
+    if fault == "duplicate" and not entries:
+        fault = "range"
+    if fault == "bool":
+        bad, error = draw(st.sampled_from([True, False, np.True_, np.False_])), TypeError
+    elif fault == "float":
+        bad, error = float(draw(st.integers(-2, t + 1))), TypeError
+    elif fault == "range":
+        # A zero lies inside [-1, 1] but is no tope entry.
+        bad = draw(st.one_of(st.integers(max_value=lo - 1), st.integers(min_value=hi + 1),
+                             st.integers(64, 200).map(lambda k: -(2**k)),
+                             st.just(0 if kind == "tope" else hi + 1)))
+        error = _RANGE_ERRORS[kind]
+    else:
+        bad, error = draw(st.sampled_from(entries)), ValueError
+    if kind == "subset":
+        entries.insert(draw(st.integers(0, len(entries))), bad)
+    else:
+        entries[draw(st.integers(0, t - 1))] = bad
+    return kind, t, entries, error
+
+
+@relaxed
+@given(invalid_inputs())
+def test_constructors_reject_invalid_entries(case):
+    kind, t, entries, error = case
+    with pytest.raises(error):
+        if kind == "tope":
+            Tope(entries)
+        elif kind == "spectrum":
+            Spectrum(entries)
+        else:
+            GroundSubset(t, entries)
+
+
+@st.composite
+def ternary_vectors(draw):
+    """A tope spectrum or an arbitrary vector over {-1, 0, 1}, at t <= 64."""
+    t = draw(st.integers(3, 64))
+    if draw(st.booleans()):
+        return _spectrum(_mask(draw, (1 << t) - 1), t)
+    return draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=t, max_size=t))
+
+
+@relaxed
+@given(ternary_vectors())
+def test_spectrum_accepts_exactly_the_tope_spectra(coords):
+    # The only tope whose spectrum could be coords has T(1) = x_1 - (x_2 +
+    # ... + x_t) and T(j) = T(j-1) + 2 x_j; coords is a tope spectrum exactly
+    # when those entries are +-1 and the pure-Python spectrum gives it back.
+    t = len(coords)
+    signs = [coords[0] - sum(coords[1:])]
+    for c in coords[1:]:
+        signs.append(signs[-1] + 2 * c)
+    mask = sum(1 << e for e, v in enumerate(signs) if v < 0)
+    is_spectrum = set(signs) <= {-1, 1} and _spectrum(mask, t) == coords
+    if is_spectrum:
+        assert Spectrum(coords).coords.tolist() == coords
+    else:
+        with pytest.raises(InvalidSpectrum):
+            Spectrum(coords)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cyclotope import (
     reorient,
     separation_set,
 )
+from cyclotope.verification import _all_subsets
 
 
 class TestTope:
@@ -40,6 +43,12 @@ class TestTope:
     def test_rejects_bool_entries(self):
         with pytest.raises(TypeError):
             Tope([True] * 3)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_mixed_bool_list(self, flag):
+        # numpy reads [1, True, -1] as the integers [1, 1, -1]
+        with pytest.raises(TypeError):
+            Tope([1, flag, -1])
 
     def test_rejects_small_dimension(self):
         with pytest.raises(DimensionTooSmall):
@@ -118,6 +127,23 @@ class TestGroundSubset:
         with pytest.raises(TypeError):
             GroundSubset(3, [1.7])
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_rejects_mixed_bool_list(self, flag):
+        with pytest.raises(TypeError):
+            GroundSubset(4, [3, flag])
+
+    @pytest.mark.parametrize("member", [2**63, 2**64, -(2**63) - 1, 10**23])
+    def test_members_past_int64_are_out_of_range(self, member):
+        with pytest.raises(ValueError):
+            GroundSubset(4, [1, member])
+
+    def test_membership_vector(self):
+        A = GroundSubset(5, [4, 1])
+        assert A.inside.tolist() == [True, False, False, True, False]
+        with pytest.raises(ValueError):
+            A.inside[1] = True
+        assert A == negative_part(Tope([-1, 1, 1, -1, 1]))
+
     def test_complement(self):
         A = GroundSubset(5, [1, 4])
         assert A.complement().members == (2, 3, 5)
@@ -126,6 +152,36 @@ class TestGroundSubset:
         assert GroundSubset(5, [1]).boundary_count == 1
         assert GroundSubset(5, [1, 5]).boundary_count == 2
         assert GroundSubset(5, [2, 3]).boundary_count == 0
+
+
+class TestTrustedAndValidatedSubsetsAgree:
+    """Validated, negative-part and verification-row subsets are one object."""
+
+    @pytest.mark.parametrize("t", range(3, 9))
+    def test_every_mask(self, t):
+        rng = random.Random(t)
+        rows = list(_all_subsets(t))
+        for mask in range(1 << t):
+            members = [e + 1 for e in range(t) if mask >> e & 1]
+            forms = [
+                GroundSubset(t, members),
+                negative_part(Tope.from_bitmask(mask, t)),
+                rows[mask],
+            ]
+            for A in forms:
+                assert A == forms[0] and hash(A) == hash(forms[0])
+                assert A.members == tuple(members)
+                assert str(A) == (",".join(map(str, members)) or "none")
+                assert len(A) == len(members)
+                assert A.boundary_count == (1 in members) + (t in members)
+                assert A.complement() == GroundSubset(t, set(range(1, t + 1)) - set(members))
+                if members:
+                    assert interval_partition(A) == interval_partition(forms[0])
+                else:
+                    with pytest.raises(EmptySetError):
+                        interval_partition(A)
+                T = Tope.from_bitmask(rng.randrange(1 << t), t)
+                assert separation_set(T, reorient(T, A)) == A
 
 
 class TestReorient:
