@@ -14,11 +14,13 @@ import json
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .bench import run_bench
 from .counting import ENUMERATION_CAP, enumerate_statistics, formula_table
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
-from .decomposition import _spectrum_terms, spectrum_dense, spectrum_fast, spectrum_intervals
+from .decomposition import spectrum_dense, spectrum_fast, spectrum_intervals
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError, VerificationMismatch
 from .topes import GroundSubset, Tope
@@ -110,15 +112,55 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     else:
         agreement = None
         x = _METHODS[args.method](T)
-    record = {
-        "x": x.coords.tolist(),
-        "terms": [{"sign": sign, "index": index} for sign, index in _spectrum_terms(x)],
-        "size": x.support_size,
-    }
-    if agreement is not None:
-        record["agreement"] = agreement
-    print(json.dumps(record))
+    print(_decompose_json(x.coords, agreement))
     return 0 if agreement in (None, True) else 1
+
+
+# Cells of the bulk JSON renderers.  A NUL byte pads a cell to its fixed
+# width and is deleted from the joined bytes; the last cell's ", " is cut.
+_X_CELLS = np.frombuffer(b"-1, \x000, \x001, ", dtype=np.uint32)
+_TERM_HEAD = b'{"sign": \x001, "index": '
+_TERM_SIGN = _TERM_HEAD.index(b"\x00")
+
+
+def _joined(cells: np.ndarray) -> bytes:
+    return cells.reshape(-1)[:-2].tobytes().replace(b"\x00", b"")
+
+
+def _decompose_json(coords: np.ndarray, agreement: Optional[bool]) -> str:
+    """The decompose record, byte for byte the json.dumps of its dict form.
+
+    That dict is {"x": coords, "terms": [{"sign": s, "index": i}, ...],
+    "size": number of terms} plus "agreement" when given, with the terms at
+    the nonzero coordinates in ascending index order.  Each list is rendered
+    as one uint8 array of fixed-width cells, without a Python object per
+    element.
+    """
+    nz = coords.nonzero()[0]
+    digits = len(str(coords.shape[0] - 1))
+    head = len(_TERM_HEAD)
+    terms = np.empty((nz.shape[0], head + digits + 3), dtype=np.uint8)
+    terms[:] = np.frombuffer(_TERM_HEAD + b"\x00" * digits + b"}, ", dtype=np.uint8)
+    terms[coords[nz] < 0, _TERM_SIGN] = ord("-")
+    # The index in decimal, right-aligned; the ascending indices below 10^p
+    # are a prefix of the rows, and their digit of 10^p is a leading zero.
+    rest = nz.astype(np.uint32 if digits < 10 else np.uint64)
+    digit = np.empty_like(rest)
+    for p in range(digits):
+        np.divmod(rest, 10, out=(rest, digit))
+        column = terms[:, head + digits - 1 - p]
+        np.add(digit, ord("0"), out=column, casting="unsafe")
+        if p:
+            column[: np.searchsorted(nz, 10**p)] = 0
+    parts = [
+        b'{"x": [', _joined(np.take(_X_CELLS, coords + 1).view(np.uint8)),
+        b'], "terms": [', _joined(terms),
+        b'], "size": %d' % nz.shape[0],
+    ]
+    if agreement is not None:
+        parts.append(b', "agreement": ' + json.dumps(agreement).encode())
+    parts.append(b"}")
+    return b"".join(parts).decode("ascii")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -8,6 +8,7 @@ independent check.  Counts are exact arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Optional
 
@@ -146,6 +147,11 @@ def count_subsets_by_boundary(t: int, rho: int, boundary: int) -> int:
     return _binom0(t - 1, 2 * rho)
 
 
+def _cell_order(row: tuple) -> tuple:
+    # The (l, j) order that CountTable rows are sorted by.
+    return row[1], row[0]
+
+
 class CountTable:
     """Rows (j, l, count) sorted by (l, j), for one dimension t."""
 
@@ -154,7 +160,7 @@ class CountTable:
     def __init__(self, t: int, rows: Iterable[tuple]):
         self._t = _check_dimension(t)
         rs = tuple((int(j), int(l), int(c)) for j, l, c in rows)
-        if list(rs) != sorted(rs, key=lambda r: (r[1], r[0])):
+        if list(rs) != sorted(rs, key=_cell_order):
             raise ValueError("rows must be sorted by (l, j)")
         for j, l, c in rs:
             if c < 0:
@@ -173,9 +179,10 @@ class CountTable:
         return sum(c for _, _, c in self._rows)
 
     def count(self, j: int, l: int) -> int:
-        for rj, rl, c in self._rows:
-            if rj == j and rl == l:
-                return c
+        """The count of cell (j, l), 0 for a cell without a row; O(log rows)."""
+        k = bisect.bisect_left(self._rows, (l, j), key=_cell_order)
+        if k < len(self._rows) and self._rows[k][:2] == (j, l):
+            return self._rows[k][2]
         return 0
 
     def __iter__(self):
@@ -200,7 +207,7 @@ def formula_table(t: int) -> CountTable:
         half = (l - 1) // 2
         for j in range(half, t - half + 1):
             rows.append((j, l, count_by_negpart_and_size(t, j, l)))
-    rows.sort(key=lambda r: (r[1], r[0]))
+    rows.sort(key=_cell_order)
     return CountTable(t, rows)
 
 

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycle import cycle_vertex, inverse_rows
+from .cycle import inverse_rows
 from .errors import CapExceeded, InvalidSpectrum
 from .topes import (
     GroundSubset,
@@ -100,7 +100,7 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return bool(np.array_equal(self._coords, other._coords))
+        return self.t == other.t and self._coords.tobytes() == other._coords.tobytes()
 
     def __hash__(self) -> int:
         return hash((self.t, self._coords.tobytes()))
@@ -116,65 +116,72 @@ class Decomposition:
     position among the first t cycle vertices, kept in ascending index order.
     A term (sign, i) stands for the cycle vertex at position i when sign is
     +1, and for its antipode (position i + t) when sign is -1.
+
+    Stored as its read-only int8 coordinate vector, the layout of
+    ``Spectrum.coords``: the term (sign, i) is the entry sign at position i.
+    The terms, the size and the vertex indices are derived from it.
     """
 
-    __slots__ = ("_t", "_terms")
+    __slots__ = ("_coords",)
 
     def __init__(self, t: int, terms: Iterable[tuple]):
-        self._t = _check_dimension(t)
+        t = _check_dimension(t)
         ts = tuple((int(s), int(i)) for s, i in terms)
         if len(ts) % 2 == 0:
             raise ValueError("a decomposition has an odd number of terms")
         for s, i in ts:
             if s not in (-1, 1):
                 raise ValueError(f"term sign must be +-1, got {s}")
-            if not 0 <= i < self._t:
-                raise ValueError(f"term index {i} out of range [0, {self._t})")
+            if not 0 <= i < t:
+                raise ValueError(f"term index {i} out of range [0, {t})")
         if any(a[1] >= b[1] for a, b in zip(ts, ts[1:])):
             raise ValueError("terms must be in strictly ascending index order")
-        self._terms = ts
+        coords = np.zeros(t, dtype=np.int8)
+        signs, indices = zip(*ts)
+        coords[list(indices)] = signs
+        coords.flags.writeable = False
+        self._coords = coords
 
     @classmethod
-    def _wrap(cls, t: int, terms: tuple) -> "Decomposition":
-        # Trusted constructor for terms read off a spectrum by _spectrum_terms.
+    def _wrap(cls, coords: np.ndarray) -> "Decomposition":
+        # Trusted constructor for the int8 coordinates of a verified route.
         self = object.__new__(cls)
-        self._t = t
-        self._terms = terms
+        coords.flags.writeable = False
+        self._coords = coords
         return self
 
     @property
     def t(self) -> int:
-        return self._t
+        return self._coords.shape[0]
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        nz = self._coords.nonzero()[0]
+        return tuple(zip(self._coords[nz].tolist(), nz.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self._terms)
+        return int(np.count_nonzero(self._coords))
 
     def vertex_indices(self) -> frozenset:
         """Positions on the full 2t-cycle: index i for +, index i+t for -."""
-        return frozenset(i if s > 0 else i + self._t for s, i in self._terms)
+        t = self.t
+        return frozenset(i if s > 0 else i + t for s, i in self.terms)
 
     def vertex_sum(self) -> np.ndarray:
-        """Entrywise sum of the signed cycle vertices, as int64."""
-        acc = np.zeros(self._t, dtype=np.int64)
-        for s, i in self._terms:
-            acc += s * cycle_vertex(self._t, i).astype(np.int64)
-        return acc
+        """Entrywise sum of the signed cycle vertices, as int64, in O(t)."""
+        return _vertex_sum(self._coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
             return NotImplemented
-        return self._t == other._t and self._terms == other._terms
+        return self.t == other.t and self._coords.tobytes() == other._coords.tobytes()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return self.size
 
     def __repr__(self) -> str:
-        return f"Decomposition(t={self._t}, terms={list(self._terms)!r})"
+        return f"Decomposition(t={self.t}, terms={list(self.terms)!r})"
 
 
 def spectrum_dense(T: Tope) -> Spectrum:
@@ -229,31 +236,25 @@ def spectrum_intervals(T: Tope) -> Spectrum:
     if not len(A):
         coords[0] = 1
         return Spectrum._wrap(coords)
-    part = interval_partition(A)
-    ivs = part.intervals
-    left = 1 in A
-    right = t in A
+    # Position i_k - 1 starts interval k and position j_k is just past it.
+    starts, ends = interval_partition(A).bounds
+    left = starts[0] == 0
+    right = ends[-1] == t
+    # Runs are at least one non-member apart, so no two of the positions
+    # below coincide and each is set once.
     if not (left or right):
-        coords[0] += 1
+        coords[0] = 1
     # +1 at j_k + 1 for each interval, except the one ending at t.
-    for _, j in ivs if not right else ivs[:-1]:
-        coords[j] += 1
+    coords[ends[:-1] if right else ends] = 1
     # -1 at i_k for each interval; the one starting at 1 is skipped only
     # when no interval ends at t (both-boundary topes keep the -sigma(1)).
-    for i, _ in ivs[1:] if left and not right else ivs:
-        coords[i - 1] -= 1
+    coords[starts[1:] if left and not right else starts] = -1
     return Spectrum._wrap(coords)
-
-
-def _spectrum_terms(x: Spectrum) -> tuple:
-    """(sign, index) pairs of the nonzero coordinates of x, ascending by index."""
-    nz = np.flatnonzero(x.coords)
-    return tuple(zip(x.coords[nz].tolist(), nz.tolist()))
 
 
 def decomposition_set(T: Tope) -> Decomposition:
     """The unique inclusion-minimal signed set of cycle vertices summing to T."""
-    return Decomposition._wrap(T.t, _spectrum_terms(spectrum_fast(T)))
+    return Decomposition._wrap(spectrum_fast(T).coords)
 
 
 def decomposition_size(T: Tope) -> int:

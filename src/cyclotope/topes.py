@@ -56,6 +56,10 @@ def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndar
     raise error(f"{what} entries must lie in [{lo}, {hi}]")
 
 
+# Byte of an int8 entry -> "+" when the entry is positive, "-" otherwise.
+_SIGN_CHARS = bytes(ord("+") if 0 < b < 128 else ord("-") for b in range(256))
+
+
 class Tope:
     """An immutable vertex of H(t,2): t entries, each +1 or -1, indexed 1..t.
 
@@ -141,13 +145,13 @@ class Tope:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tope):
             return NotImplemented
-        return self.t == other.t and bool(np.array_equal(self._signs, other._signs))
+        return self.t == other.t and self._signs.tobytes() == other._signs.tobytes()
 
     def __hash__(self) -> int:
         return hash((self.t, self._signs.tobytes()))
 
     def __str__(self) -> str:
-        return "".join("+" if v > 0 else "-" for v in self._signs)
+        return self._signs.tobytes().translate(_SIGN_CHARS).decode()
 
     def __repr__(self) -> str:
         return f"Tope({str(self)!r})"
@@ -236,7 +240,7 @@ class GroundSubset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroundSubset):
             return NotImplemented
-        return self.t == other.t and bool(np.array_equal(self._inside, other._inside))
+        return self.t == other.t and self._inside.tobytes() == other._inside.tobytes()
 
     def __hash__(self) -> int:
         return hash((self.t, self._inside.tobytes()))
@@ -253,10 +257,12 @@ class IntervalPartition:
 
     Intervals are closed pairs (start, end) in ascending order; consecutive
     intervals are separated by a gap of at least 2, which is what makes the
-    decomposition unique.
+    decomposition unique.  Stored as the numpy slice bounds of the runs,
+    two read-only int64 vectors: run k is ``A.inside[starts[k]:ends[k]]``,
+    the closed interval (starts[k] + 1, ends[k]).  The pairs are derived.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[tuple]):
         ivs = tuple((int(a), int(b)) for a, b in intervals)
@@ -268,30 +274,52 @@ class IntervalPartition:
         for (_, b), (a2, _) in zip(ivs, ivs[1:]):
             if b + 2 > a2:
                 raise ValueError(f"intervals ending at {b} and starting at {a2} are not separated")
-        self._intervals = ivs
+        bounds = np.array(ivs, dtype=np.int64).reshape(-1)
+        bounds[::2] -= 1
+        self._set_bounds(bounds)
+
+    @classmethod
+    def _wrap(cls, bounds: np.ndarray) -> "IntervalPartition":
+        # Trusted constructor: bounds interleaves the slice bounds of the
+        # nonempty runs of a membership vector, start, end, start, end, ...
+        self = object.__new__(cls)
+        self._set_bounds(bounds)
+        return self
+
+    def _set_bounds(self, bounds: np.ndarray) -> None:
+        bounds.flags.writeable = False
+        self._starts, self._ends = bounds[::2], bounds[1::2]
+
+    @property
+    def bounds(self) -> tuple:
+        """(starts, ends), the slice bounds of the runs in ascending order."""
+        return self._starts, self._ends
 
     @property
     def intervals(self) -> tuple:
-        return self._intervals
+        return tuple(zip((self._starts + 1).tolist(), self._ends.tolist()))
 
     @property
     def rho(self) -> int:
         """Number of intervals."""
-        return len(self._intervals)
+        return self._starts.shape[0]
 
     def __iter__(self):
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return self._starts.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntervalPartition):
             return NotImplemented
-        return self._intervals == other._intervals
+        return (
+            self._starts.tobytes() == other._starts.tobytes()
+            and self._ends.tobytes() == other._ends.tobytes()
+        )
 
     def __repr__(self) -> str:
-        return f"IntervalPartition({list(self._intervals)!r})"
+        return f"IntervalPartition({list(self.intervals)!r})"
 
 
 def _require_same_t(a, b) -> None:
@@ -322,22 +350,21 @@ def separation_set(T1: Tope, T2: Tope) -> GroundSubset:
 def interval_partition(A: GroundSubset) -> IntervalPartition:
     """Split A into maximal runs of consecutive integers.
 
-    The empty set is rejected: callers that need the all-plus tope handle it
-    before dispatching on interval structure.
+    A run starts where membership switches on and ends where it switches
+    off; both are read from one comparison of the membership vector padded
+    with a non-member on each side.  The empty set is rejected: callers that
+    need the all-plus tope handle it before dispatching on interval
+    structure.
     """
-    if not len(A):
+    inside = A.inside
+    padded = np.zeros(inside.shape[0] + 2, dtype=bool)
+    padded[1:-1] = inside
+    # Membership changes between positions k - 1 and k of inside at change
+    # k; the changes alternate on, off and are the runs' slice bounds.
+    bounds = (padded[1:] != padded[:-1]).nonzero()[0]
+    if not bounds.shape[0]:
         raise EmptySetError("cannot partition the empty subset into intervals")
-    intervals = []
-    members = A.members
-    start = prev = members[0]
-    for e in members[1:]:
-        if e == prev + 1:
-            prev = e
-            continue
-        intervals.append((start, prev))
-        start = prev = e
-    intervals.append((start, prev))
-    return IntervalPartition(intervals)
+    return IntervalPartition._wrap(bounds)
 
 
 def negpart_meet_join_cards(T1: Tope, T2: Tope) -> tuple:

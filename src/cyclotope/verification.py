@@ -35,7 +35,15 @@ from .counting import (
     count_topes_by_size,
     enumerate_statistics,
 )
-from .cycle import build_cycle, gram_entry, inverse_gram_entry, inverse_gram_matrix, inverse_rows, tope_matrix
+from .cycle import (
+    build_cycle,
+    cycle_vertex,
+    gram_entry,
+    inverse_gram_entry,
+    inverse_gram_matrix,
+    inverse_rows,
+    tope_matrix,
+)
 from .decomposition import (
     _meet_join_from_spectra,
     _size_difference,
@@ -190,17 +198,39 @@ def sweep_spectrum_methods(t: int) -> list:
     return bad
 
 
+def _signed_vertex_sum(t: int, terms) -> np.ndarray:
+    """Sum of the signed cycle vertices of the terms, one cycle_vertex row each.
+
+    The O(t * size) reference for the O(t) prefix-sum map behind
+    Decomposition.vertex_sum.
+    """
+    acc = np.zeros(t, dtype=np.int64)
+    for s, i in terms:
+        acc += s * cycle_vertex(t, i).astype(np.int64)
+    return acc
+
+
 def sweep_decompositions(t: int) -> list:
-    """All 2^t topes: term structure and entrywise vertex-sum reconstruction."""
+    """All 2^t topes: term structure and entrywise vertex-sum reconstruction.
+
+    The terms are summed as signed cycle-vertex rows and compared with the
+    tope and with Decomposition.vertex_sum; the size is compared with the
+    popcount size of the tope's mask.
+    """
     bad = []
-    for T in _all_topes(t):
+    _, signs, _, sizes = _mask_rows(t)
+    for m in range(signs.shape[0]):
+        T = Tope._wrap(signs[m])
         d = decomposition_set(T)
         if d.size % 2 != 1:
             bad.append(f"{T}: even term count {d.size}")
-        if not np.array_equal(d.vertex_sum(), T.signs.astype(np.int64)):
+        rows = _signed_vertex_sum(t, d.terms)
+        if not np.array_equal(rows, T.signs):
             bad.append(f"{T}: signed vertex sum does not reproduce the tope")
-        if d.size != spectrum_fast(T).support_size:
-            bad.append(f"{T}: term count differs from spectrum support")
+        if not np.array_equal(d.vertex_sum(), rows):
+            bad.append(f"{T}: prefix-sum vertex sum != sum of the cycle-vertex rows")
+        if d.size != sizes[m]:
+            bad.append(f"{T}: term count differs from the sign-change size {sizes[m]}")
     return bad
 
 

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior through real subprocesses; record bytes in process."""
 
 import json
 import random
@@ -6,6 +6,9 @@ import subprocess
 import sys
 
 import pytest
+
+from cyclotope import cli, spectrum_fast
+from cyclotope.decomposition import DENSE_CAP
 
 
 def run_cli(*args, **kwargs):
@@ -122,6 +125,68 @@ class TestDecomposeCommand:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "4096" in lines[0]
+
+
+def _decompose_record(tope, agreement=None):
+    """The decompose stdout for a tope string: json.dumps of the dict record.
+
+    The spectrum is the telescoping form computed on the characters, so the
+    reference shares no code with the library.
+    """
+    s = [1 if c == "+" else -1 for c in tope]
+    x = [(s[0] + s[-1]) // 2] + [(b - a) // 2 for a, b in zip(s, s[1:])]
+    record = {
+        "x": x,
+        "terms": [{"sign": c, "index": i} for i, c in enumerate(x) if c],
+        "size": sum(1 for c in x if c),
+    }
+    if agreement is not None:
+        record["agreement"] = agreement
+    return json.dumps(record) + "\n"
+
+
+def _topes(t):
+    """All-plus, all-minus, alternating and random topes of three densities."""
+    rng = random.Random(t)
+    yield "+" * t
+    yield "-" * t
+    yield ("+-" * t)[:t]
+    for density in (0.5, 0.05, 0.005):
+        sign, chars = rng.random() < 0.5, []
+        for _ in range(t):
+            sign ^= rng.random() < density
+            chars.append("+" if sign else "-")
+        yield "".join(chars)
+
+
+def _decompose(capsys, t, tope, method):
+    rc = cli.main(["decompose", "--t", str(t), f"--tope={tope}", "--method", method])
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+class TestDecomposeRecordBytes:
+    """In-process decompose stdout equals json.dumps of the dict record."""
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 17, 1500, 65536])
+    @pytest.mark.parametrize("method", ["dense", "fast", "intervals", "all"])
+    def test_stdout_is_the_json_dumps_of_the_record(self, capsys, t, method):
+        for tope in _topes(t):
+            rc, out, err = _decompose(capsys, t, tope, method)
+            if method in ("dense", "all") and t > DENSE_CAP:
+                assert (rc, out) == (2, "") and err.startswith("error: ")
+                continue
+            assert (rc, err) == (0, "")
+            assert out == _decompose_record(tope, True if method == "all" else None)
+
+    @pytest.mark.parametrize("t", [3, 17, 1500])
+    def test_disagreement_is_rendered_false_with_exit_1(self, capsys, monkeypatch, t):
+        # A wrong intervals route: the record shows the dense spectrum and false.
+        monkeypatch.setitem(cli._METHODS, "intervals", lambda T: -spectrum_fast(T))
+        for tope in _topes(t):
+            rc, out, _ = _decompose(capsys, t, tope, "all")
+            assert rc == 1
+            assert out == _decompose_record(tope, False)
 
 
 class TestStatsCommand:

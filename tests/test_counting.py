@@ -276,3 +276,18 @@ class TestCountTable:
     def test_lookup_missing_is_zero(self):
         table = enumerate_statistics(4)
         assert table.count(0, 3) == 0
+
+    @pytest.mark.parametrize("t", [3, 4, 9, 40])
+    def test_lookup_equals_a_scan_of_the_rows_on_every_cell(self, t):
+        # Every (j, l) in and around the table, present rows and holes alike.
+        table = formula_table(t)
+        cells = {(j, l): c for j, l, c in table.rows}
+        for l in range(-1, t + 3):
+            for j in range(-1, t + 2):
+                assert table.count(j, l) == cells.get((j, l), 0)
+
+    def test_lookup_on_a_table_with_holes(self):
+        table = CountTable(5, [(0, 1, 7), (4, 1, 2), (2, 3, 5), (1, 5, 1)])
+        assert [table.count(j, 1) for j in range(6)] == [7, 0, 0, 0, 2, 0]
+        assert table.count(2, 3) == 5 and table.count(1, 5) == 1
+        assert table.count(1, 3) == table.count(3, 3) == table.count(0, 5) == 0

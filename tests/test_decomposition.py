@@ -4,11 +4,13 @@ import pytest
 from cyclotope import (
     Decomposition,
     DimensionMismatch,
+    DimensionTooSmall,
     GroundSubset,
     InvalidSpectrum,
     Spectrum,
     Tope,
     build_cycle,
+    cycle_vertex,
     decomposition_set,
     decomposition_size,
     negpart_meet_join_from_spectra,
@@ -157,6 +159,47 @@ class TestDecompositionSet:
     def test_vertex_indices_fold_negatives(self):
         d = Decomposition(4, [(1, 0), (-1, 1), (1, 3)])
         assert d.vertex_indices() == frozenset({0, 5, 3})
+
+    @pytest.mark.parametrize(
+        "t, terms, error, message",
+        [
+            (2, [(1, 0)], DimensionTooSmall, "dimension must be >= 3, got 2"),
+            (4, [], ValueError, "a decomposition has an odd number of terms"),
+            (4, [(1, 0), (1, 2)], ValueError, "a decomposition has an odd number of terms"),
+            (4, [(2, 0)], ValueError, "term sign must be +-1, got 2"),
+            (4, [(1, 0), (0, 1), (1, 2)], ValueError, "term sign must be +-1, got 0"),
+            (4, [(1, 4)], ValueError, "term index 4 out of range [0, 4)"),
+            (4, [(-1, -1)], ValueError, "term index -1 out of range [0, 4)"),
+            (4, [(1, 2), (1, 0), (1, 3)], ValueError,
+             "terms must be in strictly ascending index order"),
+            (4, [(1, 0), (1, 0), (1, 3)], ValueError,
+             "terms must be in strictly ascending index order"),
+            (4, [("+", 0)], ValueError, "invalid literal for int() with base 10: '+'"),
+            (4, [(1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+            (4, [(1, None)], TypeError, "int() argument must be a string, a bytes-like object "
+                                        "or a real number, not 'NoneType'"),
+        ],
+    )
+    def test_constructor_rejections_and_messages(self, t, terms, error, message):
+        with pytest.raises(error) as info:
+            Decomposition(t, terms)
+        assert str(info.value) == message
+
+    def test_constructor_matches_decomposition_set(self):
+        for mask in range(1 << 6):
+            T = Tope.from_bitmask(mask, 6)
+            d = decomposition_set(T)
+            built = Decomposition(6, d.terms)
+            assert built == d and built.terms == d.terms and built.size == len(d) == d.size
+            assert repr(built) == f"Decomposition(t=6, terms={list(d.terms)!r})"
+            assert np.array_equal(d.vertex_sum(), T.signs)
+
+    def test_vertex_sum_of_any_terms(self):
+        # The constructor does not ask for a tope: the sum is still the
+        # signed sum of the cycle vertices, here +v0 - v2 + v3 at t = 4.
+        d = Decomposition(4, [(1, 0), (-1, 2), (1, 3)])
+        want = cycle_vertex(4, 0) - cycle_vertex(4, 2) + cycle_vertex(4, 3)
+        assert d.vertex_sum().tolist() == want.tolist()
 
 
 class TestSpectrumUpdate:

@@ -5,6 +5,7 @@ subset as another mask, so every reference below is plain integer
 arithmetic that shares no code with the library.
 """
 
+import json
 import random
 
 import numpy as np
@@ -29,6 +30,7 @@ from cyclotope import (
     spectrum_fast,
     spectrum_update,
 )
+from cyclotope.cli import _decompose_json
 from cyclotope.decomposition import (
     _half_inverse_transform,
     _meet_join_from_spectra,
@@ -128,6 +130,22 @@ def test_terms_are_the_nonzero_spectrum_entries(case):
     d = decomposition_set(Tope.from_bitmask(m, t))
     assert d.terms == tuple((c, i) for i, c in enumerate(_spectrum(m, t)) if c)
     assert d.size == _size(m, t)
+
+
+@relaxed
+@given(masks(1), st.sampled_from([None, True, False]))
+def test_decompose_record_is_the_json_dumps_of_its_dict(case, agreement):
+    t, m = case
+    x = _spectrum(m, t)
+    record = {
+        "x": x,
+        "terms": [{"sign": c, "index": i} for i, c in enumerate(x) if c],
+        "size": _size(m, t),
+    }
+    if agreement is not None:
+        record["agreement"] = agreement
+    coords = spectrum_fast(Tope.from_bitmask(m, t)).coords
+    assert _decompose_json(coords, agreement) == json.dumps(record)
 
 
 @relaxed

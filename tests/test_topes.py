@@ -1,20 +1,28 @@
+import ast
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclotope
 from cyclotope import (
     DimensionMismatch,
     DimensionTooSmall,
     EmptySetError,
     GroundSubset,
+    IntervalPartition,
+    Spectrum,
     Tope,
+    decomposition,
     interval_partition,
     negative_part,
     negpart_meet_join_cards,
     reorient,
     separation_set,
 )
+from cyclotope import verification
 from cyclotope.verification import _all_subsets
 
 
@@ -90,6 +98,14 @@ class TestTope:
         assert -(-T) == T
         assert -T == Tope([-1, 1, -1, -1])
         assert hash(T) == hash(Tope([1, -1, 1, 1]))
+        assert T != Tope([1, -1, 1]) and T != Tope([1, -1, 1, 1, 1])
+        assert T == Tope.from_string("+-++") == Tope.from_bitmask(0b0010, 4)
+
+    @pytest.mark.parametrize("t", [3, 8, 1000])
+    def test_str_is_one_character_per_entry(self, t):
+        signs = random.Random(t).choices([-1, 1], k=t)
+        assert str(Tope(signs)) == "".join("+" if v > 0 else "-" for v in signs)
+        assert repr(Tope(signs)) == f"Tope({str(Tope(signs))!r})"
 
     def test_signs_are_read_only(self):
         T = Tope.positive(3)
@@ -273,6 +289,99 @@ class TestIntervalPartition:
                 assert all(i <= j for i, j in ivs)
                 for (_, j1), (i2, _) in zip(ivs, ivs[1:]):
                     assert i2 - j1 >= 2
+
+
+    def test_bounds_are_the_slice_bounds_of_the_runs(self):
+        A = GroundSubset(9, [1, 2, 3, 5, 6, 9])
+        starts, ends = interval_partition(A).bounds
+        assert starts.dtype == ends.dtype == np.int64
+        assert [A.inside[a:b].all() for a, b in zip(starts, ends)] == [True] * 3
+        assert (starts.tolist(), ends.tolist()) == ([0, 4, 8], [3, 6, 9])
+        with pytest.raises(ValueError):
+            starts[0] = 1
+
+    def test_constructor_agrees_with_the_partition(self):
+        for t in (3, 6):
+            for A in list(_all_subsets(t))[1:]:
+                p = interval_partition(A)
+                built = IntervalPartition(p.intervals)
+                assert built == p and built.intervals == p.intervals
+                assert list(built) == list(p.intervals) and len(built) == p.rho
+                assert repr(built) == f"IntervalPartition({list(p.intervals)!r})"
+
+    @pytest.mark.parametrize(
+        "intervals, error, message",
+        [
+            ([], EmptySetError, "an interval partition needs at least one interval"),
+            ([(3, 2)], ValueError, "interval (3, 2) is reversed"),
+            ([(1, 2), (3, 4)], ValueError,
+             "intervals ending at 2 and starting at 3 are not separated"),
+            ([(4, 5), (1, 2)], ValueError,
+             "intervals ending at 5 and starting at 1 are not separated"),
+        ],
+    )
+    def test_constructor_rejections(self, intervals, error, message):
+        with pytest.raises(error) as info:
+            IntervalPartition(intervals)
+        assert str(info.value) == message
+
+
+# The dtype each trusted constructor stores.  Equality compares tobytes(),
+# which equals exactly when the two vectors share a dtype.
+_LAYOUTS = {
+    Tope: np.int8,
+    Spectrum: np.int8,
+    decomposition.Decomposition: np.int8,
+    GroundSubset: np.bool_,
+    IntervalPartition: np.int64,
+}
+
+
+def _wrap_call_sites():
+    """(module, line) of every call to a _wrap in the package source."""
+    sites = set()
+    for path in Path(cyclotope.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_wrap":
+                sites.add((f"cyclotope.{path.stem}", node.lineno))
+    return sites
+
+
+def _off_by_one(kernel):
+    """A kernel that is wrong everywhere, so every mismatch message is built."""
+
+    def wrong(*args):
+        out = kernel(*args)
+        if isinstance(out, tuple):
+            return (out[0] + 1,) + out[1:]
+        return ~out if out.dtype == bool else out + 1
+
+    return wrong
+
+
+def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
+    seen = set()
+    for cls, dtype in _LAYOUTS.items():
+        real = cls._wrap.__func__
+
+        def checked(cls, arr, real=real, dtype=dtype):
+            frame = sys._getframe(1)
+            site = (frame.f_globals["__name__"], frame.f_lineno)
+            assert arr.dtype == dtype and arr.ndim == 1, site
+            seen.add(site)
+            return real(cls, arr)
+
+        monkeypatch.setattr(cls, "_wrap", classmethod(checked))
+    verification.run_all(4, oracle_max=4)
+    for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
+                 "_meet_join_from_spectra", "_meet_join_cards"):
+        monkeypatch.setattr(verification, name, _off_by_one(getattr(verification, name)))
+    for sweep in (verification.sweep_equinumerosity, verification.sweep_size_difference,
+                  verification.sweep_negpart_cardinalities):
+        assert sweep(3)
+    Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
+    GroundSubset.empty(3), GroundSubset.full(3)
+    assert seen == _wrap_call_sites()
 
 
 class TestMeetJoinCards:

@@ -1,7 +1,7 @@
-"""The pairwise sweeps report a kernel that is wrong on a single pair.
+"""The sweeps report a kernel that is wrong on a single pair or tope.
 
 Each test plants a fault in one production kernel, as the sweep module sees
-it, and checks that the sweep names exactly the pairs it affects.  At t = 8
+it, and checks that the sweep names exactly the pairs or topes it affects.  At t = 8
 the 256 x 256 pair grid spans several row blocks; the planted pair sits in
 the first or in the last one.
 """
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cyclotope import GroundSubset, Tope, reorient, spectrum_fast
-from cyclotope import verification
+from cyclotope import decomposition, verification
 
 T = 8
 SECOND = 0b00000101
@@ -94,3 +94,22 @@ def test_sweep_negpart_cardinalities_reports_a_wrong_pair(monkeypatch, kernel, f
     assert verification.sweep_negpart_cardinalities(T) == []
     monkeypatch.setattr(verification, kernel, _planted(getattr(verification, kernel), a, b))
     assert verification.sweep_negpart_cardinalities(T) == [line]
+
+
+@pytest.mark.parametrize("mask", [0b00000000, 0b10110010, 0b11111111])
+def test_sweep_decompositions_reports_a_wrong_prefix_sum(monkeypatch, mask):
+    # Decomposition.vertex_sum is the prefix-sum map; the sweep's reference
+    # sums the signed cycle-vertex rows of the terms one by one.
+    wrong_tope = Tope.from_bitmask(mask, T)
+    target = spectrum_fast(wrong_tope).coords
+    real = decomposition._vertex_sum
+
+    def wrong(coords):
+        out = real(coords)
+        return out + np.all(coords == target, axis=-1)[..., None]
+
+    assert verification.sweep_decompositions(T) == []
+    monkeypatch.setattr(decomposition, "_vertex_sum", wrong)
+    assert verification.sweep_decompositions(T) == [
+        f"{wrong_tope}: prefix-sum vertex sum != sum of the cycle-vertex rows"
+    ]
