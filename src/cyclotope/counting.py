@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, VerificationMismatch
-from .topes import _check_dimension
+from .topes import _check_dimension, _integer
 
 ENUMERATION_CAP = 20
 
@@ -159,13 +160,22 @@ class CountTable:
 
     def __init__(self, t: int, rows: Iterable[tuple]):
         self._t = _check_dimension(t)
-        rs = tuple((int(j), int(l), int(c)) for j, l, c in rows)
+        rs = tuple((_integer(j), _integer(l), _integer(c)) for j, l, c in rows)
         if list(rs) != sorted(rs, key=_cell_order):
             raise ValueError("rows must be sorted by (l, j)")
         for j, l, c in rs:
             if c < 0:
                 raise ValueError(f"negative count at (j={j}, l={l})")
         self._rows = rs
+
+    @classmethod
+    def _wrap(cls, t: int, rows: tuple) -> "CountTable":
+        # Trusted constructor: rows are (j, l, count) tuples of Python ints
+        # with count >= 0, already in (l, j) order.
+        self = object.__new__(cls)
+        self._t = t
+        self._rows = rows
+        return self
 
     @property
     def t(self) -> int:
@@ -197,18 +207,32 @@ class CountTable:
         return self._t == other._t and self._rows == other._rows
 
 
+def _table_rows(t: int) -> tuple:
+    """The rows of formula_table, built in (l, j) order from binomial columns.
+
+    This is the batch form of count_by_negpart_and_size.  col[n] = C(n, h)
+    for n = 0..t, and column h follows from column h-1 by one running sum,
+    C(n, h) = sum over m < n of C(m, h-1).  With rev[n] = C(t-n, h), the cell
+    (j, 2h+1) is col[j-1] rev[j] + rev[j+1] col[j].  The cells are symmetric
+    under j <-> t-j, so each column computes its first half and mirrors it.
+    """
+    rows = [(j, 1, count_cycle_topes_by_negpart(t, j)) for j in range(t + 1)]
+    col = [1] * (t + 1)
+    for h in range(1, (t - 1) // 2 + 1):
+        col = [0, *accumulate(col[:-1])]
+        rev = col[::-1]
+        half = [a * b + c * d for a, b, c, d in
+                zip(col[h - 1 : t // 2], rev[h:], rev[h + 1 :], col[h : t // 2 + 1])]
+        # For even t the middle cell j = t/2 is its own mirror image.
+        counts = half + half[-1 - (t % 2 == 0) :: -1]
+        rows += zip(range(h, t - h + 1), [2 * h + 1] * len(counts), counts)
+    return tuple(rows)
+
+
 def formula_table(t: int) -> CountTable:
     """The full (j, l) count table from the closed forms alone."""
-    _check_dimension(t)
-    rows = []
-    for j in range(t + 1):
-        rows.append((j, 1, count_cycle_topes_by_negpart(t, j)))
-    for l in range(3, t + 1, 2):
-        half = (l - 1) // 2
-        for j in range(half, t - half + 1):
-            rows.append((j, l, count_by_negpart_and_size(t, j, l)))
-    rows.sort(key=_cell_order)
-    return CountTable(t, rows)
+    t = _check_dimension(t)
+    return CountTable._wrap(t, _table_rows(t))
 
 
 def enumerate_statistics(t: int) -> CountTable:
@@ -249,10 +273,10 @@ def enumerate_statistics(t: int) -> CountTable:
     if int(counts.sum()) != span:
         raise VerificationMismatch(f"tally lost topes: {int(counts.sum())} != 2^{t}")
     counts = counts.reshape(width, width)
-    rows = [
+    rows = tuple(
         (j, l, int(counts[j, l]))
         for l in range(width)
         for j in range(width)
         if counts[j, l]
-    ]
-    return CountTable(t, rows)
+    )
+    return CountTable._wrap(t, rows)

@@ -30,6 +30,7 @@ from .topes import (
     Tope,
     _check_dimension,
     _int_array,
+    _integer,
     _require_same_t,
     interval_partition,
     negative_part,
@@ -126,7 +127,7 @@ class Decomposition:
 
     def __init__(self, t: int, terms: Iterable[tuple]):
         t = _check_dimension(t)
-        ts = tuple((int(s), int(i)) for s, i in terms)
+        ts = tuple((_integer(s), _integer(i)) for s, i in terms)
         if len(ts) % 2 == 0:
             raise ValueError("a decomposition has an odd number of terms")
         for s, i in ts:

@@ -29,6 +29,22 @@ def _check_dimension(t: int) -> int:
 _BOOLS = {bool, np.bool_}
 
 
+def _integer(value) -> int:
+    """value as an int through operator.index: never truncated or parsed.
+
+    A bool raises TypeError, as does any value operator.index refuses.  A
+    value that int() refuses as well (a non-numeric string, None) raises
+    int()'s own error instead.
+    """
+    if type(value) in _BOOLS:
+        raise TypeError(f"expected an integer, got a bool: {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        int(value)
+        raise
+
+
 def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndarray:
     """values as a 1-d integer array with entries in [lo, hi]; error if out of range.
 
@@ -265,7 +281,7 @@ class IntervalPartition:
     __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[tuple]):
-        ivs = tuple((int(a), int(b)) for a, b in intervals)
+        ivs = tuple((_integer(a), _integer(b)) for a, b in intervals)
         if not ivs:
             raise EmptySetError("an interval partition needs at least one interval")
         for a, b in ivs:

@@ -27,6 +27,7 @@ import random
 import numpy as np
 
 from .counting import (
+    ENUMERATION_CAP,
     _closed_form_values,
     count_by_boundary_class,
     count_by_negpart_and_size,
@@ -34,6 +35,7 @@ from .counting import (
     count_subsets_by_boundary,
     count_topes_by_size,
     enumerate_statistics,
+    formula_table,
 )
 from .cycle import (
     build_cycle,
@@ -258,13 +260,24 @@ def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int =
 def sweep_counting(t: int) -> list:
     """Enumerated (j, l) statistics against every closed form.
 
-    Each cell is compared with the production count and with each of the
-    four printed forms from _closed_form_values.
+    Each cell is compared with the production table formula_table, with the
+    scalar count count_by_negpart_and_size and with each of the four printed
+    forms from _closed_form_values.
     """
     bad = []
     table = enumerate_statistics(t)
     if table.total() != 1 << t:
         bad.append(f"t={t}: table total {table.total()} != 2^{t}")
+    built = formula_table(t)
+    if built.rows != table.rows:
+        mine = {(j, l): c for j, l, c in built}
+        tally = {(j, l): c for j, l, c in table}
+        bad += [
+            f"t={t}, j={j}, l={l}: formula table {mine.get((j, l), 0)} "
+            f"!= enumerated {tally.get((j, l), 0)}"
+            for l, j in sorted((l, j) for j, l in mine.keys() | tally.keys())
+            if mine.get((j, l), 0) != tally.get((j, l), 0)
+        ] or [f"t={t}: formula table rows are not the enumerated rows in (l, j) order"]
     for l in range(1, t + 1, 2):
         col = sum(c for j_, l_, c in table if l_ == l)
         if col != count_topes_by_size(t, l):
@@ -455,7 +468,7 @@ _SWEEPS = (
     ("spectrum-methods", sweep_spectrum_methods, 14),
     ("decompositions", sweep_decompositions, 12),
     ("spectrum-updates", sweep_spectrum_updates, None),
-    ("counting", sweep_counting, 14),
+    ("counting", sweep_counting, ENUMERATION_CAP),
     ("boundary-classes", sweep_boundary_classes, 12),
     ("equinumerosity", sweep_equinumerosity, 11),
     ("size-difference", sweep_size_difference, 11),

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cyclotope import cli, spectrum_fast
+from cyclotope import CountTable, cli, enumerate_statistics, formula_table, spectrum_fast
 from cyclotope.decomposition import DENSE_CAP
 
 
@@ -232,6 +232,95 @@ class TestStatsCommand:
         a = run_cli("stats", "--t", "7", "--enumerate")
         b = run_cli("stats", "--t", "7", "--enumerate")
         assert a.stdout == b.stdout
+
+
+def _stats_reference(t, fmt, enum):
+    """The stats output built the way the command once built it: a dict per
+    formula row, then json.dumps of the list or a comma join of each row's
+    values.  enum is the enumerated CountTable, or None without --enumerate."""
+    rows = []
+    for j, l, count in formula_table(t):
+        row = {"t": t, "j": j, "l": l, "count_formula": count}
+        if enum is not None:
+            row["count_enum"] = enum.count(j, l)
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps(rows) + "\n"
+    header = "t,j,l,count_formula" + (",count_enum" if enum is not None else "")
+    return "\n".join([header] + [",".join(str(c) for c in row.values()) for row in rows]) + "\n"
+
+
+class TestStatsTableBytes:
+    """In-process stats stdout equals the dict-per-row rendering."""
+
+    @pytest.mark.parametrize("t", [3, 4, 5, 20, 141])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("enumerate_counts", [False, True])
+    def test_stdout_is_the_dict_rendering(self, capsys, t, fmt, enumerate_counts):
+        argv = ["stats", "--t", str(t), "--format", fmt] + ["--enumerate"] * enumerate_counts
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        if enumerate_counts and t > 20:
+            assert (rc, out) == (2, "")
+            assert err.startswith(f"error: enumeration over 2^{t} topes exceeds the cap")
+            return
+        assert (rc, err) == (0, "")
+        enum = enumerate_statistics(t) if enumerate_counts else None
+        assert out == _stats_reference(t, fmt, enum)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_wrong_or_extra_enumerated_cell_exits_1(self, capsys, monkeypatch, fmt):
+        rows = enumerate_statistics(5).rows
+        wrong = CountTable(5, rows[:3] + ((*rows[3][:2], rows[3][2] + 1),) + rows[4:])
+        extra = CountTable(5, sorted(rows + ((0, 3, 1),), key=lambda row: row[1::-1]))
+        for table in (wrong, extra):
+            monkeypatch.setattr(cli, "enumerate_statistics", lambda t: table)
+            assert cli.main(["stats", "--t", "5", "--format", fmt, "--enumerate"]) == 1
+            # The extra cell (0, 3) has no formula row, so no row shows it.
+            assert capsys.readouterr().out == _stats_reference(5, fmt, table)
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and shares it across calls."""
+
+    CALLS = [
+        ["cycle", "--t", "3"],
+        ["stats", "--t", "4", "--format", "json", "--enumerate"],
+        ["decompose", "--t", "5", "--tope=+--++", "--method", "all"],
+        ["stats", "--t", "5"],
+        ["equinum", "--t", "4", "--tope", "++++", "--subset", "1", "--oracle"],
+        ["verify", "--t", "3", "--oracle-max", "3"],
+        ["decompose", "--t", "4", "--tope", "++++", "--method", "intervals"],
+    ]
+
+    def test_successive_calls_match_separate_processes(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        for argv in self.CALLS:
+            rc = cli.main(argv)
+            out, err = capsys.readouterr()
+            proc = run_cli(*argv)
+            assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["stats", "--t", "4", "--enumerate", "--format", "xml"],
+            ["decompose", "--t", "5", "--method", "all"],
+            ["cycle", "--t", "4", "--matrix", "--omega"],
+            ["verify", "--t", "x"],
+            [],
+        ],
+    )
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, capsys, bad):
+        good = ["stats", "--t", "4", "--format", "json"]
+        assert cli.main(good) == 0
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli.main(bad)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: cyclotope")
+        assert cli.main(good) == 0
+        assert capsys.readouterr() == want
 
 
 class TestEquinumCommand:

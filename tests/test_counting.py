@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cyclotope import (
@@ -142,6 +143,31 @@ def test_sweep_counting_reports_a_disagreeing_closed_form(monkeypatch):
     assert any("closed forms" in issue for issue in verification.sweep_counting(6))
 
 
+@pytest.mark.parametrize("cell", [(0, 1), (12, 1), (3, 3), (7, 5), (6, 11)])
+def test_sweep_counting_names_a_wrong_cell_of_the_table_builder(monkeypatch, cell):
+    # The sweep compares formula_table with the enumeration; the scalar
+    # count and the closed forms do not go through the builder.
+    def planted(t):
+        return tuple((j, l, c + ((j, l) == cell)) for j, l, c in real(t))
+
+    real = counting._table_rows
+    t = 12
+    want = formula_table(t).count(*cell)
+    assert verification.sweep_counting(t) == []
+    monkeypatch.setattr(counting, "_table_rows", planted)
+    assert verification.sweep_counting(t) == [
+        f"t={t}, j={cell[0]}, l={cell[1]}: formula table {want + 1} != enumerated {want}"
+    ]
+
+
+def test_sweep_counting_names_a_table_out_of_order(monkeypatch):
+    real = counting._table_rows
+    monkeypatch.setattr(counting, "_table_rows", lambda t: tuple(sorted(real(t))))
+    assert verification.sweep_counting(5) == [
+        "t=5: formula table rows are not the enumerated rows in (l, j) order"
+    ]
+
+
 def test_lost_tally_is_a_mismatch_with_exit_code_1(monkeypatch, capsys):
     real = counting.np.bincount
     monkeypatch.setattr(counting.np, "bincount", lambda keys, minlength: real(keys[1:], minlength=minlength))
@@ -268,10 +294,48 @@ class TestEnumerateStatistics:
             assert table.count(j, l) == count
 
 
+class TestFormulaTable:
+    @pytest.mark.parametrize("t", [*range(3, 41), 97, 200])
+    def test_builder_equals_the_scalar_count_on_every_cell(self, t):
+        table = formula_table(t)
+        assert [row[:2] for row in table] == sorted((row[:2] for row in table), key=lambda c: c[::-1])
+        cells = {(j, l): c for j, l, c in table}
+        assert len(cells) == len(table)
+        for j in range(t + 1):
+            assert cells.pop((j, 1)) == count_cycle_topes_by_negpart(t, j)
+        for l in range(3, t + 1, 2):
+            for j in range(t + 1):
+                assert cells.pop((j, l), 0) == count_by_negpart_and_size(t, j, l), (t, j, l)
+        assert cells == {}
+
+
 class TestCountTable:
     def test_row_order_enforced(self):
         with pytest.raises(ValueError):
             CountTable(4, [(1, 3, 2), (0, 1, 1)])
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([(1.5, 1, 2)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(1, 1, 2.9)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(1, 1.0, 2)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(True, 1, 2)], TypeError, "expected an integer, got a bool: True"),
+            ([(1, 1, np.True_)], TypeError, "expected an integer, got a bool: np.True_"),
+            ([(1, 1, "2")], TypeError, "'str' object cannot be interpreted as an integer"),
+            ([(1, 3, 2), (0, 1, 1)], ValueError, "rows must be sorted by (l, j)"),
+            ([(0, 1, 1), (1, 3, -2)], ValueError, "negative count at (j=1, l=3)"),
+        ],
+    )
+    def test_constructor_rejections(self, rows, error, message):
+        with pytest.raises(error) as info:
+            CountTable(4, rows)
+        assert str(info.value) == message
+
+    def test_constructor_reads_numpy_integers_exactly(self):
+        table = CountTable(4, [(np.int64(0), np.int8(1), np.uint64(2**63))])
+        assert table.rows == ((0, 1, 2**63),)
+        assert {type(v) for v in table.rows[0]} == {int}
 
     def test_lookup_missing_is_zero(self):
         table = enumerate_statistics(4)

@@ -178,6 +178,12 @@ class TestDecompositionSet:
             (4, [(1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
             (4, [(1, None)], TypeError, "int() argument must be a string, a bytes-like object "
                                         "or a real number, not 'NoneType'"),
+            # Entries go through operator.index: nothing is truncated or parsed.
+            (4, [(1.0, 0)], TypeError, "'float' object cannot be interpreted as an integer"),
+            (4, [(1, 2.9)], TypeError, "'float' object cannot be interpreted as an integer"),
+            (4, [(True, 0)], TypeError, "expected an integer, got a bool: True"),
+            (4, [(1, np.False_)], TypeError, "expected an integer, got a bool: np.False_"),
+            (4, [(1, "0")], TypeError, "'str' object cannot be interpreted as an integer"),
         ],
     )
     def test_constructor_rejections_and_messages(self, t, terms, error, message):

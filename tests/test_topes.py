@@ -8,6 +8,7 @@ import pytest
 
 import cyclotope
 from cyclotope import (
+    CountTable,
     DimensionMismatch,
     DimensionTooSmall,
     EmptySetError,
@@ -318,6 +319,10 @@ class TestIntervalPartition:
              "intervals ending at 2 and starting at 3 are not separated"),
             ([(4, 5), (1, 2)], ValueError,
              "intervals ending at 5 and starting at 1 are not separated"),
+            ([(1.5, 2)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(1, 2), (4, 6.0)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(True, 2)], TypeError, "expected an integer, got a bool: True"),
+            ([(1, "2")], TypeError, "'str' object cannot be interpreted as an integer"),
         ],
     )
     def test_constructor_rejections(self, intervals, error, message):
@@ -372,6 +377,19 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
             return real(cls, arr)
 
         monkeypatch.setattr(cls, "_wrap", classmethod(checked))
+
+    def checked_table(cls, t, rows, real=CountTable._wrap.__func__):
+        # A table stores its (j, l, count) rows as a tuple of Python ints in
+        # (l, j) order; count() bisects on that order.
+        frame = sys._getframe(1)
+        site = (frame.f_globals["__name__"], frame.f_lineno)
+        assert type(t) is int and type(rows) is tuple, site
+        assert all(len(row) == 3 and {type(v) for v in row} == {int} for row in rows), site
+        assert [(l, j) for j, l, _ in rows] == sorted((l, j) for j, l, _ in rows), site
+        seen.add(site)
+        return real(cls, t, rows)
+
+    monkeypatch.setattr(CountTable, "_wrap", classmethod(checked_table))
     verification.run_all(4, oracle_max=4)
     for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
                  "_meet_join_from_spectra", "_meet_join_cards"):
