@@ -61,6 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--oracle-max", type=int, default=7,
                    help="largest t at which the brute-force oracle sweep runs")
+    p.add_argument("--format", choices=["text", "json"], default="text",
+                   help="json: one object with each sweep's status, mismatches, cases, "
+                        "seconds and cap")
 
     p = sub.add_parser("equinum", help="equal-size criterion for a tope and a reorientation set")
     p.add_argument("--t", type=int, required=True)
@@ -85,12 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(pieces, path: Optional[str]) -> None:
+    """Write the strings of pieces in order, to path or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _read_tope(args: argparse.Namespace) -> Tope:
@@ -166,10 +170,16 @@ def _decompose_json(coords: np.ndarray, agreement: Optional[bool]) -> str:
     return b"".join(parts).decode("ascii")
 
 
+# Rows of the stats table rendered per write: the text held at once stays
+# bounded whatever t is.
+_STATS_CHUNK = 4096
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     """The table as CSV, or as the json.dumps of its rows as dicts with the
     keys t, j, l, count_formula and, with --enumerate, count_enum.  Each row
-    is rendered by one %-template from its (j, l, count[, count_enum]) tuple.
+    is rendered by one %-template from its (j, l, count[, count_enum]) tuple,
+    and the rows are written _STATS_CHUNK at a time.
     """
     t = args.t
     rows = formula_table(t).rows
@@ -183,30 +193,56 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.format == "json":
         row = f'{{"t": {t}, "j": %d, "l": %d, "count_formula": %d'
         row += ', "count_enum": %d}' if args.enumerate_counts else "}"
-        text = "[" + ", ".join([row % r for r in rows]) + "]\n"
+        head, sep, tail = "[", ", ", "]\n"
     else:
-        header = "t,j,l,count_formula" + (",count_enum" if args.enumerate_counts else "")
+        head = "t,j,l,count_formula" + (",count_enum" if args.enumerate_counts else "")
         row = f"\n{t},%d,%d,%d" + (",%d" if args.enumerate_counts else "")
-        text = header + "".join([row % r for r in rows]) + "\n"
-    _emit(text, args.output)
+        sep, tail = "", "\n"
+
+    def pieces():
+        yield head
+        for start in range(0, len(rows), _STATS_CHUNK):
+            if start:
+                yield sep
+            yield sep.join([row % r for r in rows[start : start + _STATS_CHUNK]])
+        yield tail
+
+    _emit(pieces(), args.output)
     return 1 if mismatch else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verification import failures, run_all
+    """One line per sweep in name order, or with --format json one object
+    whose "sweeps" hold each sweep's status, mismatch count, first five
+    mismatches, cases checked, seconds and cap.  Text never shows timing.
+    """
+    from .verification import run_report
 
-    results = run_all(args.t, oracle_max=args.oracle_max)
-    for name in sorted(results):
-        issues = results[name]
-        if issues == ["skipped"]:
-            print(f"{name}: skipped")
-        elif not issues:
-            print(f"{name}: ok")
-        else:
-            print(f"{name}: FAIL ({len(issues)} mismatches)")
-            for issue in issues[:5]:
+    sweeps = {}
+    for name, sweep in sorted(run_report(args.t, oracle_max=args.oracle_max).items()):
+        issues = sweep["issues"]
+        skipped = issues == ["skipped"]
+        found = [] if skipped else issues
+        sweeps[name] = {
+            "status": "skipped" if skipped else "FAIL" if found else "ok",
+            "mismatches": len(found),
+            "first_mismatches": found[:5],
+            "cases": sweep["cases"],
+            "seconds": round(sweep["seconds"], 6),
+            "cap": sweep["cap"],
+        }
+    bad = any(sweep["mismatches"] for sweep in sweeps.values())
+    if args.format == "json":
+        record = {"t": args.t, "status": "FAIL" if bad else "ok", "sweeps": sweeps}
+        print(json.dumps(record))
+        return 1 if bad else 0
+    for name, sweep in sweeps.items():
+        if sweep["status"] == "FAIL":
+            print(f"{name}: FAIL ({sweep['mismatches']} mismatches)")
+            for issue in sweep["first_mismatches"]:
                 print(f"  {issue}")
-    bad = failures(results)
+        else:
+            print(f"{name}: {sweep['status']}")
     print(f"verify t={args.t}: {'FAIL' if bad else 'ok'}")
     return 1 if bad else 0
 

@@ -32,8 +32,7 @@ from .topes import (
     _int_array,
     _integer,
     _require_same_t,
-    interval_partition,
-    negative_part,
+    _run_bounds,
 )
 
 # Largest t for the dense route: its t x t int64 inverse takes 128 MiB at
@@ -197,10 +196,15 @@ def spectrum_dense(T: Tope) -> Spectrum:
             f"the dense route builds a {T.t} x {T.t} matrix; it is capped at t = {DENSE_CAP}, "
             "use the fast or intervals route"
         )
-    doubled = T.signs.astype(np.int64) @ inverse_rows(T.t).entries
+    return Spectrum._wrap(_spectrum_dense(T.signs))
+
+
+def _spectrum_dense(signs: np.ndarray) -> np.ndarray:
+    # The dense product along the last axis of an int8 sign array.
+    doubled = signs.astype(np.int64) @ inverse_rows(signs.shape[-1]).entries
     if np.any(doubled & 1):
         raise InvalidSpectrum("matrix product produced a non-integer coordinate")
-    return Spectrum._wrap((doubled >> 1).astype(np.int8))
+    return (doubled >> 1).astype(np.int8)
 
 
 def spectrum_fast(T: Tope) -> Spectrum:
@@ -210,15 +214,18 @@ def spectrum_fast(T: Tope) -> Spectrum:
     +-1 vector is even; an odd one means corrupt entries slipped past the
     trusted constructor and is a hard error.
     """
-    signs = T.signs
-    out = np.empty(signs.shape[0], dtype=np.int8)
-    np.subtract(signs[1:], signs[:-1], out=out[1:])
-    first = int(signs[0]) + int(signs[-1])
-    if (first & 1) or (out[1:] & 1).any():
+    return Spectrum._wrap(_telescope(T.signs))
+
+
+def _telescope(signs: np.ndarray) -> np.ndarray:
+    # The telescoping form along the last axis of an int8 sign array, in int8.
+    out = np.empty(signs.shape, dtype=np.int8)
+    np.subtract(signs[..., 1:], signs[..., :-1], out=out[..., 1:])
+    np.add(signs[..., :1], signs[..., -1:], out=out[..., :1])
+    if np.count_nonzero(out & 1):
         raise ValueError("sign entries must be exactly +1 or -1")
-    out[0] = first >> 1
-    out[1:] >>= 1
-    return Spectrum._wrap(out)
+    out >>= 1
+    return out
 
 
 def spectrum_intervals(T: Tope) -> Spectrum:
@@ -231,26 +238,26 @@ def spectrum_intervals(T: Tope) -> Spectrum:
     when A contains 1 but not t, and when A avoids both boundaries an extra
     +1 lands on coordinate 1.  The empty negative part gives sigma(1).
     """
-    t = T.t
-    A = negative_part(T)
-    coords = np.zeros(t, dtype=np.int8)
-    if not len(A):
-        coords[0] = 1
-        return Spectrum._wrap(coords)
-    # Position i_k - 1 starts interval k and position j_k is just past it.
-    starts, ends = interval_partition(A).bounds
-    left = starts[0] == 0
-    right = ends[-1] == t
-    # Runs are at least one non-member apart, so no two of the positions
-    # below coincide and each is set once.
-    if not (left or right):
-        coords[0] = 1
-    # +1 at j_k + 1 for each interval, except the one ending at t.
-    coords[ends[:-1] if right else ends] = 1
-    # -1 at i_k for each interval; the one starting at 1 is skipped only
-    # when no interval ends at t (both-boundary topes keep the -sigma(1)).
-    coords[starts[1:] if left and not right else starts] = -1
-    return Spectrum._wrap(coords)
+    return Spectrum._wrap(_spectrum_intervals(T.signs < 0))
+
+
+def _spectrum_intervals(inside: np.ndarray) -> np.ndarray:
+    # The interval route along the last axis of a bool array of negative
+    # parts.  Position i_k - 1 starts interval k and position j_k is just
+    # past it; runs are at least one non-member apart, so no two of the
+    # positions set below coincide.
+    *rows, bounds = _run_bounds(inside)
+    t = inside.shape[-1]
+    coords = np.zeros(inside.shape[:-1] + (t + 1,), dtype=np.int8)
+    # -1 at i_k and +1 at j_k + 1 for each interval; the +1 of an interval
+    # ending at t lands in the extra position t + 1, which is cut off.
+    coords[(*(r[0::2] for r in rows), bounds[0::2])] = -1
+    coords[(*(r[1::2] for r in rows), bounds[1::2])] = 1
+    # Coordinate 1 by boundary case: +1 when A avoids both boundaries (the
+    # empty A included), the first interval's -1 kept when A contains both,
+    # and that -1 dropped when A contains 1 but not t.
+    coords[..., 0] = 1 - np.add(inside[..., 0], inside[..., -1], dtype=np.int8)
+    return coords[..., :t]
 
 
 def decomposition_set(T: Tope) -> Decomposition:
@@ -283,10 +290,16 @@ def spectrum_update(x1: Spectrum, T1: Tope, S: GroundSubset) -> Spectrum:
     """
     _require_same_t(x1, T1)
     _require_same_t(T1, S)
-    coords = x1.coords - _half_inverse_transform(np.where(S.inside, T1.signs, 0))
+    coords = _spectrum_update(x1.coords, T1.signs, S.inside)
     if int(np.abs(coords).max()) > 1:
         raise InvalidSpectrum("update left the coordinate range; x1 does not match T1")
     return Spectrum._wrap(coords.astype(np.int8))
+
+
+def _spectrum_update(coords: np.ndarray, signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    # The update along the last axis, as int64 and unchecked; signs * inside
+    # is T1 restricted to S (np.where with a scalar 0 costs twice as much).
+    return coords - _half_inverse_transform(signs * inside)
 
 
 def unit_flip_spectrum(s: int, t: int) -> Spectrum:
@@ -388,8 +401,16 @@ def negpart_size_from_spectrum(x: Spectrum) -> int:
     total = x.total
     if total not in (-1, 1):
         raise InvalidSpectrum(f"tope spectra have coordinate sum +-1, got {total}")
-    weighted = int(x.coords.astype(np.int64) @ np.arange(1, x.t + 1, dtype=np.int64))
-    return (x.t + 1 + weighted) if total == -1 else (-1 + weighted)
+    return int(_negpart_size(x.coords))
+
+
+def _negpart_size(coords: np.ndarray) -> np.ndarray:
+    # |T^-| along the last axis of tope spectra: the weighted sum, minus 1,
+    # plus t + 2 where the coordinate sum is -1.
+    t = coords.shape[-1]
+    weighted = coords.astype(np.int64) @ np.arange(1, t + 1, dtype=np.int64)
+    negative = coords.sum(axis=-1, dtype=np.int64) < 0
+    return weighted - 1 + (t + 2) * negative
 
 
 def _vertex_sum(coords: np.ndarray) -> np.ndarray:

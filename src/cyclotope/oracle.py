@@ -33,7 +33,6 @@ class OracleResult:
     candidates_checked: int
 
 
-@lru_cache(maxsize=4)
 def _subset_sums(t: int):
     """Sums of every subset of the 2t cycle vertices, plus subset popcounts.
 
@@ -51,37 +50,65 @@ def _subset_sums(t: int):
     return sums, popcounts
 
 
+@lru_cache(maxsize=4)
+def _search_table(t: int) -> tuple:
+    """The subset search for all 2^t topes at once, indexed by tope bitmask.
+
+    One pass over _subset_sums(t) keeps the vertex subsets whose sum is a
+    +-1 vector and keys each by the bitmask of its sum.  Per tope it returns
+    (least, ties, minimal, intruder): the least cardinality of a solution
+    (-1 when there is none), how many solutions have it, the first of those
+    in ascending subset order, and the first solution of size at most t that
+    does not contain it (-1 when every one does).  Above ORACLE_CAP it
+    raises BudgetExceeded before building anything.
+    """
+    if t > ORACLE_CAP:
+        raise BudgetExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
+    sums, popcounts = _subset_sums(t)
+    found = np.flatnonzero((np.abs(sums) == 1).all(axis=1))
+    keys = (sums[found] < 0) @ (1 << np.arange(t, dtype=np.int64))
+    sizes = popcounts[found].astype(np.int64)
+    # Sorted by tope, then size; the stable sort keeps each tie in
+    # ascending subset order, so the first row of a tope is its minimal one.
+    order = np.lexsort((sizes, keys))
+    heads = order[np.flatnonzero(np.diff(keys[order], prepend=-1))]
+    least = np.full(1 << t, -1, dtype=np.int64)
+    minimal = np.zeros(1 << t, dtype=np.int64)
+    least[keys[heads]] = sizes[heads]
+    minimal[keys[heads]] = found[heads]
+    ties = np.bincount(keys[sizes == least[keys]], minlength=1 << t)
+    # Inclusion-minimality: every solution that could threaten minimality
+    # (size at most t) must be a superset of the minimal one.
+    within = minimal[keys]
+    outside = (sizes <= t) & (found & within != within)
+    intruder = np.full(1 << t, -1, dtype=np.int64)
+    tope, first = np.unique(keys[outside], return_index=True)
+    intruder[tope] = found[outside][first]
+    for column in (least, ties, minimal, intruder):
+        column.flags.writeable = False
+    return least, ties, minimal, intruder
+
+
 def bruteforce_minimal_decomposition(T: Tope) -> OracleResult:
     """Search all subsets of cycle vertices for minimal sums equal to T.
 
     Solutions are ranked by cardinality; the least cardinality is asserted
     to be odd (not assumed), the solution there is checked for uniqueness,
     and every other solution of size at most t is checked to contain the
-    minimal one, certifying inclusion-minimality.
+    minimal one, certifying inclusion-minimality.  The search runs for all
+    2^t topes at once (_search_table) and T reads its entry.
     """
     t = T.t
-    if t > ORACLE_CAP:
-        raise BudgetExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
-    sums, popcounts = _subset_sums(t)
-    matches = np.flatnonzero((sums == T.signs.astype(np.int16)).all(axis=1))
-    if matches.size == 0:
+    least, ties, minimal, intruder = (int(column[T.bitmask]) for column in _search_table(t))
+    if least < 0:
         raise CyclotopeError(f"no vertex subset sums to {T}; table corrupt")
-    pc = popcounts[matches]
-    least = int(pc.min())
     if least % 2 == 0:
         raise CyclotopeError(f"minimal solution for {T} has even size {least}")
-    at_least = matches[pc == least]
-    minimal_mask = int(at_least[0])
-    # Inclusion-minimality: every solution that could threaten minimality
-    # (size at most t) must be a superset of the minimal one.
-    for mask in matches[pc <= t]:
-        if int(mask) & minimal_mask != minimal_mask:
-            raise CyclotopeError(
-                f"solution {int(mask):b} is not a superset of the minimal {minimal_mask:b}"
-            )
-    positions = frozenset(b for b in range(2 * t) if minimal_mask >> b & 1)
+    if intruder >= 0:
+        raise CyclotopeError(f"solution {intruder:b} is not a superset of the minimal {minimal:b}")
+    positions = frozenset(b for b in range(2 * t) if minimal >> b & 1)
     return OracleResult(
         minimal_set=positions,
-        unique=(at_least.size == 1),
+        unique=(ties == 1),
         candidates_checked=1 << (2 * t),
     )

@@ -19,7 +19,7 @@ MIN_DIMENSION = 3
 
 
 def _check_dimension(t: int) -> int:
-    t = int(t)
+    t = _integer(t)
     if t < MIN_DIMENSION:
         raise DimensionTooSmall(f"dimension must be >= {MIN_DIMENSION}, got {t}")
     return t
@@ -372,15 +372,20 @@ def interval_partition(A: GroundSubset) -> IntervalPartition:
     need the all-plus tope handle it before dispatching on interval
     structure.
     """
-    inside = A.inside
-    padded = np.zeros(inside.shape[0] + 2, dtype=bool)
-    padded[1:-1] = inside
-    # Membership changes between positions k - 1 and k of inside at change
-    # k; the changes alternate on, off and are the runs' slice bounds.
-    bounds = (padded[1:] != padded[:-1]).nonzero()[0]
+    bounds = _run_bounds(A.inside)[0]
     if not bounds.shape[0]:
         raise EmptySetError("cannot partition the empty subset into intervals")
     return IntervalPartition._wrap(bounds)
+
+
+def _run_bounds(inside: np.ndarray) -> tuple:
+    # np.nonzero of the membership changes along the last axis, each row
+    # padded with a non-member on each side: change k lies between positions
+    # k - 1 and k of the row.  Per row the changes alternate on, off and are
+    # the slice bounds of its runs; the last index array holds them.
+    padded = np.zeros(inside.shape[:-1] + (inside.shape[-1] + 2,), dtype=bool)
+    padded[..., 1:-1] = inside
+    return (padded[..., 1:] != padded[..., :-1]).nonzero()
 
 
 def negpart_meet_join_cards(T1: Tope, T2: Tope) -> tuple:

@@ -8,21 +8,25 @@ human-readable mismatch strings; an empty list means the sweep passed.  The
 CLI `verify` subcommand runs every sweep; the acceptance tests reuse the
 pairwise ones.
 
-The pairwise sweeps (equinumerosity, size-difference, negpart-cardinalities)
-cover all 4^t pairs of topes or reorientation sets.  They build the 2^t
-sign and membership rows once from the masks 0..2^t-1, evaluate each
-production kernel over whole row blocks of the pair grid by broadcasting,
-and compare the results with plain mask arithmetic: sizes from popcounts of
-adjacent sign changes, meets and joins from popcounts of m1 & m2 and
-m1 | m2, interval counts from popcounts of run starts.  The per-tope and
-per-subset sweeps cut their objects from the same rows.  run_all caps every
-sweep at a dimension that keeps `verify` at desk scale and reports a capped
-sweep as skipped.
+Each formula is one private kernel along the last axis of its arrays, and
+the public scalar function calls it on one vector; the sweeps call the
+kernels on stacks of rows.  They build the 2^t sign and membership rows
+once from the masks 0..2^t-1 and compare the kernels' results with plain
+mask arithmetic: sizes from popcounts of adjacent sign changes, meets and
+joins from popcounts of m1 & m2 and m1 | m2, interval counts from popcounts
+of run starts, vertex sums as x @ M.  The per-tope sweeps run on row blocks
+of the tope rows, the pairwise sweeps (equinumerosity, size-difference,
+negpart-cardinalities) on row blocks of the 4^t pair grid by broadcasting,
+and spectrum-updates on the stack of its random paths.  A Tope is built
+only to name a failing row.  The unit-flip and boundary-case displays stay
+one call per subset, as printed.  run_all caps every sweep at a dimension
+that keeps `verify` at desk scale and reports a capped sweep as skipped.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 
@@ -39,46 +43,33 @@ from .counting import (
 )
 from .cycle import (
     build_cycle,
-    cycle_vertex,
     gram_entry,
     inverse_gram_entry,
     inverse_gram_matrix,
     inverse_rows,
     tope_matrix,
 )
+from . import decomposition
 from .decomposition import (
+    Spectrum,
     _meet_join_from_spectra,
+    _negpart_size,
     _size_difference,
-    decomposition_set,
-    negpart_size_from_spectrum,
-    reconstruct_tope,
-    spectrum_dense,
-    spectrum_fast,
+    _spectrum_dense,
+    _spectrum_intervals,
+    _spectrum_update,
+    _telescope,
+    _tope_signs,
     spectrum_from_boundary_cases,
     spectrum_from_unit_flips,
-    spectrum_intervals,
-    spectrum_update,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
-from .oracle import bruteforce_minimal_decomposition
-from .topes import (
-    GroundSubset,
-    Tope,
-    _meet_join_cards,
-    interval_partition,
-    negative_part,
-    reorient,
-    separation_set,
-)
+from .oracle import _search_table, bruteforce_minimal_decomposition
+from .topes import GroundSubset, Tope, _meet_join_cards, reorient, separation_set
 
-# Cells (row x column x coordinate) per block of a pairwise sweep: the int64
-# temporaries of one block then take about 512 KiB whatever t is.
-_PAIR_BLOCK = 1 << 16
-
-
-def _all_topes(t):
-    """The 2^t topes in mask order, cut from the sign rows of _mask_rows."""
-    return (Tope._wrap(row) for row in _mask_rows(t)[1])
+# Cells per row block, pair grid or tope rows alike: the int64 temporaries of
+# one block then take about 512 KiB whatever t is.
+_BLOCK = 1 << 16
 
 
 def _all_subsets(t):
@@ -102,12 +93,23 @@ def _mask_rows(t):
     return masks, signs, members, sizes
 
 
-def _row_blocks(n, t):
-    """Slices of the n rows of an n x n pair grid, at most _PAIR_BLOCK cells each."""
-    step = max(1, _PAIR_BLOCK // (n * t))
+def _row_blocks(n, width):
+    """Slices of n rows of width cells each, at most _BLOCK cells a slice."""
+    step = max(1, _BLOCK // width)
     for start in range(0, n, step):
         yield slice(start, min(n, start + step))
 
+
+def _report(bad, signs, checks):
+    """Append the messages of the failing checks, tope by tope, in check order.
+
+    checks holds (failed, message) pairs: failed is a bool vector over the
+    sign rows of one block and message(T, i) the text for the tope T of row i.
+    """
+    failing = np.logical_or.reduce([failed for failed, _ in checks])
+    for i in np.flatnonzero(failing):
+        T = Tope._wrap(signs[i])
+        bad += [message(T, i) for failed, message in checks if failed[i]]
 
 
 def sweep_cycle_structure(t: int) -> list:
@@ -162,99 +164,120 @@ def sweep_matrix_identities(t: int) -> list:
 
 
 def sweep_spectrum_methods(t: int) -> list:
-    """All 2^t topes: route agreement plus every per-tope spectrum law."""
-    bad = []
-    m_entries = tope_matrix(t).entries
-    for T in _all_topes(t):
-        dense = spectrum_dense(T)
-        fast = spectrum_fast(T)
-        ivls = spectrum_intervals(T)
-        if not (dense == fast and dense == ivls):
-            bad.append(f"{T}: routes disagree: {dense} / {fast} / {ivls}")
-            continue
-        x = dense
-        if x.support_size % 2 != 1:
-            bad.append(f"{T}: even support {x.support_size}")
-        if x.total != T.sign(t):
-            bad.append(f"{T}: coordinate sum {x.total} != last entry {T.sign(t)}")
-        nz = np.flatnonzero(x.coords)
-        if any(int(x.coords[i]) != T.sign(int(i) + 1) for i in nz):
-            bad.append(f"{T}: a nonzero coordinate disagrees with the tope entry")
-        back = x.coords.astype(np.int64) @ m_entries
-        if not np.array_equal(back, T.signs.astype(np.int64)):
-            bad.append(f"{T}: x * M does not reconstruct the tope")
-        if int(back @ back) != t:
-            bad.append(f"{T}: reconstructed vector has squared norm != t")
-        if reconstruct_tope(x) != T:
-            bad.append(f"{T}: prefix-sum reconstruction failed")
-        if spectrum_fast(-T) != -x:
-            bad.append(f"{T}: antipodal law failed")
-        A = negative_part(T)
-        if len(A):
-            rho = interval_partition(A).rho
-            expected = 2 * rho - 1 if A.boundary_count else 2 * rho + 1
-            if x.support_size != expected:
-                bad.append(f"{T}: size {x.support_size} != interval law {expected}")
-        elif x.support_size != 1:
-            bad.append(f"{T}: all-plus tope must have size 1")
-    return bad
+    """All 2^t topes: route agreement plus every per-tope spectrum law.
 
-
-def _signed_vertex_sum(t: int, terms) -> np.ndarray:
-    """Sum of the signed cycle vertices of the terms, one cycle_vertex row each.
-
-    The O(t * size) reference for the O(t) prefix-sum map behind
-    Decomposition.vertex_sum.
+    The dense, telescoping and interval kernels run on row blocks of the
+    sign rows.  Where the three agree, the laws are checked on the dense
+    rows against the tope rows, x @ M, the prefix-sum map and, for the
+    interval law, popcounts of the run starts of the masks.
     """
-    acc = np.zeros(t, dtype=np.int64)
-    for s, i in terms:
-        acc += s * cycle_vertex(t, i).astype(np.int64)
-    return acc
+    bad = []
+    masks, signs, members, _ = _mask_rows(t)
+    m_entries = tope_matrix(t).entries
+    rho = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
+    boundary = (masks & 1) + (masks >> (t - 1) & 1)
+    interval_law = np.where(boundary > 0, 2 * rho - 1, 2 * rho + 1)
+    for rows in _row_blocks(masks.shape[0], t):
+        s = signs[rows]
+        dense = _spectrum_dense(s)
+        fast = _telescope(s)
+        ivls = _spectrum_intervals(members[rows])
+        agree = (dense == fast).all(axis=-1) & (dense == ivls).all(axis=-1)
+        x = dense
+        support = np.count_nonzero(x, axis=-1)
+        total = x.sum(axis=-1, dtype=np.int64)
+        back = x.astype(np.int64) @ m_entries
+        prefix = np.zeros(agree.shape, dtype=bool)
+        prefix[agree] = (_tope_signs(x[agree]) != s[agree]).any(axis=-1)
+        law = interval_law[rows]
+        empty = masks[rows] == 0
+        _report(bad, s, [
+            (~agree, lambda T, i: f"{T}: routes disagree: {Spectrum._wrap(dense[i])} / "
+                                  f"{Spectrum._wrap(fast[i])} / {Spectrum._wrap(ivls[i])}"),
+            (agree & (support % 2 != 1), lambda T, i: f"{T}: even support {support[i]}"),
+            (agree & (total != s[:, -1]),
+             lambda T, i: f"{T}: coordinate sum {total[i]} != last entry {s[i, -1]}"),
+            (agree & ((x != 0) & (x != s)).any(axis=-1),
+             lambda T, i: f"{T}: a nonzero coordinate disagrees with the tope entry"),
+            (agree & (back != s).any(axis=-1),
+             lambda T, i: f"{T}: x * M does not reconstruct the tope"),
+            (agree & (np.vecdot(back, back) != t),
+             lambda T, i: f"{T}: reconstructed vector has squared norm != t"),
+            (agree & prefix, lambda T, i: f"{T}: prefix-sum reconstruction failed"),
+            (agree & (_telescope(-s) != -x).any(axis=-1),
+             lambda T, i: f"{T}: antipodal law failed"),
+            (agree & ~empty & (support != law),
+             lambda T, i: f"{T}: size {support[i]} != interval law {law[i]}"),
+            (agree & empty & (support != 1),
+             lambda T, i: f"{T}: all-plus tope must have size 1"),
+        ])
+    return bad
 
 
 def sweep_decompositions(t: int) -> list:
     """All 2^t topes: term structure and entrywise vertex-sum reconstruction.
 
-    The terms are summed as signed cycle-vertex rows and compared with the
-    tope and with Decomposition.vertex_sum; the size is compared with the
-    popcount size of the tope's mask.
+    On row blocks, the terms (the telescoping rows that decomposition_set
+    wraps) are summed as signed cycle-vertex rows, x @ M, and compared with
+    the tope and with the prefix-sum map behind Decomposition.vertex_sum;
+    the size is compared with the popcount size of the tope's mask.
     """
     bad = []
-    _, signs, _, sizes = _mask_rows(t)
-    for m in range(signs.shape[0]):
-        T = Tope._wrap(signs[m])
-        d = decomposition_set(T)
-        if d.size % 2 != 1:
-            bad.append(f"{T}: even term count {d.size}")
-        rows = _signed_vertex_sum(t, d.terms)
-        if not np.array_equal(rows, T.signs):
-            bad.append(f"{T}: signed vertex sum does not reproduce the tope")
-        if not np.array_equal(d.vertex_sum(), rows):
-            bad.append(f"{T}: prefix-sum vertex sum != sum of the cycle-vertex rows")
-        if d.size != sizes[m]:
-            bad.append(f"{T}: term count differs from the sign-change size {sizes[m]}")
+    masks, signs, _, sizes = _mask_rows(t)
+    m_entries = tope_matrix(t).entries
+    for rows in _row_blocks(masks.shape[0], t):
+        s = signs[rows]
+        coords = _telescope(s)
+        size = np.count_nonzero(coords, axis=-1)
+        summed = coords.astype(np.int64) @ m_entries
+        # Read through the module, as Decomposition.vertex_sum reads it.
+        prefix = decomposition._vertex_sum(coords)
+        want = sizes[rows]
+        _report(bad, s, [
+            (size % 2 != 1, lambda T, i: f"{T}: even term count {size[i]}"),
+            ((summed != s).any(axis=-1),
+             lambda T, i: f"{T}: signed vertex sum does not reproduce the tope"),
+            ((prefix != summed).any(axis=-1),
+             lambda T, i: f"{T}: prefix-sum vertex sum != sum of the cycle-vertex rows"),
+            (size != want,
+             lambda T, i: f"{T}: term count differs from the sign-change size {want[i]}"),
+        ])
     return bad
 
 
 def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int = 7) -> list:
-    """Random reorientation paths: incremental updates match recomputation."""
-    bad = []
+    """Random reorientation paths: incremental updates match recomputation.
+
+    The paths' start topes and flip sets are drawn first, path by path and
+    step by step; the steps then run on the stack of all paths, and the
+    first diverging step of each path is reported.  (A failing path keeps
+    its later draws, so the paths after it are those of a passing run.)
+    """
     rng = random.Random(seed)
+    signs = np.empty((paths, t), dtype=np.int8)
+    hits = []  # flat indices of the (steps, paths, t) flip sets
     for p in range(paths):
-        signs = [rng.choice((-1, 1)) for _ in range(t)]
-        T = Tope(signs)
-        x = spectrum_fast(T)
+        signs[p] = [rng.choice((-1, 1)) for _ in range(t)]
         for step in range(steps):
             k = rng.randrange(1, t + 1)
             size = rng.randrange(0, max(2, t // 4) + 1)
-            members = sorted(rng.sample(range(1, t + 1), min(size + 1, t)))
-            S = GroundSubset(t, members) if step % 2 else GroundSubset(t, [k])
-            x = spectrum_update(x, T, S)
-            T = reorient(T, S)
-            if x != spectrum_fast(T):
-                bad.append(f"path {p} step {step}: update diverged from recomputation")
-                break
-    return bad
+            members = rng.sample(range(1, t + 1), min(size + 1, t))
+            base = (step * paths + p) * t - 1
+            hits += [base + e for e in (members if step % 2 else [k])]
+    flips = np.zeros((steps, paths, t), dtype=bool)
+    flips.reshape(-1)[hits] = True
+    x = _telescope(signs)
+    first = np.full(paths, -1)
+    for step in range(steps):
+        x = _spectrum_update(x, signs, flips[step])
+        signs = np.where(flips[step], -signs, signs)  # reorient
+        diverged = (x != _telescope(signs)).any(axis=-1) & (first < 0)
+        first[diverged] = step
+    return [
+        f"path {p} step {step}: update diverged from recomputation"
+        for p, step in enumerate(first.tolist())
+        if step >= 0
+    ]
 
 
 def sweep_counting(t: int) -> list:
@@ -302,44 +325,50 @@ def sweep_counting(t: int) -> list:
 
 
 def sweep_boundary_classes(t: int) -> list:
-    """Counts refined by boundary class and j, against direct enumeration."""
+    """Counts refined by boundary class and j, against direct enumeration.
+
+    Every tope with a nonempty negative part is tallied by its boundary
+    class, j and decomposition size l (from the telescoping kernel on row
+    blocks), and its negative part by boundary overlap and interval count;
+    j, the class and the run starts are read off the masks.
+    """
     bad = []
-    tallies = {}
-    subset_tallies = {}
-    for T in _all_topes(t):
-        l = spectrum_fast(T).support_size
-        A = negative_part(T)
-        j = len(A)
-        if len(A):
-            part = interval_partition(A)
-            key = (1 in A, t in A)
-            case = {
-                (True, False): "left-only",
-                (False, True): "right-only",
-                (True, True): "both-ends",
-                (False, False): "neither",
-            }[key]
-            tallies[(case, j, l)] = tallies.get((case, j, l), 0) + 1
-            subset_tallies[(A.boundary_count, part.rho)] = (
-                subset_tallies.get((A.boundary_count, part.rho), 0) + 1
-            )
+    masks, signs, _, _ = _mask_rows(t)
+    sizes = np.concatenate([
+        np.count_nonzero(_telescope(signs[rows]), axis=-1)
+        for rows in _row_blocks(masks.shape[0], t)
+    ])
+    left, right = masks & 1, masks >> (t - 1) & 1
+    case = np.where(left == 1, 2 * right, 3 - 2 * right)  # index into _CLASSES
+    negatives = np.bitwise_count(masks).astype(np.int64)
+    runs = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
+    # Mask 0, the empty negative part, is left out of both tallies.
+    w = t + 1
+    tallies = np.bincount(((case * w + negatives) * w + sizes)[1:], minlength=4 * w * w)
+    tallies = tallies.reshape(4, w, w)
+    subset_tallies = np.bincount(((left + right) * w + runs)[1:], minlength=3 * w).reshape(3, w)
     for l in range(3, t + 1, 2):
-        for case in ("left-only", "right-only", "both-ends", "neither"):
-            total = sum(c for (cs, _, l_), c in tallies.items() if cs == case and l_ == l)
-            if total != count_by_boundary_class(t, l, case):
-                bad.append(f"t={t}, l={l}, {case}: total {total} != closed form")
+        for c, cls in enumerate(_CLASSES):
+            total = int(tallies[c, :, l].sum())
+            if total != count_by_boundary_class(t, l, cls):
+                bad.append(f"t={t}, l={l}, {cls}: total {total} != closed form")
             for j in range(t + 1):
-                got = tallies.get((case, j, l), 0)
-                want = count_by_boundary_class(t, l, case, j)
+                got = int(tallies[c, j, l])
+                want = count_by_boundary_class(t, l, cls, j)
                 if got != want:
-                    bad.append(f"t={t}, l={l}, j={j}, {case}: {got} != {want}")
+                    bad.append(f"t={t}, l={l}, j={j}, {cls}: {got} != {want}")
     for rho in range(1, t + 1):
         for boundary in (0, 1, 2):
-            got = subset_tallies.get((boundary, rho), 0)
+            got = int(subset_tallies[boundary, rho])
             want = count_subsets_by_boundary(t, rho, boundary)
             if got != want:
                 bad.append(f"t={t}, rho={rho}, boundary={boundary}: {got} != {want}")
     return bad
+
+
+# Boundary classes of a negative part by (contains 1, contains t): index
+# 2 * [t] when it contains 1, 3 - 2 * [t] when it does not.
+_CLASSES = ("left-only", "right-only", "both-ends", "neither")
 
 
 def sweep_equinumerosity(t: int) -> list:
@@ -351,14 +380,14 @@ def sweep_equinumerosity(t: int) -> list:
     bad = []
     masks, signs, members, sizes = _mask_rows(t)
     n = masks.shape[0]
-    for rows in _row_blocks(n, t):
+    for rows in _row_blocks(n, n * t):
         lhs, rhs = _boundary_sum(signs[rows, None], members[None])
         equal = lhs == rhs
         direct = sizes[rows, None] == sizes[masks[rows, None] ^ masks]
         for i, a in np.argwhere(equal != direct):
             T, A = Tope._wrap(signs[rows.start + i]), GroundSubset._wrap(members[a])
             bad.append(f"{T}, A={A}: criterion {equal[i, a]} != direct {direct[i, a]}")
-    for rows in _row_blocks(n, t):
+    for rows in _row_blocks(n, n * t):
         lhs, rhs = _boundary_sum(signs[rows, None], signs[rows, None] != signs[None])
         ind = rhs - lhs
         wrong = (ind == 0) != (sizes[rows, None] == sizes)
@@ -376,7 +405,7 @@ def sweep_equinumerosity(t: int) -> list:
     nonempty = masks[1:]
     rho = np.bitwise_count(nonempty & ~(nonempty << 1)).astype(np.int64)
     touch = nonempty & (1 | 1 << (t - 1)) != 0
-    for rows in _row_blocks(n - 1, t):
+    for rows in _row_blocks(n - 1, (n - 1) * t):
         same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
         for i, j in np.argwhere(same != (sizes[1:][rows, None] == sizes[1:])):
             A = GroundSubset._wrap(members[rows.start + i + 1])
@@ -389,7 +418,8 @@ def sweep_size_difference(t: int) -> list:
     """Inner-product size difference against popcount sizes, all pairs."""
     bad = []
     masks, signs, _, sizes = _mask_rows(t)
-    for rows in _row_blocks(masks.shape[0], t):
+    n = masks.shape[0]
+    for rows in _row_blocks(n, n * t):
         diff = _size_difference(signs[rows, None], signs[None])
         for i, j in np.argwhere(diff != sizes[rows, None] - sizes):
             T1, T2 = Tope._wrap(signs[rows.start + i]), Tope._wrap(signs[j])
@@ -401,15 +431,14 @@ def sweep_negpart_cardinalities(t: int) -> list:
     """Negative-part size and meet/join cardinalities against mask popcounts."""
     bad = []
     masks, signs, _, _ = _mask_rows(t)
-    spectra = []
-    for m in range(masks.shape[0]):
-        T = Tope._wrap(signs[m])
-        x = spectrum_fast(T)
-        spectra.append(x.coords)
-        if negpart_size_from_spectrum(x) != m.bit_count():
-            bad.append(f"{T}: negative-part size from spectrum != {m.bit_count()}")
-    spectra = np.stack(spectra)
-    for rows in _row_blocks(masks.shape[0], t):
+    n = masks.shape[0]
+    spectra = _telescope(signs)
+    negatives = np.bitwise_count(masks)
+    _report(bad, signs, [
+        (_negpart_size(spectra) != negatives,
+         lambda T, i: f"{T}: negative-part size from spectrum != {negatives[i]}"),
+    ])
+    for rows in _row_blocks(n, n * t):
         meet = np.bitwise_count(masks[rows, None] & masks)
         join = np.bitwise_count(masks[rows, None] | masks)
         spectral = _meet_join_from_spectra(spectra[rows, None], spectra[None])
@@ -428,16 +457,19 @@ def sweep_negpart_cardinalities(t: int) -> list:
 
 
 def sweep_unit_flip_spectra(t: int) -> list:
-    """Unit-flip sums and the boundary-case display against the dense route."""
+    """Unit-flip sums and the boundary-case display against the dense route.
+
+    The displays run once per subset A, as printed; the dense kernel gives
+    the spectra of all reorientations of all-plus in one product.
+    """
     bad = []
-    plus = Tope.positive(t)
-    for A in _all_subsets(t):
-        want = spectrum_dense(reorient(plus, A))
+    for A, want in zip(_all_subsets(t), _spectrum_dense(_mask_rows(t)[1])):
+        want = want.tobytes()
         via_flips = spectrum_from_unit_flips(A)
         via_cases = spectrum_from_boundary_cases(A)
-        if via_flips != want:
+        if via_flips.coords.tobytes() != want:
             bad.append(f"A={A}: unit-flip sum != dense spectrum")
-        if via_cases != want:
+        if via_cases.coords.tobytes() != want:
             bad.append(f"A={A}: boundary-case display != dense spectrum")
         if via_flips != -spectrum_from_unit_flips(A.complement()):
             bad.append(f"A={A}: complement negation law failed")
@@ -445,17 +477,30 @@ def sweep_unit_flip_spectra(t: int) -> list:
 
 
 def sweep_oracle(t: int) -> list:
-    """Brute-force minimal decompositions equal the spectral ones, uniquely."""
+    """Brute-force minimal decompositions equal the spectral ones, uniquely.
+
+    The oracle's table holds the subset search of every tope; its minimal
+    vertex masks and their popcounts are compared with the spectral vertex
+    masks (position i for a + term at index i, i + t for a - term) and the
+    support sizes of the telescoping rows.
+    """
+    masks, signs, _, _ = _mask_rows(t)
+    least, ties, minimal, intruder = _search_table(t)
+    broken = (least < 0) | (least % 2 == 0) | (intruder >= 0)
+    if broken.any():
+        # The search's own error for the first such tope, as the scalar raises it.
+        bruteforce_minimal_decomposition(Tope.from_bitmask(int(np.argmax(broken)), t))
+    coords = _telescope(signs)
+    weights = 1 << np.arange(t, dtype=np.int64)
+    spectral = (coords > 0) @ weights + (coords < 0) @ (weights << t)
     bad = []
-    for T in _all_topes(t):
-        result = bruteforce_minimal_decomposition(T)
-        d = decomposition_set(T)
-        if not result.unique:
-            bad.append(f"{T}: minimal decomposition is not unique")
-        if result.minimal_set != d.vertex_indices():
-            bad.append(f"{T}: oracle set {sorted(result.minimal_set)} != spectral set")
-        if len(result.minimal_set) != spectrum_fast(T).support_size:
-            bad.append(f"{T}: oracle cardinality != squared spectrum norm")
+    _report(bad, signs, [
+        (ties != 1, lambda T, i: f"{T}: minimal decomposition is not unique"),
+        (minimal != spectral, lambda T, i: f"{T}: oracle set "
+         f"{[b for b in range(2 * t) if minimal[i] >> b & 1]} != spectral set"),
+        (np.bitwise_count(minimal) != np.count_nonzero(coords, axis=-1),
+         lambda T, i: f"{T}: oracle cardinality != squared spectrum norm"),
+    ])
     return bad
 
 
@@ -465,42 +510,53 @@ def sweep_oracle(t: int) -> list:
 _SWEEPS = (
     ("cycle-structure", sweep_cycle_structure, None),
     ("matrix-identities", sweep_matrix_identities, 64),
-    ("spectrum-methods", sweep_spectrum_methods, 14),
-    ("decompositions", sweep_decompositions, 12),
+    ("spectrum-methods", sweep_spectrum_methods, 16),
+    ("decompositions", sweep_decompositions, 16),
     ("spectrum-updates", sweep_spectrum_updates, None),
     ("counting", sweep_counting, ENUMERATION_CAP),
-    ("boundary-classes", sweep_boundary_classes, 12),
+    ("boundary-classes", sweep_boundary_classes, 16),
     ("equinumerosity", sweep_equinumerosity, 11),
     ("size-difference", sweep_size_difference, 11),
     ("negpart-cardinalities", sweep_negpart_cardinalities, 11),
     ("flip-spectra", sweep_unit_flip_spectra, 12),
 )
 
+# The cases each sweep checks at dimension t: the objects or pairs it
+# compares (for equinumerosity, the (T, A) pairs, the tope pairs and the
+# pairs of nonempty subsets).
+_CASES = {
+    "cycle-structure": lambda t: 2 * t,
+    "matrix-identities": lambda t: t * t,
+    "spectrum-updates": lambda t: 20 * 16,
+    "equinumerosity": lambda t: 2 * 4**t + (2**t - 1) ** 2,
+    "size-difference": lambda t: 4**t,
+    "negpart-cardinalities": lambda t: 2**t + 4**t,
+}
 
-def run_all(t: int, oracle_max: int = 7) -> dict:
+
+def run_report(t: int, oracle_max: int = 7) -> dict:
     """Run every sweep at dimension t, skipping those whose cap is below t.
 
-    Returns {sweep name: list of mismatches}; a skipped sweep maps to the
-    single entry "skipped".  The oracle sweep runs at min(t, oracle_max).
+    Returns {sweep name: {"issues", "cap", "cases", "seconds"}}: the list of
+    mismatches, the cap (None for none), the cases checked (2^t topes or
+    subsets unless _CASES says otherwise) and the sweep's wall time.  A
+    skipped sweep has the single issue "skipped", 0 cases and 0 seconds.
+    The oracle sweep is capped at oracle_max.
     """
-    results = {}
-    for name, sweep, cap in _SWEEPS:
+    report = {}
+    for name, sweep, cap in _SWEEPS + (("oracle", sweep_oracle, oracle_max),):
         if cap is not None and t > cap:
-            results[name] = ["skipped"]
-        else:
-            results[name] = sweep(t)
-    if t <= oracle_max:
-        results["oracle"] = sweep_oracle(t)
-    else:
-        results["oracle"] = ["skipped"]
-    return results
+            report[name] = {"issues": ["skipped"], "cap": cap, "cases": 0, "seconds": 0.0}
+            continue
+        start = time.perf_counter()
+        issues = sweep(t)
+        seconds = time.perf_counter() - start
+        cases = _CASES.get(name, lambda t: 1 << t)(t)
+        report[name] = {"issues": issues, "cap": cap, "cases": cases, "seconds": seconds}
+    return report
 
 
-def failures(results: dict) -> list:
-    """Flatten run_all output to real mismatches (skips excluded)."""
-    flat = []
-    for name, issues in results.items():
-        for issue in issues:
-            if issue != "skipped":
-                flat.append(f"{name}: {issue}")
-    return flat
+def run_all(t: int, oracle_max: int = 7) -> dict:
+    """{sweep name: list of mismatches} from run_report; a skipped sweep maps
+    to the single entry "skipped"."""
+    return {name: sweep["issues"] for name, sweep in run_report(t, oracle_max).items()}

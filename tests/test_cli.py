@@ -280,6 +280,20 @@ class TestStatsTableBytes:
             assert capsys.readouterr().out == _stats_reference(5, fmt, table)
 
 
+class TestStatsChunks:
+    """stats writes its rows in chunks; the bytes do not depend on the chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunked_rows_are_the_dict_rendering(self, capsys, monkeypatch, tmp_path, chunk, fmt):
+        monkeypatch.setattr(cli, "_STATS_CHUNK", chunk)
+        assert cli.main(["stats", "--t", "9", "--format", fmt, "--enumerate"]) == 0
+        assert capsys.readouterr().out == _stats_reference(9, fmt, enumerate_statistics(9))
+        path = tmp_path / "table"
+        assert cli.main(["stats", "--t", "9", "--format", fmt, "--output", str(path)]) == 0
+        assert path.read_text() == _stats_reference(9, fmt, None)
+
+
 class TestParserReuse:
     """main() builds its parser once per process and shares it across calls."""
 
@@ -374,6 +388,77 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--t", "8", "--oracle-max", "3")
         assert proc.returncode == 0
         assert "oracle: skipped" in proc.stdout
+
+
+def _text_statuses(out):
+    """{sweep: status word} and the last line of a text-mode verify."""
+    lines = out.splitlines()
+    sweeps = [line.split(": ", 1) for line in lines[:-1] if not line.startswith("  ")]
+    return {name: status.split(" ")[0] for name, status in sweeps}, lines[-1]
+
+
+class TestVerifyJson:
+    """verify --format json: one object, the statuses of text mode."""
+
+    @pytest.mark.parametrize("argv", [["--t", "4"], ["--t", "12", "--oracle-max", "3"]])
+    def test_statuses_match_text_mode(self, capsys, argv):
+        assert cli.main(["verify", *argv]) == 0
+        statuses, last = _text_statuses(capsys.readouterr().out)
+        assert cli.main(["verify", *argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        record = json.loads(out)
+        assert record["t"] == int(argv[1]) and record["status"] == "ok" == last.split(": ")[1]
+        assert {name: sweep["status"] for name, sweep in record["sweeps"].items()} == statuses
+        assert list(record["sweeps"]) == sorted(statuses)
+        for name, sweep in record["sweeps"].items():
+            assert sweep["mismatches"] == 0 and sweep["first_mismatches"] == []
+            assert sweep["seconds"] >= 0
+            if sweep["status"] == "skipped":
+                assert sweep["cases"] == 0 and sweep["seconds"] == 0
+                assert sweep["cap"] < int(argv[1])
+            else:
+                assert sweep["cases"] > 0
+                assert sweep["cap"] is None or sweep["cap"] >= int(argv[1])
+        sweeps = record["sweeps"]
+        if argv[1] == "12":
+            assert sweeps["equinumerosity"]["status"] == sweeps["oracle"]["status"] == "skipped"
+            assert sweeps["oracle"]["cap"] == 3
+            assert sweeps["spectrum-methods"]["cases"] == 1 << 12
+        else:
+            assert sweeps["size-difference"]["cases"] == 4**4
+            assert sweeps["spectrum-updates"]["cases"] == 20 * 16
+
+    def test_a_failing_sweep_lists_its_count_and_first_five(self, capsys, monkeypatch):
+        from cyclotope import verification
+
+        real = verification._spectrum_update
+        monkeypatch.setattr(verification, "_spectrum_update", lambda *args: real(*args) + 2)
+        assert cli.main(["verify", "--t", "5"]) == 1
+        text = capsys.readouterr().out
+        statuses, last = _text_statuses(text)
+        assert cli.main(["verify", "--t", "5", "--format", "json"]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "FAIL" and last == "verify t=5: FAIL"
+        assert {name: sweep["status"] for name, sweep in record["sweeps"].items()} == statuses
+        updates = record["sweeps"]["spectrum-updates"]
+        assert updates["status"] == "FAIL" and updates["mismatches"] == 20
+        assert updates["first_mismatches"] == [
+            f"path {p} step 0: update diverged from recomputation" for p in range(5)
+        ]
+        assert "".join(f"  {issue}\n" for issue in updates["first_mismatches"]) in text
+        assert "spectrum-updates: FAIL (20 mismatches)" in text
+
+    def test_text_mode_prints_no_timing(self, capsys):
+        assert cli.main(["verify", "--t", "3", "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert cli.main(["verify", "--t", "3"]) == 0
+        assert capsys.readouterr().out == text
+        assert "seconds" not in text and "." not in text
+
+    def test_unknown_format_is_a_usage_error(self):
+        proc = run_cli("verify", "--t", "3", "--format", "xml")
+        assert proc.returncode == 2 and proc.stdout == ""
 
 
 class TestBenchCommand:

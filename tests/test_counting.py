@@ -309,6 +309,15 @@ class TestFormulaTable:
         assert cells == {}
 
 
+@pytest.mark.parametrize("t", [3.0, 3.9, 4.5, True, np.float64(5)])
+def test_table_builders_reject_a_non_integer_dimension(t):
+    # formula_table(3.9) used to build the t = 3 table.
+    with pytest.raises(TypeError):
+        formula_table(t)
+    with pytest.raises(TypeError):
+        CountTable(t, [])
+
+
 class TestCountTable:
     def test_row_order_enforced(self):
         with pytest.raises(ValueError):

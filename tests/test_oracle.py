@@ -1,12 +1,16 @@
+import numpy as np
 import pytest
 
 from cyclotope import (
     BudgetExceeded,
+    CyclotopeError,
     Tope,
     bruteforce_minimal_decomposition,
     decomposition_set,
     spectrum_fast,
 )
+from cyclotope import oracle, verification
+from cyclotope.oracle import _subset_sums
 
 
 def test_positive_tope():
@@ -36,3 +40,52 @@ def test_matches_spectral_route_exhaustively():
 def test_budget_cap():
     with pytest.raises(BudgetExceeded):
         bruteforce_minimal_decomposition(Tope.positive(11))
+
+
+def test_the_sweep_keeps_the_budget_cap():
+    # verify --oracle-max 11 fails as the scalar search does, before the
+    # 4^11-row table is built.
+    with pytest.raises(BudgetExceeded, match=r"oracle subset space 4\^11 exceeds the cap"):
+        verification.sweep_oracle(11)
+
+
+def _scan(T):
+    """One tope's search written out: the subsets of the 2t cycle vertices
+    whose sum is T, ranked by cardinality, with the superset check."""
+    t = T.t
+    sums, popcounts = _subset_sums(t)
+    matches = np.flatnonzero((sums == T.signs.astype(np.int16)).all(axis=1))
+    pc = popcounts[matches]
+    least = int(pc.min())
+    assert least % 2 == 1
+    at_least = matches[pc == least]
+    minimal = int(at_least[0])
+    assert all(int(mask) & minimal == minimal for mask in matches[pc <= t])
+    positions = frozenset(b for b in range(2 * t) if minimal >> b & 1)
+    return positions, at_least.size == 1
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 6])
+def test_table_equals_a_one_tope_scan_on_every_tope(t):
+    for mask in range(1 << t):
+        T = Tope.from_bitmask(mask, t)
+        result = bruteforce_minimal_decomposition(T)
+        assert (result.minimal_set, result.unique) == _scan(T), mask
+        assert result.candidates_checked == 1 << (2 * t)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (0, -1, "no vertex subset sums to -+-+-; table corrupt"),
+        (0, 4, "minimal solution for -+-+- has even size 4"),
+        (3, 0b1011, "solution 1011 is not a superset of the minimal 1010101010"),
+    ],
+)
+def test_a_broken_table_entry_raises_the_searchs_error(monkeypatch, column, value, message):
+    table = [c.copy() for c in oracle._search_table(5)]
+    table[column][0b10101] = value
+    monkeypatch.setattr(oracle, "_search_table", lambda t: tuple(table))
+    with pytest.raises(CyclotopeError) as info:
+        bruteforce_minimal_decomposition(Tope.from_string("-+-+-"))
+    assert str(info.value) == message

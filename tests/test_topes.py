@@ -171,6 +171,28 @@ class TestGroundSubset:
         assert GroundSubset(5, [2, 3]).boundary_count == 0
 
 
+# A dimension is read through operator.index: a float or a bool is refused,
+# never truncated (3.9 used to build t = 3) or read as 1.
+non_integer_dimensions = pytest.mark.parametrize("t", [3.0, 3.9, 4.5, True, np.float64(5)])
+
+
+@non_integer_dimensions
+def test_positive_tope_rejects_a_non_integer_dimension(t):
+    with pytest.raises(TypeError):
+        Tope.positive(t)
+
+
+@non_integer_dimensions
+def test_subset_rejects_a_non_integer_dimension(t):
+    with pytest.raises(TypeError):
+        GroundSubset(t, [1])
+
+
+def test_numpy_integer_dimensions_are_read_exactly():
+    assert Tope.positive(np.int64(5)).t == 5
+    assert GroundSubset(np.uint8(4), [4]).t == 4
+
+
 class TestTrustedAndValidatedSubsetsAgree:
     """Validated, negative-part and verification-row subsets are one object."""
 
@@ -397,6 +419,15 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     for sweep in (verification.sweep_equinumerosity, verification.sweep_size_difference,
                   verification.sweep_negpart_cardinalities):
         assert sweep(3)
+    # The per-tope sweeps run the kernels on row stacks and wrap rows only
+    # to name a failure; the public routes wrap the kernels' vectors.
+    monkeypatch.setattr(verification, "_telescope", _off_by_one(verification._telescope))
+    assert verification.sweep_spectrum_methods(3)
+    T = Tope.from_string("+--")
+    x = decomposition.spectrum_fast(T)
+    decomposition.spectrum_dense(T), decomposition.spectrum_intervals(T)
+    decomposition.decomposition_set(T), decomposition.reconstruct_tope(x)
+    decomposition.spectrum_update(x, T, GroundSubset(3, [2])), interval_partition(negative_part(T))
     Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
     GroundSubset.empty(3), GroundSubset.full(3)
     assert seen == _wrap_call_sites()

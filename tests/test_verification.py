@@ -1,16 +1,31 @@
-"""The sweeps report a kernel that is wrong on a single pair or tope.
+"""The sweeps report a kernel that is wrong on a single pair, tope or path step.
 
 Each test plants a fault in one production kernel, as the sweep module sees
-it, and checks that the sweep names exactly the pairs or topes it affects.  At t = 8
-the 256 x 256 pair grid spans several row blocks; the planted pair sits in
-the first or in the last one.
+it, and checks that the sweep names exactly the pairs, topes or path steps it
+affects.  At t = 8 the 256 x 256 pair grid spans several row blocks, and at
+t = 13 the 8192 tope rows span two; the planted pair or tope sits in the
+first or in the last block.  spectrum-updates runs its 20 paths as one
+stack, so its faults sit on the first or the last path; the oracle sweep
+reads the oracle's table, so its faults sit in one table entry.
 """
+
+import random
+import re
 
 import numpy as np
 import pytest
 
-from cyclotope import GroundSubset, Tope, reorient, spectrum_fast
-from cyclotope import decomposition, verification
+from cyclotope import (
+    CyclotopeError,
+    GroundSubset,
+    Spectrum,
+    Tope,
+    count_by_boundary_class,
+    decomposition_set,
+    reorient,
+    spectrum_fast,
+)
+from cyclotope import decomposition, oracle, verification
 
 T = 8
 SECOND = 0b00000101
@@ -113,3 +128,200 @@ def test_sweep_decompositions_reports_a_wrong_prefix_sum(monkeypatch, mask):
     assert verification.sweep_decompositions(T) == [
         f"{wrong_tope}: prefix-sum vertex sum != sum of the cycle-vertex rows"
     ]
+
+
+# The per-tope sweeps run their kernels on row blocks of the 2^t sign rows;
+# at t = 13 the 8192 rows span two blocks, so mask 1 sits in the first block
+# and mask 2^13 - 2 in the last.
+WIDE = 13
+in_first_or_last_tope_block = pytest.mark.parametrize("mask", [0b1, (1 << WIDE) - 2])
+
+
+def _on_row(kernel, row, change):
+    """kernel with change applied to its output rows whose input row is row."""
+
+    def wrong(rows, *args):
+        out = kernel(rows, *args)
+        hit = np.all(rows == row, axis=-1)
+        if hit.any():
+            out[hit] = change(out[hit])
+        return out
+
+    return wrong
+
+
+def _negate_last_term(coords):
+    # The last nonzero coordinate of each row changes sign: the support and
+    # its parity stay, the vertex sum does not.
+    out = coords.copy()
+    for row in out:
+        k = np.flatnonzero(row)[-1]
+        row[k] = -row[k]
+    return out
+
+
+def test_per_tope_blocks_span_the_planted_masks():
+    blocks = list(verification._row_blocks(1 << WIDE, WIDE))
+    assert len(blocks) == 2
+    assert blocks[0].start <= 0b1 < blocks[0].stop
+    assert blocks[-1].start <= (1 << WIDE) - 2 < blocks[-1].stop
+
+
+@in_first_or_last_tope_block
+@pytest.mark.parametrize("kernel", ["_telescope", "_spectrum_dense", "_spectrum_intervals"])
+def test_sweep_spectrum_methods_names_a_wrong_route(monkeypatch, kernel, mask):
+    tope = Tope.from_bitmask(mask, WIDE)
+    row = tope.signs < 0 if kernel == "_spectrum_intervals" else tope.signs
+    right = spectrum_fast(tope)
+    routes = {"_spectrum_dense": right, "_telescope": right, "_spectrum_intervals": right}
+    routes[kernel] = -right
+    real = getattr(verification, kernel)
+    monkeypatch.setattr(verification, kernel, _on_row(real, row, lambda out: -out))
+    reports = {
+        mask: f"{tope}: routes disagree: {routes['_spectrum_dense']} / {routes['_telescope']} / "
+              f"{routes['_spectrum_intervals']}"
+    }
+    if kernel == "_telescope":
+        # The antipodal law runs the telescoping kernel on the negated rows,
+        # so the antipode of the planted tope fails it.
+        reports[mask ^ ((1 << WIDE) - 1)] = f"{-tope}: antipodal law failed"
+    assert verification.sweep_spectrum_methods(WIDE) == [reports[m] for m in sorted(reports)]
+
+
+@in_first_or_last_tope_block
+def test_sweep_decompositions_names_a_wrong_telescoping_row(monkeypatch, mask):
+    tope = Tope.from_bitmask(mask, WIDE)
+    real = verification._telescope
+    monkeypatch.setattr(verification, "_telescope", _on_row(real, tope.signs, _negate_last_term))
+    assert verification.sweep_decompositions(WIDE) == [
+        f"{tope}: signed vertex sum does not reproduce the tope"
+    ]
+
+
+@in_first_or_last_tope_block
+def test_sweep_boundary_classes_reports_the_cells_a_wrong_size_moves(monkeypatch, mask):
+    # Two more terms on one tope move it from cell (j, l) to (j, l + 2) of
+    # its boundary class: both class totals and both cells are reported.
+    t, tope = WIDE, Tope.from_bitmask(mask, WIDE)
+    l, j = _size(tope), mask.bit_count()
+    cls = {(1, 0): "left-only", (0, 1): "right-only", (1, 1): "both-ends", (0, 0): "neither"}[
+        (mask & 1, mask >> (t - 1) & 1)
+    ]
+
+    def grown(coords):
+        out = coords.copy()
+        out[:, np.flatnonzero(coords[0] == 0)[:2]] = 1
+        return out
+
+    real = verification._telescope
+    monkeypatch.setattr(verification, "_telescope", _on_row(real, tope.signs, grown))
+    expected = []
+    for size, step in ((l, -1), (l + 2, 1)):
+        if 3 <= size <= t:
+            total = count_by_boundary_class(t, size, cls)
+            cell = count_by_boundary_class(t, size, cls, j)
+            expected += [
+                f"t={t}, l={size}, {cls}: total {total + step} != closed form",
+                f"t={t}, l={size}, j={j}, {cls}: {cell + step} != {cell}",
+            ]
+    assert expected
+    assert verification.sweep_boundary_classes(t) == expected
+
+
+@pytest.mark.parametrize("path", [0, 19])
+@pytest.mark.parametrize("step", [0, 7, 15])
+def test_sweep_spectrum_updates_names_the_planted_path_step(monkeypatch, path, step):
+    # The 16 steps run on the stack of all 20 paths, one kernel call a step.
+    real = verification._spectrum_update
+    calls = []
+
+    def wrong(coords, signs, inside):
+        out = real(coords, signs, inside)
+        if len(calls) == step:
+            out[path, 0] += 2
+        calls.append(out.shape)
+        return out
+
+    assert verification.sweep_spectrum_updates(T) == []
+    monkeypatch.setattr(verification, "_spectrum_update", wrong)
+    assert verification.sweep_spectrum_updates(T) == [
+        f"path {path} step {step}: update diverged from recomputation"
+    ]
+    assert calls == [(20, T)] * 16
+
+
+def test_sweep_spectrum_updates_reports_every_diverging_path_in_order(monkeypatch):
+    real = verification._spectrum_update
+    steps = iter(range(16))
+
+    def wrong(coords, signs, inside):
+        out = real(coords, signs, inside)
+        s = next(steps)
+        if s in (3, 9):
+            out[[12, 5] if s == 3 else [5, 2], 1] += 2
+        return out
+
+    monkeypatch.setattr(verification, "_spectrum_update", wrong)
+    assert verification.sweep_spectrum_updates(T) == [
+        f"path {p} step {s}: update diverged from recomputation"
+        for p, s in ((2, 9), (5, 3), (12, 3))
+    ]
+
+
+@pytest.mark.parametrize("mask", [0b0000000, 0b0000001, 0b1111111])
+def test_sweep_oracle_names_a_wrong_table_entry(monkeypatch, mask):
+    # The oracle table's minimal vertex mask of one tope gains the vertex at
+    # position 2t - 1, or its tie count turns 2.
+    t, tope = 7, Tope.from_bitmask(mask, 7)
+    least, ties, minimal, intruder = oracle._search_table(t)
+    positions = sorted(decomposition_set(tope).vertex_indices() | {2 * t - 1})
+    grown = minimal.copy()
+    grown[mask] |= 1 << (2 * t - 1)
+    tied = ties.copy()
+    tied[mask] = 2
+    monkeypatch.setattr(verification, "_search_table", lambda t: (least, ties, grown, intruder))
+    assert verification.sweep_oracle(t) == [
+        f"{tope}: oracle set {positions} != spectral set",
+        f"{tope}: oracle cardinality != squared spectrum norm",
+    ]
+    monkeypatch.setattr(verification, "_search_table", lambda t: (least, tied, minimal, intruder))
+    assert verification.sweep_oracle(t) == [f"{tope}: minimal decomposition is not unique"]
+
+
+def test_sweep_oracle_raises_the_searchs_error_for_a_broken_entry(monkeypatch):
+    t, mask = 6, 0b101101
+    least, ties, minimal, intruder = oracle._search_table(t)
+    even = least.copy()
+    even[mask] = 4
+    monkeypatch.setattr(oracle, "_search_table", lambda t: (even, ties, minimal, intruder))
+    monkeypatch.setattr(verification, "_search_table", oracle._search_table)
+    message = f"minimal solution for {Tope.from_bitmask(mask, t)} has even size 4"
+    with pytest.raises(CyclotopeError, match=re.escape(message)):
+        verification.sweep_oracle(t)
+
+
+@pytest.mark.parametrize("t", [3, 8, 21])
+def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
+    # The draws of the one-path-at-a-time walk, written out: a path's start
+    # tope, then per step a coordinate k, a size and a sample; even steps
+    # flip {k}, odd steps the sample.
+    rng = random.Random(7)
+    starts, flips = [], [[] for _ in range(16)]
+    for _ in range(20):
+        starts.append([rng.choice((-1, 1)) for _ in range(t)])
+        for step in range(16):
+            k = rng.randrange(1, t + 1)
+            size = rng.randrange(0, max(2, t // 4) + 1)
+            members = sorted(rng.sample(range(1, t + 1), min(size + 1, t)))
+            flips[step].append([e in (members if step % 2 else [k]) for e in range(1, t + 1)])
+    real = verification._spectrum_update
+    seen = []
+
+    def recording(coords, signs, inside):
+        seen.append((signs.copy(), inside.copy()))
+        return real(coords, signs, inside)
+
+    monkeypatch.setattr(verification, "_spectrum_update", recording)
+    assert verification.sweep_spectrum_updates(t) == []
+    assert seen[0][0].tolist() == starts
+    assert [inside.tolist() for _, inside in seen] == flips
