@@ -270,13 +270,14 @@ def decomposition_size(T: Tope) -> int:
     return spectrum_fast(T).support_size
 
 
-def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
+def _half_inverse_transform(v: np.ndarray, dtype=np.int64) -> np.ndarray:
     # v times twice the inverse matrix along the last axis, in O(t): the
-    # columns telescope.
-    out = np.empty(v.shape, dtype=np.int64)
+    # columns telescope.  Computed in v's dtype and stored as dtype; both
+    # must hold twice the largest |v| entry.
+    out = np.empty(v.shape, dtype=dtype)
     # [()] turns the 0-d views of a 1-d v into scalars, which add cheaply.
     out[..., 0] = v[..., 0][()] + v[..., -1][()]
-    out[..., 1:] = v[..., 1:] - v[..., :-1]
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
     return out
 
 
@@ -291,15 +292,18 @@ def spectrum_update(x1: Spectrum, T1: Tope, S: GroundSubset) -> Spectrum:
     _require_same_t(x1, T1)
     _require_same_t(T1, S)
     coords = _spectrum_update(x1.coords, T1.signs, S.inside)
-    if int(np.abs(coords).max()) > 1:
+    if coords.min() < -1 or coords.max() > 1:
         raise InvalidSpectrum("update left the coordinate range; x1 does not match T1")
-    return Spectrum._wrap(coords.astype(np.int8))
+    return Spectrum._wrap(coords)
 
 
 def _spectrum_update(coords: np.ndarray, signs: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    # The update along the last axis, as int64 and unchecked; signs * inside
-    # is T1 restricted to S (np.where with a scalar 0 costs twice as much).
-    return coords - _half_inverse_transform(signs * inside)
+    # The update along the last axis, unchecked, in int8.  T1 restricted to
+    # S is signs * inside; its transform has entries in [-2, 2], so a
+    # spectrum entry moves into [-3, 3].  The difference is written into
+    # the transform's buffer.
+    step = _half_inverse_transform(signs * inside, np.int8)
+    return np.subtract(coords, step, out=step)
 
 
 def unit_flip_spectrum(s: int, t: int) -> Spectrum:
@@ -329,13 +333,29 @@ def spectrum_from_unit_flips(A: GroundSubset) -> Spectrum:
     Computes (1 - |A|) * sigma(1) plus the sum of the single-flip spectra
     over A.  Also equals the negated spectrum of the complement reorientation.
     """
-    t = A.t
-    acc = np.zeros(t, dtype=np.int64)
-    acc[0] = 1 - len(A)
-    for s in A:
-        acc += unit_flip_spectrum(s, t).coords
     # Trusted like every route: the flip-spectra sweep reports a wrong sum.
-    return Spectrum._wrap(acc.astype(np.int8))
+    return Spectrum._wrap(_unit_flip_sum(A.inside))
+
+
+def _unit_flip_sum(inside: np.ndarray) -> np.ndarray:
+    # The display along the last axis of a bool array of subsets A, in int8:
+    # (1 - |A|) sigma(1) plus the support of unit_flip_spectrum(s) for each
+    # member s, that is +sigma(2) for s = 1, -sigma(t) for s = t and
+    # +sigma(1) - sigma(s) + sigma(s + 1) otherwise.  One bincount scatters
+    # the flat positions of all the terms, the +1 terms into its first half
+    # and the -1 terms into its second.
+    t = inside.shape[-1]
+    flat = inside.reshape(-1, t)
+    n = flat.size
+    row, e = np.nonzero(flat)  # member s = e + 1 of subset row
+    at = row * t + e  # flat position of sigma(s)
+    first, last = e == 0, e == t - 1
+    plus = [row[~(first | last)] * t, at[~last] + 1]
+    minus = at[~first] + n
+    counts = np.bincount(np.concatenate(plus + [minus]), minlength=2 * n)
+    out = counts[:n] - counts[n:]
+    out[::t] += 1 - np.count_nonzero(flat, axis=-1)
+    return out.astype(np.int8).reshape(inside.shape)
 
 
 def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
@@ -345,30 +365,26 @@ def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
     {1, t} lie in A, then subtracts sigma(i) - sigma(i+1) for every remaining
     element i of A.
     """
-    t = A.t
-    acc = np.zeros(t, dtype=np.int64)
-    left = 1 in A
-    right = t in A
-    if left and right:
-        acc[0] -= 1
-        acc[1] += 1
-        acc[t - 1] -= 1
-        skip = (1, t)
-    elif left:
-        acc[1] += 1
-        skip = (1,)
-    elif right:
-        acc[t - 1] -= 1
-        skip = (t,)
-    else:
-        acc[0] += 1
-        skip = ()
-    for i in A:
-        if i in skip:
-            continue
-        acc[i - 1] -= 1
-        acc[i] += 1
-    return Spectrum._wrap(acc.astype(np.int8))
+    return Spectrum._wrap(_boundary_case_display(A.inside))
+
+
+def _boundary_case_display(inside: np.ndarray) -> np.ndarray:
+    # The display along the last axis of a bool array of subsets A, in int8.
+    # The head is row 2 [1 in A] + [t in A] of heads: sigma(1) when A holds
+    # neither boundary, -sigma(t) when it holds t only, sigma(2) when it
+    # holds 1 only and -sigma(1) + sigma(2) - sigma(t) when it holds both.
+    # Every remaining member i, 1 < i < t, then adds -sigma(i) + sigma(i + 1).
+    t = inside.shape[-1]
+    heads = np.zeros((4, t), dtype=np.int8)
+    heads[0, 0] = 1
+    heads[1::2, -1] = -1
+    heads[2:, 1] = 1
+    heads[3, 0] = -1
+    out = np.take(heads, 2 * inside[..., 0] + inside[..., -1], axis=0)
+    rest = inside[..., 1:-1]  # the members i with 1 < i < t
+    out[..., 1:-1] -= rest
+    out[..., 2:] += rest
+    return out
 
 
 def size_difference(T1: Tope, T2: Tope) -> int:

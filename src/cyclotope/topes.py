@@ -58,9 +58,22 @@ def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndar
         if not isinstance(values, (list, tuple)):
             values = list(values)
         types = set(map(type, values))
-        if types & _BOOLS:
+        if types == {int}:
+            # Plain ints skip numpy's dtype discovery.  Up to _SHORT of them
+            # are range-checked by Python's min and max, which cost less
+            # there than two numpy reductions, before they are converted.
+            if len(values) <= _SHORT:
+                if lo <= min(values) and max(values) <= hi:
+                    return np.fromiter(values, np.int64, len(values))
+                raise _out_of_range(what, lo, hi, error)
+            try:
+                arr = np.fromiter(values, np.int64, len(values))
+            except OverflowError:
+                raise _out_of_range(what, lo, hi, error) from None
+        elif types & _BOOLS:
             raise TypeError(f"{what} entries must be integers, got a bool")
-        arr = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
+        else:
+            arr = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"a {what} is a one-dimensional vector")
     if arr.dtype.kind in "iu":
@@ -69,7 +82,15 @@ def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndar
             return arr
     elif not types or not all(issubclass(ty, (int, np.integer)) for ty in types):
         raise TypeError(f"{what} entries must be integers, got dtype {arr.dtype}")
-    raise error(f"{what} entries must lie in [{lo}, {hi}]")
+    raise _out_of_range(what, lo, hi, error)
+
+
+# Lists of plain ints up to this length are range-checked in Python.
+_SHORT = 64
+
+
+def _out_of_range(what, lo, hi, error):
+    return error(f"{what} entries must lie in [{lo}, {hi}]")
 
 
 # Byte of an int8 entry -> "+" when the entry is positive, "-" otherwise.

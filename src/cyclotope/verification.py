@@ -15,12 +15,15 @@ once from the masks 0..2^t-1 and compare the kernels' results with plain
 mask arithmetic: sizes from popcounts of adjacent sign changes, meets and
 joins from popcounts of m1 & m2 and m1 | m2, interval counts from popcounts
 of run starts, vertex sums as x @ M.  The per-tope sweeps run on row blocks
-of the tope rows, the pairwise sweeps (equinumerosity, size-difference,
-negpart-cardinalities) on row blocks of the 4^t pair grid by broadcasting,
-and spectrum-updates on the stack of its random paths.  A Tope is built
-only to name a failing row.  The unit-flip and boundary-case displays stay
-one call per subset, as printed.  run_all caps every sweep at a dimension
-that keeps `verify` at desk scale and reports a capped sweep as skipped.
+of the tope rows, flip-spectra on row blocks of the subset rows, the
+pairwise sweeps (equinumerosity, size-difference, negpart-cardinalities) on
+row blocks of the 4^t pair grid by broadcasting, and spectrum-updates on the
+stack of its random paths, all drawn from one block of random bytes.  A Tope
+or GroundSubset is built only to name a failing row.  The unit-flip and
+boundary-case displays are two kernels of their own, each checked against
+the dense route rather than against the other.  run_all caps every sweep at
+a dimension that keeps `verify` at desk scale and reports a capped sweep as
+skipped.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .cycle import (
 from . import decomposition
 from .decomposition import (
     Spectrum,
+    _boundary_case_display,
     _meet_join_from_spectra,
     _negpart_size,
     _size_difference,
@@ -60,8 +64,7 @@ from .decomposition import (
     _spectrum_update,
     _telescope,
     _tope_signs,
-    spectrum_from_boundary_cases,
-    spectrum_from_unit_flips,
+    _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
 from .oracle import _search_table, bruteforce_minimal_decomposition
@@ -70,11 +73,6 @@ from .topes import GroundSubset, Tope, _meet_join_cards, reorient, separation_se
 # Cells per row block, pair grid or tope rows alike: the int64 temporaries of
 # one block then take about 512 KiB whatever t is.
 _BLOCK = 1 << 16
-
-
-def _all_subsets(t):
-    """The 2^t subsets in mask order, cut from the member rows of _mask_rows."""
-    return (GroundSubset._wrap(row) for row in _mask_rows(t)[2])
 
 
 def _mask_rows(t):
@@ -100,15 +98,16 @@ def _row_blocks(n, width):
         yield slice(start, min(n, start + step))
 
 
-def _report(bad, signs, checks):
-    """Append the messages of the failing checks, tope by tope, in check order.
+def _report(bad, rows, checks, cls=Tope):
+    """Append the messages of the failing checks, row by row, in check order.
 
     checks holds (failed, message) pairs: failed is a bool vector over the
-    sign rows of one block and message(T, i) the text for the tope T of row i.
+    rows, sign rows of topes or, with cls GroundSubset, membership rows of
+    subsets, and message(T, i) the text for the object T of row i.
     """
     failing = np.logical_or.reduce([failed for failed, _ in checks])
     for i in np.flatnonzero(failing):
-        T = Tope._wrap(signs[i])
+        T = cls._wrap(rows[i])
         bad += [message(T, i) for failed, message in checks if failed[i]]
 
 
@@ -248,24 +247,11 @@ def sweep_decompositions(t: int) -> list:
 def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int = 7) -> list:
     """Random reorientation paths: incremental updates match recomputation.
 
-    The paths' start topes and flip sets are drawn first, path by path and
-    step by step; the steps then run on the stack of all paths, and the
-    first diverging step of each path is reported.  (A failing path keeps
-    its later draws, so the paths after it are those of a passing run.)
+    The paths' start topes and flip sets are drawn first, by _path_draws;
+    the steps then run on the stack of all paths, and the first diverging
+    step of each path is reported.
     """
-    rng = random.Random(seed)
-    signs = np.empty((paths, t), dtype=np.int8)
-    hits = []  # flat indices of the (steps, paths, t) flip sets
-    for p in range(paths):
-        signs[p] = [rng.choice((-1, 1)) for _ in range(t)]
-        for step in range(steps):
-            k = rng.randrange(1, t + 1)
-            size = rng.randrange(0, max(2, t // 4) + 1)
-            members = rng.sample(range(1, t + 1), min(size + 1, t))
-            base = (step * paths + p) * t - 1
-            hits += [base + e for e in (members if step % 2 else [k])]
-    flips = np.zeros((steps, paths, t), dtype=bool)
-    flips.reshape(-1)[hits] = True
+    signs, flips = _path_draws(t, paths, steps, seed)
     x = _telescope(signs)
     first = np.full(paths, -1)
     for step in range(steps):
@@ -278,6 +264,40 @@ def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int =
         for p, step in enumerate(first.tolist())
         if step >= 0
     ]
+
+
+def _path_draws(t, paths, steps, seed):
+    """(start signs, flip sets) of the random paths, read off one block of bytes.
+
+    random.Random(seed).randbytes gives the block, read little-endian as
+    - steps x paths x t 64-bit sort keys, one per coordinate of each step
+      of each path;
+    - steps x paths pairs of 32-bit words (w_k, w_size);
+    - paths x t bits, lowest bit of each byte first: bit p * t + e set makes
+      entry e + 1 of the start tope of path p negative.
+    A word w picks one of m values as (w * m) >> 32, biased by less than
+    m / 2^32: k = 1 + (w_k * t >> 32) and the size is 1 + (w_size * m >> 32)
+    with m = min(t, max(2, t // 4) + 1).  Even steps flip {k}; odd steps
+    flip the size coordinates of least sort key, a uniform sample.  The
+    signs are (paths, t) int8 and the flip sets a (steps, paths, t) bool
+    stack.
+    """
+    cells = steps * paths
+    block = random.Random(seed).randbytes(8 * cells * (t + 1) + (paths * t + 7) // 8)
+    keys = np.frombuffer(block, "<u8", cells * t).reshape(steps, paths, t)
+    words = np.frombuffer(block, "<u4", 2 * cells, 8 * cells * t).reshape(steps, paths, 2)
+    bits = np.frombuffer(block, np.uint8, offset=8 * cells * (t + 1))
+    negative = np.unpackbits(bits, count=paths * t, bitorder="little").reshape(paths, t)
+    signs = np.where(negative == 1, -1, 1).astype(np.int8)
+    top = min(t, max(2, t // 4) + 1)
+    picks = (words.astype(np.uint64) * np.array([t, top], dtype=np.uint64)) >> 32
+    k, size = picks.astype(np.int64).transpose(2, 0, 1) + 1
+    coords = np.arange(1, t + 1)
+    flips = np.empty((steps, paths, t), dtype=bool)
+    flips[0::2] = coords == k[0::2, :, None]
+    ranked = np.argsort(keys[1::2], axis=-1, kind="stable")
+    np.put_along_axis(flips[1::2], ranked, np.arange(t) < size[1::2, :, None], axis=-1)
+    return signs, flips
 
 
 def sweep_counting(t: int) -> list:
@@ -459,20 +479,28 @@ def sweep_negpart_cardinalities(t: int) -> list:
 def sweep_unit_flip_spectra(t: int) -> list:
     """Unit-flip sums and the boundary-case display against the dense route.
 
-    The displays run once per subset A, as printed; the dense kernel gives
-    the spectra of all reorientations of all-plus in one product.
+    Both displays and the dense kernel run on row blocks of the membership
+    and sign rows of all 2^t subsets A, the reorientations of all-plus.  The
+    complement of mask m is mask 2^t - 1 - m, so the complement negation law
+    reads the unit-flip rows in reversed mask order.
     """
+    _, signs, members, _ = _mask_rows(t)
+    n = members.shape[0]
+    flips = np.empty(signs.shape, dtype=np.int8)
+    wrong_flips = np.empty(n, dtype=bool)
+    wrong_cases = np.empty(n, dtype=bool)
+    for rows in _row_blocks(n, t):
+        want = _spectrum_dense(signs[rows])
+        flips[rows] = _unit_flip_sum(members[rows])
+        wrong_flips[rows] = (flips[rows] != want).any(axis=-1)
+        wrong_cases[rows] = (_boundary_case_display(members[rows]) != want).any(axis=-1)
     bad = []
-    for A, want in zip(_all_subsets(t), _spectrum_dense(_mask_rows(t)[1])):
-        want = want.tobytes()
-        via_flips = spectrum_from_unit_flips(A)
-        via_cases = spectrum_from_boundary_cases(A)
-        if via_flips.coords.tobytes() != want:
-            bad.append(f"A={A}: unit-flip sum != dense spectrum")
-        if via_cases.coords.tobytes() != want:
-            bad.append(f"A={A}: boundary-case display != dense spectrum")
-        if via_flips != -spectrum_from_unit_flips(A.complement()):
-            bad.append(f"A={A}: complement negation law failed")
+    _report(bad, members, [
+        (wrong_flips, lambda A, i: f"A={A}: unit-flip sum != dense spectrum"),
+        (wrong_cases, lambda A, i: f"A={A}: boundary-case display != dense spectrum"),
+        ((flips != -flips[::-1]).any(axis=-1),
+         lambda A, i: f"A={A}: complement negation law failed"),
+    ], GroundSubset)
     return bad
 
 
@@ -518,7 +546,7 @@ _SWEEPS = (
     ("equinumerosity", sweep_equinumerosity, 11),
     ("size-difference", sweep_size_difference, 11),
     ("negpart-cardinalities", sweep_negpart_cardinalities, 11),
-    ("flip-spectra", sweep_unit_flip_spectra, 12),
+    ("flip-spectra", sweep_unit_flip_spectra, 16),
 )
 
 # The cases each sweep checks at dimension t: the objects or pairs it

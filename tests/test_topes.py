@@ -24,7 +24,11 @@ from cyclotope import (
     separation_set,
 )
 from cyclotope import verification
-from cyclotope.verification import _all_subsets
+
+
+def _all_subsets(t):
+    """The 2^t subsets in mask order, as the sweeps wrap their member rows."""
+    return [GroundSubset._wrap(row) for row in verification._mask_rows(t)[2]]
 
 
 class TestTope:
@@ -199,7 +203,7 @@ class TestTrustedAndValidatedSubsetsAgree:
     @pytest.mark.parametrize("t", range(3, 9))
     def test_every_mask(self, t):
         rng = random.Random(t)
-        rows = list(_all_subsets(t))
+        rows = _all_subsets(t)
         for mask in range(1 << t):
             members = [e + 1 for e in range(t) if mask >> e & 1]
             forms = [
@@ -325,7 +329,7 @@ class TestIntervalPartition:
 
     def test_constructor_agrees_with_the_partition(self):
         for t in (3, 6):
-            for A in list(_all_subsets(t))[1:]:
+            for A in _all_subsets(t)[1:]:
                 p = interval_partition(A)
                 built = IntervalPartition(p.intervals)
                 assert built == p and built.intervals == p.intervals
@@ -423,11 +427,16 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     # to name a failure; the public routes wrap the kernels' vectors.
     monkeypatch.setattr(verification, "_telescope", _off_by_one(verification._telescope))
     assert verification.sweep_spectrum_methods(3)
+    monkeypatch.setattr(verification, "_unit_flip_sum", _off_by_one(verification._unit_flip_sum))
+    assert verification.sweep_unit_flip_spectra(3)
     T = Tope.from_string("+--")
     x = decomposition.spectrum_fast(T)
     decomposition.spectrum_dense(T), decomposition.spectrum_intervals(T)
     decomposition.decomposition_set(T), decomposition.reconstruct_tope(x)
     decomposition.spectrum_update(x, T, GroundSubset(3, [2])), interval_partition(negative_part(T))
+    A = GroundSubset(3, [1, 3])
+    decomposition.spectrum_from_unit_flips(A), decomposition.spectrum_from_boundary_cases(A)
+    decomposition.unit_flip_spectrum(2, 3), -x, A.complement()
     Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
     GroundSubset.empty(3), GroundSubset.full(3)
     assert seen == _wrap_call_sites()

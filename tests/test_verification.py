@@ -1,12 +1,13 @@
-"""The sweeps report a kernel that is wrong on a single pair, tope or path step.
+"""The sweeps report a kernel that is wrong on one pair, tope, subset or path step.
 
 Each test plants a fault in one production kernel, as the sweep module sees
-it, and checks that the sweep names exactly the pairs, topes or path steps it
-affects.  At t = 8 the 256 x 256 pair grid spans several row blocks, and at
-t = 13 the 8192 tope rows span two; the planted pair or tope sits in the
-first or in the last block.  spectrum-updates runs its 20 paths as one
-stack, so its faults sit on the first or the last path; the oracle sweep
-reads the oracle's table, so its faults sit in one table entry.
+it, and checks that the sweep names exactly the pairs, topes, subsets or
+path steps it affects.  At t = 8 the 256 x 256 pair grid spans several row
+blocks, and at t = 13 the 8192 tope or subset rows span two; the planted
+pair, tope or subset sits in the first or in the last block.
+spectrum-updates runs its 20 paths as one stack, so its faults sit on the
+first or the last path; the oracle sweep reads the oracle's table, so its
+faults sit in one table entry.
 """
 
 import random
@@ -22,6 +23,7 @@ from cyclotope import (
     Tope,
     count_by_boundary_class,
     decomposition_set,
+    negative_part,
     reorient,
     spectrum_fast,
 )
@@ -300,20 +302,8 @@ def test_sweep_oracle_raises_the_searchs_error_for_a_broken_entry(monkeypatch):
         verification.sweep_oracle(t)
 
 
-@pytest.mark.parametrize("t", [3, 8, 21])
-def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
-    # The draws of the one-path-at-a-time walk, written out: a path's start
-    # tope, then per step a coordinate k, a size and a sample; even steps
-    # flip {k}, odd steps the sample.
-    rng = random.Random(7)
-    starts, flips = [], [[] for _ in range(16)]
-    for _ in range(20):
-        starts.append([rng.choice((-1, 1)) for _ in range(t)])
-        for step in range(16):
-            k = rng.randrange(1, t + 1)
-            size = rng.randrange(0, max(2, t // 4) + 1)
-            members = sorted(rng.sample(range(1, t + 1), min(size + 1, t)))
-            flips[step].append([e in (members if step % 2 else [k]) for e in range(1, t + 1)])
+def _recorded_path_steps(monkeypatch, t):
+    """(signs, inside) of every _spectrum_update call of a passing sweep."""
     real = verification._spectrum_update
     seen = []
 
@@ -323,5 +313,85 @@ def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
 
     monkeypatch.setattr(verification, "_spectrum_update", recording)
     assert verification.sweep_spectrum_updates(t) == []
+    return seen
+
+
+@pytest.mark.parametrize("t", [3, 8, 21])
+def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
+    # The draws written out from the one block of bytes: per step and path t
+    # 64-bit sort keys, then per step and path the 32-bit words for k and
+    # the size, then one bit per start-tope entry.  Even steps flip {k},
+    # odd steps the size coordinates of least key (ties by coordinate).
+    paths, steps, cells = 20, 16, 20 * 16
+    block = random.Random(7).randbytes(8 * cells * t + 8 * cells + (paths * t + 7) // 8)
+
+    def word(offset, width):
+        return int.from_bytes(block[offset:offset + width], "little")
+
+    bits = 8 * cells * (t + 1)
+    starts = [
+        [-1 if block[bits + (p * t + e) // 8] >> ((p * t + e) % 8) & 1 else 1 for e in range(t)]
+        for p in range(paths)
+    ]
+    top = min(t, max(2, t // 4) + 1)
+    flips = []
+    for step in range(steps):
+        rows = []
+        for p in range(paths):
+            cell = step * paths + p
+            k = 1 + (word(8 * cells * t + 8 * cell, 4) * t >> 32)
+            size = 1 + (word(8 * cells * t + 8 * cell + 4, 4) * top >> 32)
+            keys = [word(8 * (cell * t + e), 8) for e in range(t)]
+            sample = sorted(range(t), key=lambda e: (keys[e], e))[:size]
+            members = [e + 1 for e in sample] if step % 2 else [k]
+            rows.append([e in members for e in range(1, t + 1)])
+        flips.append(rows)
+    seen = _recorded_path_steps(monkeypatch, t)
     assert seen[0][0].tolist() == starts
     assert [inside.tolist() for _, inside in seen] == flips
+
+
+@pytest.mark.parametrize("t", [3, 8, 21])
+def test_sweep_spectrum_updates_flip_sets_keep_their_sizes(monkeypatch, t):
+    # Even steps flip one coordinate; odd steps flip 1 to
+    # min(t, max(2, t // 4) + 1) of them, and the draws reach both ends.
+    top = min(t, max(2, t // 4) + 1)
+    sizes = [inside.sum(axis=-1).tolist() for _, inside in _recorded_path_steps(monkeypatch, t)]
+    assert all(size == [1] * 20 for size in sizes[0::2])
+    odd = {size for row in sizes[1::2] for size in row}
+    assert min(odd) == 1 and max(odd) == top
+
+
+@in_first_or_last_tope_block
+@pytest.mark.parametrize("kernel", ["_unit_flip_sum", "_boundary_case_display"])
+def test_sweep_unit_flip_spectra_names_a_wrong_display_row(monkeypatch, kernel, mask):
+    A = negative_part(Tope.from_bitmask(mask, WIDE))
+    real = getattr(verification, kernel)
+    monkeypatch.setattr(verification, kernel, _on_row(real, A.inside, lambda out: -out))
+    if kernel == "_boundary_case_display":
+        assert verification.sweep_unit_flip_spectra(WIDE) == [
+            f"A={A}: boundary-case display != dense spectrum"
+        ]
+        return
+    # The complement law reads the unit-flip rows in reversed mask order, so
+    # it fails at A and at its complement, which lies in the other block.
+    law = "complement negation law failed"
+    reports = {
+        mask: [f"A={A}: unit-flip sum != dense spectrum", f"A={A}: {law}"],
+        mask ^ ((1 << WIDE) - 1): [f"A={A.complement()}: {law}"],
+    }
+    assert verification.sweep_unit_flip_spectra(WIDE) == [
+        line for m in sorted(reports) for line in reports[m]
+    ]
+
+
+@in_first_or_last_tope_block
+def test_sweep_unit_flip_spectra_law_does_not_read_the_dense_rows(monkeypatch, mask):
+    tope = Tope.from_bitmask(mask, WIDE)
+    A = negative_part(tope)
+    real = verification._spectrum_dense
+    monkeypatch.setattr(verification, "_spectrum_dense", _on_row(real, tope.signs, lambda out: -out))
+    assert verification.sweep_unit_flip_spectra(WIDE) == [
+        f"A={A}: unit-flip sum != dense spectrum",
+        f"A={A}: boundary-case display != dense spectrum",
+    ]
