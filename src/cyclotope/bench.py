@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cycle import inverse_rows
-from .decomposition import DENSE_CAP, spectrum_dense, spectrum_fast
+from .cycle import DENSE_CAP, inverse_rows
+from .decomposition import spectrum_dense, spectrum_fast
 from .topes import Tope
 
 
@@ -29,19 +29,23 @@ def _median_time(fn: Callable[[], object], reps: int) -> float:
     return statistics.median(times)
 
 
-def random_tope(t: int, seed: int = 0) -> Tope:
-    rng = np.random.default_rng(seed)
+# Seed of the random tope every timing runs on.
+_SEED = 0
+
+
+def random_tope(t: int) -> Tope:
+    rng = np.random.default_rng(_SEED)
     signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=t)
     return Tope(signs)
 
 
-def compare_spectrum_routes(t: int, reps: int = 9, seed: int = 0) -> dict:
+def compare_spectrum_routes(t: int, reps: int = 9) -> dict:
     """Median times for the dense and linear spectrum routes at dimension t.
 
     The dense route materializes the t x t inverse rows, so it is only
     sensible at moderate t; the linear route handles t in the millions.
     """
-    T = random_tope(t, seed)
+    T = random_tope(t)
     inverse_rows(t)  # build the cached matrix outside the timed region
     spectrum_fast(T)  # warm both code paths once
     spectrum_dense(T)
@@ -56,15 +60,15 @@ def compare_spectrum_routes(t: int, reps: int = 9, seed: int = 0) -> dict:
     }
 
 
-def time_fast_spectrum(t: int, reps: int = 9, seed: int = 0) -> dict:
+def time_fast_spectrum(t: int, reps: int = 9) -> dict:
     """Median time of the linear spectrum route alone (large t)."""
-    T = random_tope(t, seed)
+    T = random_tope(t)
     spectrum_fast(T)
     fast = _median_time(lambda: spectrum_fast(T), reps)
     return {"t": t, "reps": reps, "fast_seconds": fast}
 
 
-def run_bench(t: int, reps: int = 9, seed: int = 0) -> dict:
+def run_bench(t: int, reps: int = 9) -> dict:
     """Full benchmark card for the spectrum routes.
 
     The dense route is skipped above DENSE_CAP, where spectrum_dense refuses
@@ -72,7 +76,7 @@ def run_bench(t: int, reps: int = 9, seed: int = 0) -> dict:
     """
     card = {"t": t, "reps": reps}
     if t <= DENSE_CAP:
-        card["routes"] = compare_spectrum_routes(t, reps, seed)
+        card["routes"] = compare_spectrum_routes(t, reps)
     else:
-        card["fast"] = time_fast_spectrum(t, reps, seed)
+        card["fast"] = time_fast_spectrum(t, reps)
     return card

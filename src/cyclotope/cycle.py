@@ -17,7 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapExceeded
 from .topes import Tope, _check_dimension
+
+# Largest t for the dense t x t matrices: one int64 matrix takes 128 MiB at
+# t = 4096 and grows quadratically.
+DENSE_CAP = 4096
 
 
 class ScaledIntMatrix:
@@ -139,15 +144,21 @@ def _inverse_entries(t: int) -> np.ndarray:
     return out
 
 
+def _check_dense(t: int) -> None:
+    # Refuses a dense matrix above DENSE_CAP before any entry is allocated.
+    if _check_dimension(t) > DENSE_CAP:
+        raise CapExceeded(f"a dense {t} x {t} cycle matrix is capped at t = {DENSE_CAP}")
+
+
 def tope_matrix(t: int) -> ScaledIntMatrix:
     """The t x t matrix whose rows are the first t cycle vertices."""
-    _check_dimension(t)
+    _check_dense(t)
     return ScaledIntMatrix(_matrix_entries(t), denom=1)
 
 
 def inverse_rows(t: int) -> ScaledIntMatrix:
     """The exact inverse of :func:`tope_matrix`, scaled by 2 (denominator 2)."""
-    _check_dimension(t)
+    _check_dense(t)
     return ScaledIntMatrix(_inverse_entries(t), denom=2)
 
 
@@ -182,6 +193,6 @@ def inverse_gram_entry(t: int, i: int, j: int) -> int:
 
 def inverse_gram_matrix(t: int) -> ScaledIntMatrix:
     """The full inverse Gram matrix, scaled by 4 (denominator 4)."""
-    _check_dimension(t)
+    _check_dense(t)
     half = _inverse_entries(t)
     return ScaledIntMatrix(half @ half.T, denom=4)

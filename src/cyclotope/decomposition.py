@@ -23,11 +23,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycle import inverse_rows
+from .cycle import DENSE_CAP, inverse_rows
 from .errors import CapExceeded, InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
+    _Vector,
     _check_dimension,
     _int_array,
     _integer,
@@ -35,15 +36,11 @@ from .topes import (
     _run_bounds,
 )
 
-# Largest t for the dense route: its t x t int64 inverse takes 128 MiB at
-# t = 4096 and grows quadratically.
-DENSE_CAP = 4096
 
-
-class Spectrum:
+class Spectrum(_Vector):
     """Immutable coordinate vector of a tope over the cycle basis."""
 
-    __slots__ = ("_coords",)
+    __slots__ = ()
 
     def __init__(self, coords: Iterable[int]):
         arr = _int_array(coords, "spectrum", -1, 1, InvalidSpectrum)
@@ -51,15 +48,7 @@ class Spectrum:
         arr = arr.astype(np.int8)
         _tope_signs(arr)  # InvalidSpectrum unless arr is the spectrum of a tope
         arr.flags.writeable = False
-        self._coords = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Spectrum":
-        # Trusted constructor for arrays produced by the verified routes.
-        self = object.__new__(cls)
-        arr.flags.writeable = False
-        self._coords = arr
-        return self
+        self._v = arr
 
     @classmethod
     def unit(cls, s: int, t: int) -> "Spectrum":
@@ -72,44 +61,30 @@ class Spectrum:
         return cls._wrap(coords)
 
     @property
-    def t(self) -> int:
-        return self._coords.shape[0]
-
-    @property
     def coords(self) -> np.ndarray:
         """Read-only int8 view (position k holds coordinate k+1)."""
-        return self._coords
+        return self._v
 
     @property
     def support_size(self) -> int:
         """Number of nonzero coordinates; the decomposition size."""
-        return int(np.count_nonzero(self._coords))
+        return int(np.count_nonzero(self._v))
 
     @property
     def total(self) -> int:
-        return int(self._coords.sum(dtype=np.int64))
+        return int(self._v.sum(dtype=np.int64))
 
     def coord(self, i: int) -> int:
-        if not 1 <= i <= self.t:
-            raise IndexError(f"coordinate {i} out of range [1, {self.t}]")
-        return int(self._coords[i - 1])
+        return self._entry(i)
 
     def __neg__(self) -> "Spectrum":
-        return Spectrum._wrap(-self._coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        return self.t == other.t and self._coords.tobytes() == other._coords.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.t, self._coords.tobytes()))
+        return Spectrum._wrap(-self._v)
 
     def __repr__(self) -> str:
-        return f"Spectrum({self._coords.tolist()!r})"
+        return f"Spectrum({self._v.tolist()!r})"
 
 
-class Decomposition:
+class Decomposition(_Vector):
     """The signed cycle vertices that sum to a tope.
 
     Terms are (sign, index) pairs with sign in {-1, +1} and index the 0-based
@@ -122,7 +97,7 @@ class Decomposition:
     The terms, the size and the vertex indices are derived from it.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ()
 
     def __init__(self, t: int, terms: Iterable[tuple]):
         t = _check_dimension(t)
@@ -140,28 +115,16 @@ class Decomposition:
         signs, indices = zip(*ts)
         coords[list(indices)] = signs
         coords.flags.writeable = False
-        self._coords = coords
-
-    @classmethod
-    def _wrap(cls, coords: np.ndarray) -> "Decomposition":
-        # Trusted constructor for the int8 coordinates of a verified route.
-        self = object.__new__(cls)
-        coords.flags.writeable = False
-        self._coords = coords
-        return self
-
-    @property
-    def t(self) -> int:
-        return self._coords.shape[0]
+        self._v = coords
 
     @property
     def terms(self) -> tuple:
-        nz = self._coords.nonzero()[0]
-        return tuple(zip(self._coords[nz].tolist(), nz.tolist()))
+        nz = self._v.nonzero()[0]
+        return tuple(zip(self._v[nz].tolist(), nz.tolist()))
 
     @property
     def size(self) -> int:
-        return int(np.count_nonzero(self._coords))
+        return int(np.count_nonzero(self._v))
 
     def vertex_indices(self) -> frozenset:
         """Positions on the full 2t-cycle: index i for +, index i+t for -."""
@@ -170,12 +133,7 @@ class Decomposition:
 
     def vertex_sum(self) -> np.ndarray:
         """Entrywise sum of the signed cycle vertices, as int64, in O(t)."""
-        return _vertex_sum(self._coords)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return self.t == other.t and self._coords.tobytes() == other._coords.tobytes()
+        return _vertex_sum(self._v)
 
     def __len__(self) -> int:
         return self.size

@@ -22,7 +22,7 @@ class NotProperSubset(CyclotopeError):
 
 
 class CapExceeded(CyclotopeError):
-    """An enumeration or the dense route was requested above its size cap."""
+    """An enumeration or a dense matrix was requested above its size cap."""
 
 
 class BudgetExceeded(CyclotopeError):

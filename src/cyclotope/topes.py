@@ -97,7 +97,43 @@ def _out_of_range(what, lo, hi, error):
 _SIGN_CHARS = bytes(ord("+") if 0 < b < 128 else ord("-") for b in range(256))
 
 
-class Tope:
+class _Vector:
+    """A value stored as one read-only numpy vector of length t.
+
+    Each subclass fixes the vector's dtype, so two values are equal exactly
+    when they are of the same class and their vectors have the same bytes.
+    """
+
+    __slots__ = ("_v",)
+
+    @classmethod
+    def _wrap(cls, v: np.ndarray):
+        # Trusted constructor: v is already a valid vector of the class's layout.
+        self = object.__new__(cls)
+        v.flags.writeable = False
+        self._v = v
+        return self
+
+    @property
+    def t(self) -> int:
+        return self._v.shape[0]
+
+    def _entry(self, i: int) -> int:
+        # The entry at 1-based coordinate i, range-checked.
+        if not 1 <= i <= self.t:
+            raise IndexError(f"coordinate {i} out of range [1, {self.t}]")
+        return int(self._v[i - 1])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._v.tobytes() == other._v.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self._v.tobytes())
+
+
+class Tope(_Vector):
     """An immutable vertex of H(t,2): t entries, each +1 or -1, indexed 1..t.
 
     The packed-bit form used by :meth:`from_bitmask` / :attr:`bitmask` maps
@@ -105,23 +141,15 @@ class Tope:
     mask 0 and the all-minus tope is mask 2**t - 1.
     """
 
-    __slots__ = ("_signs",)
+    __slots__ = ()
 
     def __init__(self, signs: Iterable[int]):
         arr = _int_array(signs, "tope", -1, 1)
         _check_dimension(arr.shape[0])
         if not arr.all():
             raise ValueError("tope entries must be exactly +1 or -1")
-        self._signs = arr.astype(np.int8)
-        self._signs.flags.writeable = False
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tope":
-        # Trusted constructor: arr is already a validated +-1 int8 vector.
-        self = object.__new__(cls)
-        arr.flags.writeable = False
-        self._signs = arr
-        return self
+        self._v = arr.astype(np.int8)
+        self._v.flags.writeable = False
 
     @classmethod
     def positive(cls, t: int) -> "Tope":
@@ -147,9 +175,7 @@ class Tope:
     def from_bitmask(cls, mask: int, t: int) -> "Tope":
         """Unpack a bitmask: bit e-1 set means entry e is -1."""
         t = _check_dimension(t)
-        if isinstance(mask, bool):
-            raise TypeError(f"expected an integer, got a bool: {mask!r}")
-        mask = operator.index(mask)
+        mask = _integer(mask)
         if not 0 <= mask < (1 << t):
             raise ValueError(f"mask {mask} out of range for t={t}")
         raw = mask.to_bytes((t + 7) // 8, "little")
@@ -157,44 +183,30 @@ class Tope:
         return cls._wrap(np.where(bits == 1, -1, 1).astype(np.int8))
 
     @property
-    def t(self) -> int:
-        return self._signs.shape[0]
-
-    @property
     def signs(self) -> np.ndarray:
         """Read-only int8 view of the entries (position k holds entry k+1)."""
-        return self._signs
+        return self._v
 
     @property
     def bitmask(self) -> int:
-        packed = np.packbits(self._signs < 0, bitorder="little")
+        packed = np.packbits(self._v < 0, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little")
 
     def sign(self, e: int) -> int:
         """Entry at 1-based coordinate e."""
-        if not 1 <= e <= self.t:
-            raise IndexError(f"coordinate {e} out of range [1, {self.t}]")
-        return int(self._signs[e - 1])
+        return self._entry(e)
 
     def __neg__(self) -> "Tope":
-        return Tope._wrap(-self._signs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tope):
-            return NotImplemented
-        return self.t == other.t and self._signs.tobytes() == other._signs.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.t, self._signs.tobytes()))
+        return Tope._wrap(-self._v)
 
     def __str__(self) -> str:
-        return self._signs.tobytes().translate(_SIGN_CHARS).decode()
+        return self._v.tobytes().translate(_SIGN_CHARS).decode()
 
     def __repr__(self) -> str:
         return f"Tope({str(self)!r})"
 
 
-class GroundSubset:
+class GroundSubset(_Vector):
     """An immutable subset of the coordinate ground set E_t = {1,...,t}.
 
     Stored as its membership vector, the layout of ``T.signs < 0``: the
@@ -202,7 +214,7 @@ class GroundSubset:
     all-plus tope are the same vector.
     """
 
-    __slots__ = ("_inside",)
+    __slots__ = ()
 
     def __init__(self, t: int, members: Iterable[int] = ()):
         t = _check_dimension(t)
@@ -213,15 +225,7 @@ class GroundSubset:
             values, counts = np.unique(arr, return_counts=True)
             raise ValueError(f"duplicate member {values[counts > 1][0]}")
         inside.flags.writeable = False
-        self._inside = inside
-
-    @classmethod
-    def _wrap(cls, inside: np.ndarray) -> "GroundSubset":
-        # Trusted constructor: inside is a bool vector of length t >= 3.
-        self = object.__new__(cls)
-        inside.flags.writeable = False
-        self._inside = inside
-        return self
+        self._v = inside
 
     @classmethod
     def empty(cls, t: int) -> "GroundSubset":
@@ -244,43 +248,31 @@ class GroundSubset:
         return cls(t, members)
 
     @property
-    def t(self) -> int:
-        return self._inside.shape[0]
-
-    @property
     def inside(self) -> np.ndarray:
         """Read-only bool membership vector (position k holds coordinate k+1)."""
-        return self._inside
+        return self._v
 
     @property
     def members(self) -> tuple:
         """The members in ascending order."""
-        return tuple((self._inside.nonzero()[0] + 1).tolist())
+        return tuple((self._v.nonzero()[0] + 1).tolist())
 
     @property
     def boundary_count(self) -> int:
         """How many of the two boundary coordinates {1, t} belong to the set."""
-        return int(self._inside[0]) + int(self._inside[-1])
+        return int(self._v[0]) + int(self._v[-1])
 
     def complement(self) -> "GroundSubset":
-        return GroundSubset._wrap(~self._inside)
+        return GroundSubset._wrap(~self._v)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._inside))
+        return int(np.count_nonzero(self._v))
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, e) -> bool:
-        return isinstance(e, (int, np.integer)) and 1 <= e <= self.t and bool(self._inside[e - 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroundSubset):
-            return NotImplemented
-        return self.t == other.t and self._inside.tobytes() == other._inside.tobytes()
-
-    def __hash__(self) -> int:
-        return hash((self.t, self._inside.tobytes()))
+        return isinstance(e, (int, np.integer)) and 1 <= e <= self.t and bool(self._v[e - 1])
 
     def __str__(self) -> str:
         return ",".join(map(str, self.members)) or "none"

@@ -35,6 +35,7 @@ import numpy as np
 
 from .counting import (
     ENUMERATION_CAP,
+    _CASES as _CLASSES,
     _closed_form_values,
     count_by_boundary_class,
     count_by_negpart_and_size,
@@ -244,17 +245,22 @@ def sweep_decompositions(t: int) -> list:
     return bad
 
 
-def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int = 7) -> list:
+# spectrum-updates runs _PATHS random paths of _STEPS reorientations each,
+# drawn from the bytes of random.Random(_SEED).
+_PATHS, _STEPS, _SEED = 20, 16, 7
+
+
+def sweep_spectrum_updates(t: int) -> list:
     """Random reorientation paths: incremental updates match recomputation.
 
     The paths' start topes and flip sets are drawn first, by _path_draws;
     the steps then run on the stack of all paths, and the first diverging
     step of each path is reported.
     """
-    signs, flips = _path_draws(t, paths, steps, seed)
+    signs, flips = _path_draws(t)
     x = _telescope(signs)
-    first = np.full(paths, -1)
-    for step in range(steps):
+    first = np.full(_PATHS, -1)
+    for step in range(_STEPS):
         x = _spectrum_update(x, signs, flips[step])
         signs = np.where(flips[step], -signs, signs)  # reorient
         diverged = (x != _telescope(signs)).any(axis=-1) & (first < 0)
@@ -266,34 +272,34 @@ def sweep_spectrum_updates(t: int, paths: int = 20, steps: int = 16, seed: int =
     ]
 
 
-def _path_draws(t, paths, steps, seed):
+def _path_draws(t):
     """(start signs, flip sets) of the random paths, read off one block of bytes.
 
-    random.Random(seed).randbytes gives the block, read little-endian as
-    - steps x paths x t 64-bit sort keys, one per coordinate of each step
+    random.Random(_SEED).randbytes gives the block, read little-endian as
+    - _STEPS x _PATHS x t 64-bit sort keys, one per coordinate of each step
       of each path;
-    - steps x paths pairs of 32-bit words (w_k, w_size);
-    - paths x t bits, lowest bit of each byte first: bit p * t + e set makes
+    - _STEPS x _PATHS pairs of 32-bit words (w_k, w_size);
+    - _PATHS x t bits, lowest bit of each byte first: bit p * t + e set makes
       entry e + 1 of the start tope of path p negative.
     A word w picks one of m values as (w * m) >> 32, biased by less than
     m / 2^32: k = 1 + (w_k * t >> 32) and the size is 1 + (w_size * m >> 32)
     with m = min(t, max(2, t // 4) + 1).  Even steps flip {k}; odd steps
     flip the size coordinates of least sort key, a uniform sample.  The
-    signs are (paths, t) int8 and the flip sets a (steps, paths, t) bool
+    signs are (_PATHS, t) int8 and the flip sets a (_STEPS, _PATHS, t) bool
     stack.
     """
-    cells = steps * paths
-    block = random.Random(seed).randbytes(8 * cells * (t + 1) + (paths * t + 7) // 8)
-    keys = np.frombuffer(block, "<u8", cells * t).reshape(steps, paths, t)
-    words = np.frombuffer(block, "<u4", 2 * cells, 8 * cells * t).reshape(steps, paths, 2)
+    cells = _STEPS * _PATHS
+    block = random.Random(_SEED).randbytes(8 * cells * (t + 1) + (_PATHS * t + 7) // 8)
+    keys = np.frombuffer(block, "<u8", cells * t).reshape(_STEPS, _PATHS, t)
+    words = np.frombuffer(block, "<u4", 2 * cells, 8 * cells * t).reshape(_STEPS, _PATHS, 2)
     bits = np.frombuffer(block, np.uint8, offset=8 * cells * (t + 1))
-    negative = np.unpackbits(bits, count=paths * t, bitorder="little").reshape(paths, t)
+    negative = np.unpackbits(bits, count=_PATHS * t, bitorder="little").reshape(_PATHS, t)
     signs = np.where(negative == 1, -1, 1).astype(np.int8)
     top = min(t, max(2, t // 4) + 1)
     picks = (words.astype(np.uint64) * np.array([t, top], dtype=np.uint64)) >> 32
     k, size = picks.astype(np.int64).transpose(2, 0, 1) + 1
     coords = np.arange(1, t + 1)
-    flips = np.empty((steps, paths, t), dtype=bool)
+    flips = np.empty((_STEPS, _PATHS, t), dtype=bool)
     flips[0::2] = coords == k[0::2, :, None]
     ranked = np.argsort(keys[1::2], axis=-1, kind="stable")
     np.put_along_axis(flips[1::2], ranked, np.arange(t) < size[1::2, :, None], axis=-1)
@@ -359,7 +365,8 @@ def sweep_boundary_classes(t: int) -> list:
         for rows in _row_blocks(masks.shape[0], t)
     ])
     left, right = masks & 1, masks >> (t - 1) & 1
-    case = np.where(left == 1, 2 * right, 3 - 2 * right)  # index into _CLASSES
+    # The index into _CLASSES: 2 * [t in A] when 1 is in A, else 3 - 2 * [t in A].
+    case = np.where(left == 1, 2 * right, 3 - 2 * right)
     negatives = np.bitwise_count(masks).astype(np.int64)
     runs = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
     # Mask 0, the empty negative part, is left out of both tallies.
@@ -384,11 +391,6 @@ def sweep_boundary_classes(t: int) -> list:
             if got != want:
                 bad.append(f"t={t}, rho={rho}, boundary={boundary}: {got} != {want}")
     return bad
-
-
-# Boundary classes of a negative part by (contains 1, contains t): index
-# 2 * [t] when it contains 1, 3 - 2 * [t] when it does not.
-_CLASSES = ("left-only", "right-only", "both-ends", "neither")
 
 
 def sweep_equinumerosity(t: int) -> list:
@@ -555,7 +557,7 @@ _SWEEPS = (
 _CASES = {
     "cycle-structure": lambda t: 2 * t,
     "matrix-identities": lambda t: t * t,
-    "spectrum-updates": lambda t: 20 * 16,
+    "spectrum-updates": lambda t: _PATHS * _STEPS,
     "equinumerosity": lambda t: 2 * 4**t + (2**t - 1) ** 2,
     "size-difference": lambda t: 4**t,
     "negpart-cardinalities": lambda t: 2**t + 4**t,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cyclotope import CountTable, cli, enumerate_statistics, formula_table, spectrum_fast
+from cyclotope import CountTable, cli, cycle, enumerate_statistics, formula_table, spectrum_fast
 from cyclotope.decomposition import DENSE_CAP
 
 
@@ -47,6 +47,21 @@ class TestCycleCommand:
     def test_flags_are_exclusive(self):
         proc = run_cli("cycle", "--t", "4", "--matrix", "--omega")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--inverse", "--omega"])
+    def test_matrix_above_the_dense_cap_exits_2_before_building_it(
+        self, capsys, monkeypatch, flag
+    ):
+        def refuse(t):
+            raise AssertionError(f"built the entries of a {t} x {t} matrix")
+
+        monkeypatch.setattr(cycle, "_matrix_entries", refuse)
+        monkeypatch.setattr(cycle, "_inverse_entries", refuse)
+        t = DENSE_CAP + 1
+        assert cli.main(["cycle", "--t", str(t), flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a dense {t} x {t} cycle matrix is capped at t = {DENSE_CAP}\n"
 
 
 class TestDecomposeCommand:

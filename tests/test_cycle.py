@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cyclotope import (
+    CapExceeded,
     DimensionTooSmall,
     ScaledIntMatrix,
     Tope,
@@ -14,6 +15,7 @@ from cyclotope import (
     separation_set,
     tope_matrix,
 )
+from cyclotope.cycle import DENSE_CAP
 
 
 def test_cycle_t3_vertices():
@@ -135,6 +137,15 @@ def test_inverse_gram_matrix_denominator():
     assert ig.denom == 4
     assert np.array_equal(ig.entries, ig.entries.T)
     assert ig.entries[0].tolist() == [2, -1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("build", [tope_matrix, inverse_rows, inverse_gram_matrix])
+def test_dense_matrices_are_capped(build):
+    # A 4096 x 4096 int64 matrix takes 128 MiB; one more row is refused
+    # before anything is allocated.
+    assert DENSE_CAP == 4096
+    with pytest.raises(CapExceeded, match=f"capped at t = {DENSE_CAP}"):
+        build(DENSE_CAP + 1)
 
 
 class TestScaledIntMatrix:

@@ -88,6 +88,27 @@ class TestTope:
     def test_bitmask_rejects_bool(self):
         with pytest.raises(TypeError):
             Tope.from_bitmask(True, 3)
+        for mask in (np.True_, 5.0):
+            with pytest.raises(TypeError):
+                Tope.from_bitmask(mask, 3)
+
+    @pytest.mark.parametrize(
+        "mask, error, message",
+        [
+            (np.True_, TypeError, "expected an integer, got a bool: np.True_"),
+            ("5", TypeError, "'str' object cannot be interpreted as an integer"),
+            (None, TypeError, "int() argument must be a string, a bytes-like object "
+                              "or a real number, not 'NoneType'"),
+            ("x", ValueError, "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bitmask_reads_the_mask_as_a_dimension_is_read(self, mask, error, message):
+        with pytest.raises(error) as info:
+            Tope.from_bitmask(mask, 3)
+        assert str(info.value) == message
+        with pytest.raises(error) as info:
+            Tope.positive(mask)
+        assert str(info.value) == message
 
     def test_bitmask_wide(self):
         # masks beyond 64 bits must survive the round trip
@@ -355,6 +376,36 @@ class TestIntervalPartition:
         with pytest.raises(error) as info:
             IntervalPartition(intervals)
         assert str(info.value) == message
+
+
+class TestVectorBase:
+    """Tope, GroundSubset, Spectrum and Decomposition share one vector base."""
+
+    def _values(self):
+        T = Tope.from_string("+--+-")
+        x, d = decomposition.spectrum_fast(T), decomposition.decomposition_set(T)
+        return T, negative_part(T), x, d
+
+    def test_no_instance_has_a_dict(self):
+        for value in self._values():
+            assert not hasattr(value, "__dict__"), type(value)
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_equal_bytes_of_different_classes_compare_unequal(self):
+        _, _, x, d = self._values()
+        assert x.coords.dtype == d._v.dtype == np.int8
+        assert x.coords.tobytes() == d._v.tobytes()
+        assert x != d and d != x and not x == d
+        assert Tope([1, -1, 1]) != Spectrum([1, -1, 1])
+        assert Spectrum([1, -1, 1]) != Tope([1, -1, 1])
+
+    def test_decompositions_hash_by_value(self):
+        d = decomposition.decomposition_set(Tope.from_string("+--+-"))
+        built = decomposition.Decomposition(5, d.terms)
+        assert built == d and hash(built) == hash(d)
+        topes = [Tope.from_bitmask(mask, 6) for mask in range(64)]
+        assert len({decomposition.decomposition_set(T) for T in topes}) == 64
 
 
 # The dtype each trusted constructor stores.  Equality compares tobytes(),
