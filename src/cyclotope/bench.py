@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cycle import DENSE_CAP, inverse_rows
+from .cycle import DENSE_CAP
 from .decomposition import spectrum_dense, spectrum_fast
 from .topes import Tope
 
@@ -46,7 +46,6 @@ def compare_spectrum_routes(t: int, reps: int = 9) -> dict:
     sensible at moderate t; the linear route handles t in the millions.
     """
     T = random_tope(t)
-    inverse_rows(t)  # build the cached matrix outside the timed region
     spectrum_fast(T)  # warm both code paths once
     spectrum_dense(T)
     dense = _median_time(lambda: spectrum_dense(T), reps)

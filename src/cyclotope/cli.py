@@ -13,18 +13,19 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .counting import ENUMERATION_CAP, enumerate_statistics, formula_table
+from .counting import ENUMERATION_CAP, _table_rows, enumerate_statistics
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import spectrum_dense, spectrum_fast, spectrum_intervals
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError, VerificationMismatch
-from .topes import GroundSubset, Tope
+from .topes import GroundSubset, Tope, _check_dimension
 
 _METHODS = {
     "dense": spectrum_dense,
@@ -179,10 +180,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """The table as CSV, or as the json.dumps of its rows as dicts with the
     keys t, j, l, count_formula and, with --enumerate, count_enum.  Each row
     is rendered by one %-template from its (j, l, count[, count_enum]) tuple,
-    and the rows are written _STATS_CHUNK at a time.
+    and the rows are streamed as _table_rows yields them, _STATS_CHUNK a write.
     """
-    t = args.t
-    rows = formula_table(t).rows
+    t = _check_dimension(args.t)
+    rows = _table_rows(t)
     mismatch = False
     if args.enumerate_counts:
         enum = {(j, l): c for j, l, c in enumerate_statistics(t)}
@@ -201,10 +202,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     def pieces():
         yield head
-        for start in range(0, len(rows), _STATS_CHUNK):
-            if start:
-                yield sep
-            yield sep.join([row % r for r in rows[start : start + _STATS_CHUNK]])
+        cells, lead = iter(rows), ""
+        while chunk := [row % r for r in islice(cells, _STATS_CHUNK)]:
+            yield lead + sep.join(chunk)
+            lead = sep
         yield tail
 
     _emit(pieces(), args.output)
@@ -263,9 +264,8 @@ def _cmd_equinum(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     if args.matrix_kind is None:
-        cycle = build_cycle(args.t)
-        for k in range(2 * args.t):
-            print(cycle.vertex(k))
+        for vertex in build_cycle(args.t):
+            print(vertex)
         return 0
     matrix = {
         "matrix": tope_matrix,
@@ -274,7 +274,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     }[args.matrix_kind](args.t)
     print(f"denom: {matrix.denom}")
     for row in matrix.entries:
-        print(" ".join(str(int(v)) for v in row))
+        print(" ".join(map(str, row.tolist())))
     return 0
 
 

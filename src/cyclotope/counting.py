@@ -85,22 +85,6 @@ def count_by_negpart_and_size(t: int, j: int, l: int) -> int:
     return _binom0(j - 1, h) * _binom0(t - j, h) + _binom0(t - j - 1, h) * _binom0(j, h)
 
 
-def _closed_form_values(t: int, j: int, l: int) -> tuple:
-    """All printed closed forms for the (j, l) count, in display order.
-
-    Only the cross-checks call this: verification.sweep_counting and the
-    tests.  Every form vanishes outside the j-window.
-    """
-    h = (l - 1) // 2
-    p = (l + 1) // 2
-    c = composition_count
-    by_compositions = 2 * c(p, j) * c(p, t - j) + c(p, j) * c(h, t - j) + c(h, j) * c(p, t - j)
-    by_binomials = _binom0(j - 1, h) * _binom0(t - j, h) + _binom0(t - j - 1, h) * _binom0(j, h)
-    by_shifted = c(p, j) * c(p, t - j + 1) + c(p, t - j) * c(p, j + 1)
-    mirrored = 2 * c(p, t - j) * c(p, j) + c(p, t - j) * c(h, j) + c(h, t - j) * c(p, j)
-    return by_compositions, by_binomials, by_shifted, mirrored
-
-
 def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) -> int:
     """Counts refined by how the negative part meets the boundary pair {1, t}.
 
@@ -206,9 +190,13 @@ class CountTable:
             return NotImplemented
         return self._t == other._t and self._rows == other._rows
 
+    def __hash__(self) -> int:
+        return hash((self._t, self._rows))
 
-def _table_rows(t: int) -> tuple:
-    """The rows of formula_table, built in (l, j) order from binomial columns.
+
+def _table_rows(t: int):
+    """The rows of formula_table, yielded in (l, j) order one binomial column
+    at a time, so only one column is held.
 
     This is the batch form of count_by_negpart_and_size.  col[n] = C(n, h)
     for n = 0..t, and column h follows from column h-1 by one running sum,
@@ -216,7 +204,7 @@ def _table_rows(t: int) -> tuple:
     (j, 2h+1) is col[j-1] rev[j] + rev[j+1] col[j].  The cells are symmetric
     under j <-> t-j, so each column computes its first half and mirrors it.
     """
-    rows = [(j, 1, count_cycle_topes_by_negpart(t, j)) for j in range(t + 1)]
+    yield from ((j, 1, count_cycle_topes_by_negpart(t, j)) for j in range(t + 1))
     col = [1] * (t + 1)
     for h in range(1, (t - 1) // 2 + 1):
         col = [0, *accumulate(col[:-1])]
@@ -225,14 +213,13 @@ def _table_rows(t: int) -> tuple:
                 zip(col[h - 1 : t // 2], rev[h:], rev[h + 1 :], col[h : t // 2 + 1])]
         # For even t the middle cell j = t/2 is its own mirror image.
         counts = half + half[-1 - (t % 2 == 0) :: -1]
-        rows += zip(range(h, t - h + 1), [2 * h + 1] * len(counts), counts)
-    return tuple(rows)
+        yield from zip(range(h, t - h + 1), [2 * h + 1] * len(counts), counts)
 
 
 def formula_table(t: int) -> CountTable:
     """The full (j, l) count table from the closed forms alone."""
     t = _check_dimension(t)
-    return CountTable._wrap(t, _table_rows(t))
+    return CountTable._wrap(t, tuple(_table_rows(t)))
 
 
 def enumerate_statistics(t: int) -> CountTable:

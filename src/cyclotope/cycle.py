@@ -3,7 +3,8 @@
 The cycle visits 2t vertices: the all-plus tope, then the topes obtained by
 flipping the first s coordinates for s = 1..t-1, then the antipodes of all of
 those in the same order.  Consecutive vertices differ in exactly one
-coordinate, and vertex k+t is the negation of vertex k.
+coordinate, and vertex k+t is the negation of vertex k.  Vertices and
+matrices are built per call from closed forms, never stored.
 
 The first t vertices form an invertible t x t sign matrix.  Everything here
 is kept in scaled-integer form: a matrix with denominator d stores d times
@@ -12,8 +13,6 @@ bit-exactly.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,18 +66,20 @@ class ScaledIntMatrix:
             return NotImplemented
         return self._denom == other._denom and bool(np.array_equal(self._entries, other._entries))
 
+    def __hash__(self) -> int:
+        return hash((self._denom, self._entries.shape, self._entries.tobytes()))
+
     def __repr__(self) -> str:
         return f"ScaledIntMatrix(shape={self._entries.shape}, denom={self._denom})"
 
 
 class SymmetricCycle:
-    """The ordered 2t vertices of the distinguished symmetric cycle."""
+    """The distinguished symmetric cycle: 2t vertices, each derived on demand."""
 
-    __slots__ = ("_t", "_vertices")
+    __slots__ = ("_t",)
 
     def __init__(self, t: int):
         self._t = _check_dimension(t)
-        self._vertices = tuple(Tope._wrap(_vertex_signs(self._t, k)) for k in range(2 * self._t))
 
     @property
     def t(self) -> int:
@@ -86,19 +87,17 @@ class SymmetricCycle:
 
     @property
     def vertices(self) -> tuple:
-        return self._vertices
+        return tuple(self)
 
     def vertex(self, k: int) -> Tope:
         """Cycle vertex at position k, 0 <= k < 2t."""
-        if not 0 <= k < 2 * self._t:
-            raise IndexError(f"cycle position {k} out of range [0, {2 * self._t})")
-        return self._vertices[k]
+        return Tope._wrap(cycle_vertex(self._t, k))
 
     def __len__(self) -> int:
         return 2 * self._t
 
     def __iter__(self):
-        return iter(self._vertices)
+        return map(self.vertex, range(2 * self._t))
 
 
 def _vertex_signs(t: int, k: int) -> np.ndarray:
@@ -123,24 +122,17 @@ def build_cycle(t: int) -> SymmetricCycle:
     return SymmetricCycle(t)
 
 
-@lru_cache(maxsize=4)
 def _matrix_entries(t: int) -> np.ndarray:
-    rows = np.vstack([_vertex_signs(t, k) for k in range(t)]).astype(np.int64)
-    rows.flags.writeable = False
-    return rows
+    return np.vstack([_vertex_signs(t, k) for k in range(t)]).astype(np.int64)
 
 
-@lru_cache(maxsize=4)
 def _inverse_entries(t: int) -> np.ndarray:
     # Twice the inverse of the vertex matrix: row i (0-based, i < t-1) is
     # sigma(i+1) - sigma(i+2); the last row is sigma(1) + sigma(t).
-    out = np.zeros((t, t), dtype=np.int64)
-    idx = np.arange(t - 1)
-    out[idx, idx] = 1
-    out[idx, idx + 1] = -1
+    out = np.eye(t, dtype=np.int64)
+    band = np.arange(t - 1)
+    out[band, band + 1] = -1
     out[t - 1, 0] = 1
-    out[t - 1, t - 1] = 1
-    out.flags.writeable = False
     return out
 
 
@@ -176,8 +168,8 @@ def gram_entry(t: int, i: int, j: int) -> int:
 def inverse_gram_entry(t: int, i: int, j: int) -> int:
     """Four times entry (i, j) of the inverse Gram matrix (denominator 4).
 
-    Computed from the inverse rows rather than transcribed: the value is 2 on
-    the diagonal, -1 for |i - j| = 1, +1 on the (1, t) corner pair, else 0.
+    Transcribed: 2 on the diagonal, -1 for |i - j| = 1, +1 on the (1, t)
+    corner pair, else 0; verify checks it against the inverse rows' product.
     """
     _check_dimension(t)
     if not (1 <= i <= t and 1 <= j <= t):
@@ -192,7 +184,10 @@ def inverse_gram_entry(t: int, i: int, j: int) -> int:
 
 
 def inverse_gram_matrix(t: int) -> ScaledIntMatrix:
-    """The full inverse Gram matrix, scaled by 4 (denominator 4)."""
+    """The full inverse Gram matrix, scaled by 4 (denominator 4), as a band."""
     _check_dense(t)
-    half = _inverse_entries(t)
-    return ScaledIntMatrix(half @ half.T, denom=4)
+    out = 2 * np.eye(t, dtype=np.int64)
+    band = np.arange(t - 1)
+    out[band, band + 1] = out[band + 1, band] = -1
+    out[0, t - 1] = out[t - 1, 0] = 1
+    return ScaledIntMatrix(out, denom=4)

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycle import DENSE_CAP, inverse_rows
+from .cycle import DENSE_CAP, _inverse_entries
 from .errors import CapExceeded, InvalidSpectrum
 from .topes import (
     GroundSubset,
@@ -145,9 +145,9 @@ class Decomposition(_Vector):
 def spectrum_dense(T: Tope) -> Spectrum:
     """Coordinate vector via the exact scaled-integer matrix product.
 
-    This is the reference route: it multiplies by the stored inverse matrix
-    (scaled by 2) and halves, checking exactness.  Quadratic in t, so it
-    raises CapExceeded above DENSE_CAP before building the matrix.
+    This is the reference route: it multiplies by the inverse matrix (scaled
+    by 2), built for the call, and halves, checking exactness.  Quadratic in
+    t, so it raises CapExceeded above DENSE_CAP before building the matrix.
     """
     if T.t > DENSE_CAP:
         raise CapExceeded(
@@ -159,7 +159,7 @@ def spectrum_dense(T: Tope) -> Spectrum:
 
 def _spectrum_dense(signs: np.ndarray) -> np.ndarray:
     # The dense product along the last axis of an int8 sign array.
-    doubled = signs.astype(np.int64) @ inverse_rows(signs.shape[-1]).entries
+    doubled = signs.astype(np.int64) @ _inverse_entries(signs.shape[-1])
     if np.any(doubled & 1):
         raise InvalidSpectrum("matrix product produced a non-integer coordinate")
     return (doubled >> 1).astype(np.int8)
@@ -177,9 +177,7 @@ def spectrum_fast(T: Tope) -> Spectrum:
 
 def _telescope(signs: np.ndarray) -> np.ndarray:
     # The telescoping form along the last axis of an int8 sign array, in int8.
-    out = np.empty(signs.shape, dtype=np.int8)
-    np.subtract(signs[..., 1:], signs[..., :-1], out=out[..., 1:])
-    np.add(signs[..., :1], signs[..., -1:], out=out[..., :1])
+    out = _half_inverse_transform(signs, np.int8)
     if np.count_nonzero(out & 1):
         raise ValueError("sign entries must be exactly +1 or -1")
     out >>= 1

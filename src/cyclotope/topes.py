@@ -347,6 +347,9 @@ class IntervalPartition:
             and self._ends.tobytes() == other._ends.tobytes()
         )
 
+    def __hash__(self) -> int:
+        return hash((self._starts.tobytes(), self._ends.tobytes()))
+
     def __repr__(self) -> str:
         return f"IntervalPartition({list(self.intervals)!r})"
 

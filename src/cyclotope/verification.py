@@ -21,9 +21,9 @@ row blocks of the 4^t pair grid by broadcasting, and spectrum-updates on the
 stack of its random paths, all drawn from one block of random bytes.  A Tope
 or GroundSubset is built only to name a failing row.  The unit-flip and
 boundary-case displays are two kernels of their own, each checked against
-the dense route rather than against the other.  run_all caps every sweep at
-a dimension that keeps `verify` at desk scale and reports a capped sweep as
-skipped.
+the dense route rather than against the other.  run_report caps every
+sweep at a dimension that keeps `verify` at desk scale and reports a capped
+sweep as skipped.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import numpy as np
 from .counting import (
     ENUMERATION_CAP,
     _CASES as _CLASSES,
-    _closed_form_values,
+    _binom0,
+    composition_count,
     count_by_boundary_class,
     count_by_negpart_and_size,
     count_cycle_topes_by_negpart,
@@ -119,15 +120,15 @@ def sweep_cycle_structure(t: int) -> list:
     n = 2 * t
     if len(cycle) != n:
         bad.append(f"t={t}: cycle has {len(cycle)} vertices, expected {n}")
-    if cycle.vertex(0) != Tope.positive(t):
+    vertices = cycle.vertices
+    if vertices[0] != Tope.positive(t):
         bad.append(f"t={t}: cycle does not start at the all-plus tope")
     seen = set()
-    for k in range(n):
-        v = cycle.vertex(k)
+    for k, v in enumerate(vertices):
         seen.add(str(v))
-        if len(separation_set(v, cycle.vertex((k + 1) % n))) != 1:
+        if len(separation_set(v, vertices[(k + 1) % n])) != 1:
             bad.append(f"t={t}: vertices {k} and {(k + 1) % n} are not adjacent")
-        if k < t and cycle.vertex(k + t) != -v:
+        if k < t and vertices[k + t] != -v:
             bad.append(f"t={t}: vertex {k + t} is not the antipode of vertex {k}")
         if 1 <= k < t:
             expected = reorient(Tope.positive(t), GroundSubset(t, range(1, k + 1)))
@@ -139,7 +140,7 @@ def sweep_cycle_structure(t: int) -> list:
 
 
 def sweep_matrix_identities(t: int) -> list:
-    """Exact matrix identities: inverse, Gram values, inverse Gram values."""
+    """Exact matrix identities; inverse Gram values against the inverse rows' product."""
     bad = []
     m = tope_matrix(t)
     inv = inverse_rows(t)
@@ -149,16 +150,19 @@ def sweep_matrix_identities(t: int) -> list:
     if not np.array_equal(inv.entries @ m.entries, ident):
         bad.append(f"t={t}: (2 M^-1) * M != 2I")
     gram_direct = m.entries @ m.entries.T
+    product = inv.entries @ inv.entries.T
     ig = inverse_gram_matrix(t)
     if ig.denom != 4:
         bad.append(f"t={t}: inverse Gram denominator is {ig.denom}")
     if not np.array_equal(ig.entries, ig.entries.T):
         bad.append(f"t={t}: inverse Gram matrix is not symmetric")
+    if not np.array_equal(ig.entries, product):
+        bad.append(f"t={t}: inverse Gram matrix != (2 M^-1)(2 M^-1)^T")
     for i in range(1, t + 1):
         for j in range(1, t + 1):
             if gram_entry(t, i, j) != int(gram_direct[i - 1, j - 1]):
                 bad.append(f"t={t}: gram_entry({i},{j}) != direct inner product")
-            if inverse_gram_entry(t, i, j) != int(ig.entries[i - 1, j - 1]):
+            if inverse_gram_entry(t, i, j) != int(product[i - 1, j - 1]):
                 bad.append(f"t={t}: inverse_gram_entry({i},{j}) != row product")
     return bad
 
@@ -304,6 +308,24 @@ def _path_draws(t):
     ranked = np.argsort(keys[1::2], axis=-1, kind="stable")
     np.put_along_axis(flips[1::2], ranked, np.arange(t) < size[1::2, :, None], axis=-1)
     return signs, flips
+
+
+def _closed_form_values(t: int, j: int, l: int) -> tuple:
+    """All printed closed forms for the (j, l) count, in display order.
+
+    Only the cross-checks call this: sweep_counting and the tests.  Every
+    form vanishes outside the j-window.
+    """
+    h = (l - 1) // 2
+    p = (l + 1) // 2
+    c = composition_count
+    by_compositions = 2 * c(p, j) * c(p, t - j) + c(p, j) * c(h, t - j) + c(h, j) * c(p, t - j)
+    by_binomials = _binom0(j - 1, h) * _binom0(t - j, h) + _binom0(t - j - 1, h) * _binom0(j, h)
+    by_shifted = c(p, j) * c(p, t - j + 1) + c(p, t - j) * c(p, j + 1)
+    mirrored = 2 * c(p, t - j) * c(p, j) + c(p, t - j) * c(h, j) + c(h, t - j) * c(p, j)
+    return by_compositions, by_binomials, by_shifted, mirrored
+
+
 
 
 def sweep_counting(t: int) -> list:

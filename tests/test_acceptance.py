@@ -24,7 +24,7 @@ from cyclotope import (
     spectrum_intervals,
 )
 from cyclotope.bench import compare_spectrum_routes, time_fast_spectrum
-from cyclotope.counting import _closed_form_values
+from cyclotope.verification import _closed_form_values
 from cyclotope.verification import (
     sweep_equinumerosity,
     sweep_negpart_cardinalities,

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior through real subprocesses; record bytes in process."""
 
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -307,6 +309,60 @@ class TestStatsChunks:
         path = tmp_path / "table"
         assert cli.main(["stats", "--t", "9", "--format", fmt, "--output", str(path)]) == 0
         assert path.read_text() == _stats_reference(9, fmt, None)
+
+
+class TestStatsStreaming:
+    """Without --enumerate, stats writes the rows as the column builder yields
+    them and never holds the table."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_count_table_is_built(self, capsys, monkeypatch, fmt):
+        def refuse(*args):
+            raise AssertionError("built a CountTable")
+
+        want = _stats_reference(30, fmt, None)
+        monkeypatch.setattr(CountTable, "__init__", refuse)
+        monkeypatch.setattr(CountTable, "_wrap", classmethod(refuse))
+        assert cli.main(["stats", "--t", "30", "--format", fmt]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_too_small_t_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "table"
+        assert cli.main(["stats", "--t", "2", "--output", str(path)]) == 2
+        assert not path.exists()
+        assert capsys.readouterr().err == "error: dimension must be >= 3, got 2\n"
+
+
+# VmPeak of a process that has imported the CLI and nothing else.
+_PEAK_PROBE = (
+    "import re, cyclotope.cli; "
+    "print(re.search(r'VmPeak:\\s+(\\d+) kB', open('/proc/self/status').read()).group(1))"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--t", "6000"],
+    ["stats", "--t", "1200", "--format", "json"],
+])
+def test_streamed_output_fits_in_64_mib_above_the_import_peak(argv):
+    # A cycle that held its 12000 vertices, or a table held whole, needs more
+    # than the 64 MiB allowed here; either would die with a traceback.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
+                           env=env, check=True)
+    limit = int(probe.stdout) * 1024 + (64 << 20)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclotope", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=300,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
 
 
 class TestParserReuse:

@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 
@@ -25,7 +26,7 @@ from cyclotope import (
 )
 from cyclotope import counting, verification
 from cyclotope.cli import main
-from cyclotope.counting import _closed_form_values
+from cyclotope.verification import _closed_form_values
 
 
 class TestCompositionCount:
@@ -166,6 +167,20 @@ def test_sweep_counting_names_a_table_out_of_order(monkeypatch):
     assert verification.sweep_counting(5) == [
         "t=5: formula table rows are not the enumerated rows in (l, j) order"
     ]
+
+
+def test_table_rows_are_yielded_column_by_column():
+    assert inspect.isgeneratorfunction(counting._table_rows)
+    rows = counting._table_rows(9)
+    assert next(rows) == (0, 1, 1)
+    assert tuple(rows) == formula_table(9).rows[1:]
+
+
+@pytest.mark.parametrize("t", [3, 8])
+def test_tables_hash_by_value(t):
+    assert formula_table(t) == enumerate_statistics(t)
+    assert hash(formula_table(t)) == hash(enumerate_statistics(t))
+    assert len({formula_table(t), enumerate_statistics(t), formula_table(t + 1)}) == 2
 
 
 def test_lost_tally_is_a_mismatch_with_exit_code_1(monkeypatch, capsys):

@@ -15,7 +15,7 @@ from cyclotope import (
     separation_set,
     tope_matrix,
 )
-from cyclotope.cycle import DENSE_CAP
+from cyclotope.cycle import DENSE_CAP, SymmetricCycle, _inverse_entries, _matrix_entries
 
 
 def test_cycle_t3_vertices():
@@ -41,6 +41,24 @@ def test_cycle_vertex_standalone_agrees():
         cycle = build_cycle(t)
         for k in range(2 * t):
             assert np.array_equal(cycle.vertex(k).signs, cycle_vertex(t, k))
+
+
+def test_cycle_derives_its_vertices_without_storing_them():
+    # Checked first: a cycle that stored its 2 * 10^6 vertices at t = 10^6
+    # would need 2 * 10^12 bytes.
+    assert SymmetricCycle.__slots__ == ("_t",)
+    t = 10**6
+    cycle = build_cycle(t)
+    assert len(cycle) == 2 * t
+    for k in (0, t - 1, t, 2 * t - 1):
+        assert np.array_equal(cycle.vertex(k).signs, cycle_vertex(t, k))
+
+
+def test_cycle_iteration_and_vertices_walk_the_cycle():
+    cycle = build_cycle(7)
+    walk = [cycle.vertex(k) for k in range(14)]
+    assert list(cycle) == list(cycle.vertices) == walk
+    assert list(cycle) == walk  # each iteration starts afresh
 
 
 def test_cycle_vertex_index_bounds():
@@ -139,6 +157,18 @@ def test_inverse_gram_matrix_denominator():
     assert ig.entries[0].tolist() == [2, -1, 0, 0, 1]
 
 
+def test_inverse_gram_matrix_is_the_row_product():
+    for t in range(3, 41):
+        half = inverse_rows(t).entries
+        assert np.array_equal(inverse_gram_matrix(t).entries, half @ half.T)
+
+
+def test_matrix_entries_are_built_per_call():
+    for build in (_matrix_entries, _inverse_entries):
+        assert build(5) is not build(5)
+        assert np.array_equal(build(5), build(5))
+
+
 @pytest.mark.parametrize("build", [tope_matrix, inverse_rows, inverse_gram_matrix])
 def test_dense_matrices_are_capped(build):
     # A 4096 x 4096 int64 matrix takes 128 MiB; one more row is refused
@@ -170,6 +200,13 @@ class TestScaledIntMatrix:
         omega = inverse_gram_matrix(4)
         with pytest.raises(ValueError):
             omega @ omega  # reduces only to denominator 8, which is not representable
+
+    def test_hash_by_value(self):
+        matrices = {tope_matrix(5), inverse_rows(5), inverse_gram_matrix(5)}
+        assert len(matrices) == 3
+        assert ScaledIntMatrix(tope_matrix(5).entries) in matrices
+        assert hash(tope_matrix(4) @ inverse_rows(4)) == hash(ScaledIntMatrix(np.eye(4)))
+        assert inverse_rows(5) not in {ScaledIntMatrix(inverse_rows(5).entries, 1)}
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

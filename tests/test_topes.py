@@ -348,6 +348,11 @@ class TestIntervalPartition:
         with pytest.raises(ValueError):
             starts[0] = 1
 
+    def test_hash_by_value(self):
+        p = interval_partition(GroundSubset(6, [2, 3, 5]))
+        assert hash(p) == hash(IntervalPartition([(2, 3), (5, 5)]))
+        assert len({interval_partition(A) for A in _all_subsets(6)[1:]}) == 63
+
     def test_constructor_agrees_with_the_partition(self):
         for t in (3, 6):
             for A in _all_subsets(t)[1:]:

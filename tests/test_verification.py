@@ -19,6 +19,7 @@ import pytest
 from cyclotope import (
     CyclotopeError,
     GroundSubset,
+    ScaledIntMatrix,
     Spectrum,
     Tope,
     count_by_boundary_class,
@@ -394,4 +395,35 @@ def test_sweep_unit_flip_spectra_law_does_not_read_the_dense_rows(monkeypatch, m
     assert verification.sweep_unit_flip_spectra(WIDE) == [
         f"A={A}: unit-flip sum != dense spectrum",
         f"A={A}: boundary-case display != dense spectrum",
+    ]
+
+
+def test_sweep_matrix_identities_checks_the_inverse_gram_matrix_against_the_row_product(
+    monkeypatch,
+):
+    # A symmetric skew at the (1, 3) pair: the entries transcription still
+    # agrees with the row product, the matrix does not.
+    def skewed(t):
+        entries = real(t).entries.copy()
+        entries[0, 2] += 1
+        entries[2, 0] += 1
+        return ScaledIntMatrix(entries, denom=4)
+
+    real = verification.inverse_gram_matrix
+    assert verification.sweep_matrix_identities(6) == []
+    monkeypatch.setattr(verification, "inverse_gram_matrix", skewed)
+    assert verification.sweep_matrix_identities(6) == [
+        "t=6: inverse Gram matrix != (2 M^-1)(2 M^-1)^T"
+    ]
+
+
+def test_sweep_matrix_identities_checks_the_inverse_gram_entries_against_the_row_product(
+    monkeypatch,
+):
+    real = verification.inverse_gram_entry
+    monkeypatch.setattr(
+        verification, "inverse_gram_entry", lambda t, i, j: real(t, i, j) + ((i, j) == (2, 5))
+    )
+    assert verification.sweep_matrix_identities(6) == [
+        "t=6: inverse_gram_entry(2,5) != row product"
     ]
