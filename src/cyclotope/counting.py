@@ -38,6 +38,7 @@ def composition_count(m: int, n: int) -> int:
 
     Equals C(n-1, m-1); in particular 0 when m > n and when m = 0 != n.
     """
+    m, n = _integer(m), _integer(n)
     if m < 0 or n < 0:
         raise ValueError("composition arguments must be nonnegative")
     if m > n or (m == 0 and n != 0):
@@ -47,7 +48,7 @@ def composition_count(m: int, n: int) -> int:
 
 def count_topes_by_size(t: int, l: int) -> int:
     """Number of topes whose minimal decomposition has exactly l terms: 2*C(t,l)."""
-    _check_dimension(t)
+    t, l = _check_dimension(t), _integer(l)
     if l % 2 == 0 or not 1 <= l <= t:
         raise ValueError(f"decomposition sizes are odd and in [1, {t}], got {l}")
     return 2 * math.comb(t, l)
@@ -59,7 +60,7 @@ def count_cycle_topes_by_negpart(t: int, j: int) -> int:
     The size-1 topes are exactly the 2t cycle vertices; walking the cycle
     shows each negative-part size 1..t-1 occurs twice and sizes 0 and t once.
     """
-    _check_dimension(t)
+    t, j = _check_dimension(t), _integer(j)
     if not 0 <= j <= t:
         raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
     return 1 if j in (0, t) else 2
@@ -74,7 +75,7 @@ def count_by_negpart_and_size(t: int, j: int, l: int) -> int:
     checked by verification.sweep_counting and the tests.  The count is
     symmetric under j <-> t-j.
     """
-    _check_dimension(t)
+    t, j, l = _check_dimension(t), _integer(j), _integer(l)
     if l % 2 == 0 or not 3 <= l <= t:
         raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
     if not 0 <= j <= t:
@@ -93,7 +94,7 @@ def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) 
     class totals are returned; with j the count is restricted to negative
     parts of size j (zero outside the class's j-window).
     """
-    _check_dimension(t)
+    t, l = _check_dimension(t), _integer(l)
     if l % 2 == 0 or not 3 <= l <= t:
         raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
     if case not in _CASES:
@@ -102,6 +103,7 @@ def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) 
         if case in ("left-only", "right-only"):
             return _binom0(t - 1, l)
         return _binom0(t - 1, l - 1)
+    j = _integer(j)
     if not 0 <= j <= t:
         raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
     h = (l - 1) // 2
@@ -117,7 +119,7 @@ def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) 
 def count_subsets_by_boundary(t: int, rho: int, boundary: int) -> int:
     """Number of subsets of the ground set with rho intervals and the given
     boundary overlap (how many of {1, t} they contain: 0, 1 or 2)."""
-    _check_dimension(t)
+    t, rho, boundary = _check_dimension(t), _integer(rho), _integer(boundary)
     if boundary not in (0, 1, 2):
         raise ValueError(f"boundary overlap must be 0, 1 or 2, got {boundary}")
     if rho < 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
-from .topes import Tope, _check_dimension
+from .topes import Tope, _check_dimension, _integer
 
 # Largest t for the dense t x t matrices: one int64 matrix takes 128 MiB at
 # t = 4096 and grows quadratically.
@@ -39,6 +39,16 @@ class ScaledIntMatrix:
         self._entries = arr
         self._denom = int(denom)
 
+    @classmethod
+    def _wrap(cls, entries: np.ndarray, denom: int) -> "ScaledIntMatrix":
+        # Trusted constructor: entries is a fresh 2-D int64 array that no one
+        # else holds, and denom is 1, 2 or 4; it is stored without a copy.
+        self = object.__new__(cls)
+        entries.flags.writeable = False
+        self._entries = entries
+        self._denom = denom
+        return self
+
     @property
     def entries(self) -> np.ndarray:
         return self._entries
@@ -59,7 +69,7 @@ class ScaledIntMatrix:
             d //= 2
         if d not in (1, 2, 4):
             raise ValueError(f"product denominator {d} is not representable")
-        return ScaledIntMatrix(product, d)
+        return ScaledIntMatrix._wrap(product, d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledIntMatrix):
@@ -100,21 +110,18 @@ class SymmetricCycle:
         return map(self.vertex, range(2 * self._t))
 
 
-def _vertex_signs(t: int, k: int) -> np.ndarray:
-    # Vertex k for k < t flips the first k coordinates of the all-plus tope;
-    # vertex k+t is its antipode.
-    signs = np.ones(t, dtype=np.int8)
-    base = k % t
-    signs[:base] = -1
-    return signs if k < t else -signs
-
-
 def cycle_vertex(t: int, k: int) -> np.ndarray:
-    """Sign vector of cycle vertex k without materializing the whole cycle."""
-    _check_dimension(t)
+    """Sign vector of cycle vertex k without materializing the whole cycle.
+
+    Vertex k for k < t flips the first k coordinates of the all-plus tope;
+    vertex k+t is its antipode.
+    """
+    t, k = _check_dimension(t), _integer(k)
     if not 0 <= k < 2 * t:
         raise IndexError(f"cycle position {k} out of range [0, {2 * t})")
-    return _vertex_signs(t, k)
+    signs = np.ones(t, dtype=np.int8)
+    signs[: k % t] = -1
+    return signs if k < t else -signs
 
 
 def build_cycle(t: int) -> SymmetricCycle:
@@ -123,7 +130,8 @@ def build_cycle(t: int) -> SymmetricCycle:
 
 
 def _matrix_entries(t: int) -> np.ndarray:
-    return np.vstack([_vertex_signs(t, k) for k in range(t)]).astype(np.int64)
+    # Row k flips the first k coordinates: entry (k, e) is -1 exactly when e < k.
+    return np.where(np.arange(t) < np.arange(t)[:, None], np.int64(-1), np.int64(1))
 
 
 def _inverse_entries(t: int) -> np.ndarray:
@@ -145,13 +153,13 @@ def _check_dense(t: int) -> None:
 def tope_matrix(t: int) -> ScaledIntMatrix:
     """The t x t matrix whose rows are the first t cycle vertices."""
     _check_dense(t)
-    return ScaledIntMatrix(_matrix_entries(t), denom=1)
+    return ScaledIntMatrix._wrap(_matrix_entries(t), 1)
 
 
 def inverse_rows(t: int) -> ScaledIntMatrix:
     """The exact inverse of :func:`tope_matrix`, scaled by 2 (denominator 2)."""
     _check_dense(t)
-    return ScaledIntMatrix(_inverse_entries(t), denom=2)
+    return ScaledIntMatrix._wrap(_inverse_entries(t), 2)
 
 
 def gram_entry(t: int, i: int, j: int) -> int:
@@ -159,7 +167,7 @@ def gram_entry(t: int, i: int, j: int) -> int:
 
     The matrix is symmetric Toeplitz with value t - 2|j - i|.
     """
-    _check_dimension(t)
+    t, i, j = _check_dimension(t), _integer(i), _integer(j)
     if not (1 <= i <= t and 1 <= j <= t):
         raise IndexError(f"indices ({i}, {j}) out of range [1, {t}]")
     return t - 2 * abs(j - i)
@@ -171,7 +179,7 @@ def inverse_gram_entry(t: int, i: int, j: int) -> int:
     Transcribed: 2 on the diagonal, -1 for |i - j| = 1, +1 on the (1, t)
     corner pair, else 0; verify checks it against the inverse rows' product.
     """
-    _check_dimension(t)
+    t, i, j = _check_dimension(t), _integer(i), _integer(j)
     if not (1 <= i <= t and 1 <= j <= t):
         raise IndexError(f"indices ({i}, {j}) out of range [1, {t}]")
     if i == j:
@@ -186,8 +194,8 @@ def inverse_gram_entry(t: int, i: int, j: int) -> int:
 def inverse_gram_matrix(t: int) -> ScaledIntMatrix:
     """The full inverse Gram matrix, scaled by 4 (denominator 4), as a band."""
     _check_dense(t)
-    out = 2 * np.eye(t, dtype=np.int64)
+    out = np.diag(np.full(t, 2, dtype=np.int64))
     band = np.arange(t - 1)
     out[band, band + 1] = out[band + 1, band] = -1
     out[0, t - 1] = out[t - 1, 0] = 1
-    return ScaledIntMatrix(out, denom=4)
+    return ScaledIntMatrix._wrap(out, 4)

@@ -30,6 +30,7 @@ from .topes import (
     Tope,
     _Vector,
     _check_dimension,
+    _coordinate,
     _int_array,
     _integer,
     _require_same_t,
@@ -53,11 +54,9 @@ class Spectrum(_Vector):
     @classmethod
     def unit(cls, s: int, t: int) -> "Spectrum":
         """The standard unit vector sigma(s), 1-based."""
-        _check_dimension(t)
-        if not 1 <= s <= t:
-            raise IndexError(f"coordinate {s} out of range [1, {t}]")
+        t = _check_dimension(t)
         coords = np.zeros(t, dtype=np.int8)
-        coords[s - 1] = 1
+        coords[_coordinate(s, t) - 1] = 1
         return cls._wrap(coords)
 
     @property
@@ -266,21 +265,10 @@ def unit_flip_spectrum(s: int, t: int) -> Spectrum:
     """Spectrum of the tope obtained from all-plus by flipping coordinate s.
 
     Equals sigma(2) when s = 1, sigma(1) - sigma(s) + sigma(s+1) for interior
-    s, and -sigma(t) when s = t.
+    s, and -sigma(t) when s = t: the unit-flip display of the subset {s}.
     """
-    _check_dimension(t)
-    if not 1 <= s <= t:
-        raise IndexError(f"coordinate {s} out of range [1, {t}]")
-    coords = np.zeros(t, dtype=np.int8)
-    if s == 1:
-        coords[1] = 1
-    elif s == t:
-        coords[t - 1] = -1
-    else:
-        coords[0] = 1
-        coords[s - 1] = -1
-        coords[s] = 1
-    return Spectrum._wrap(coords)
+    t = _check_dimension(t)
+    return Spectrum._wrap(_unit_flip_sum(np.arange(1, t + 1) == _coordinate(s, t)))
 
 
 def spectrum_from_unit_flips(A: GroundSubset) -> Spectrum:

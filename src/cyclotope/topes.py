@@ -25,6 +25,14 @@ def _check_dimension(t: int) -> int:
     return t
 
 
+def _coordinate(e, t: int) -> int:
+    """e as a 1-based coordinate of E_t; IndexError outside [1, t]."""
+    e = _integer(e)
+    if not 1 <= e <= t:
+        raise IndexError(f"coordinate {e} out of range [1, {t}]")
+    return e
+
+
 # Entry types that numpy would read as the integers 0 and 1.
 _BOOLS = {bool, np.bool_}
 
@@ -120,9 +128,7 @@ class _Vector:
 
     def _entry(self, i: int) -> int:
         # The entry at 1-based coordinate i, range-checked.
-        if not 1 <= i <= self.t:
-            raise IndexError(f"coordinate {i} out of range [1, {self.t}]")
-        return int(self._v[i - 1])
+        return int(self._v[_coordinate(i, self.t) - 1])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -22,8 +22,8 @@ stack of its random paths, all drawn from one block of random bytes.  A Tope
 or GroundSubset is built only to name a failing row.  The unit-flip and
 boundary-case displays are two kernels of their own, each checked against
 the dense route rather than against the other.  run_report caps every
-sweep at a dimension that keeps `verify` at desk scale and reports a capped
-sweep as skipped.
+sweep of _SWEEPS, the oracle at ORACLE_CAP, at a dimension that keeps
+`verify` at desk scale and reports a capped sweep as skipped.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .decomposition import (
     _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
-from .oracle import _search_table, bruteforce_minimal_decomposition
+from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
 from .topes import GroundSubset, Tope, _meet_join_cards, reorient, separation_set
 
 # Cells per row block, pair grid or tope rows alike: the int64 temporaries of
@@ -558,7 +558,8 @@ def sweep_oracle(t: int) -> list:
 
 # Caps keep every sweep inside desk scale when verify is run at larger t; a
 # capped sweep is reported as skipped, not silently shrunk.  The pairwise
-# sweeps cover 4^t pairs, so each step up in t quadruples their time.
+# sweeps cover 4^t pairs, so each step up in t quadruples their time; the
+# oracle searches 4^t vertex subsets and stops at its own cap.
 _SWEEPS = (
     ("cycle-structure", sweep_cycle_structure, None),
     ("matrix-identities", sweep_matrix_identities, 64),
@@ -571,6 +572,7 @@ _SWEEPS = (
     ("size-difference", sweep_size_difference, 11),
     ("negpart-cardinalities", sweep_negpart_cardinalities, 11),
     ("flip-spectra", sweep_unit_flip_spectra, 16),
+    ("oracle", sweep_oracle, ORACLE_CAP),
 )
 
 # The cases each sweep checks at dimension t: the objects or pairs it
@@ -586,29 +588,24 @@ _CASES = {
 }
 
 
-def run_report(t: int, oracle_max: int = 7) -> dict:
-    """Run every sweep at dimension t, skipping those whose cap is below t.
+def run_report(t: int) -> dict:
+    """Run every sweep of _SWEEPS at dimension t, skipping those whose cap is below t.
 
-    Returns {sweep name: {"issues", "cap", "cases", "seconds"}}: the list of
-    mismatches, the cap (None for none), the cases checked (2^t topes or
-    subsets unless _CASES says otherwise) and the sweep's wall time.  A
-    skipped sweep has the single issue "skipped", 0 cases and 0 seconds.
-    The oracle sweep is capped at oracle_max.
+    Returns {sweep name: {"status", "issues", "cap", "cases", "seconds"}}:
+    "ok", "FAIL" or "skipped", the list of mismatches, the cap (None for
+    none), the cases checked (2^t topes or subsets unless _CASES says
+    otherwise) and the sweep's wall time.  A skipped sweep has no issues,
+    0 cases and 0 seconds.
     """
     report = {}
-    for name, sweep, cap in _SWEEPS + (("oracle", sweep_oracle, oracle_max),):
-        if cap is not None and t > cap:
-            report[name] = {"issues": ["skipped"], "cap": cap, "cases": 0, "seconds": 0.0}
-            continue
-        start = time.perf_counter()
-        issues = sweep(t)
-        seconds = time.perf_counter() - start
-        cases = _CASES.get(name, lambda t: 1 << t)(t)
-        report[name] = {"issues": issues, "cap": cap, "cases": cases, "seconds": seconds}
+    for name, sweep, cap in _SWEEPS:
+        status, issues, cases, seconds = "skipped", [], 0, 0.0
+        if cap is None or t <= cap:
+            start = time.perf_counter()
+            issues = sweep(t)
+            seconds = time.perf_counter() - start
+            status = "FAIL" if issues else "ok"
+            cases = _CASES.get(name, lambda t: 1 << t)(t)
+        report[name] = {"status": status, "issues": issues, "cap": cap, "cases": cases,
+                        "seconds": seconds}
     return report
-
-
-def run_all(t: int, oracle_max: int = 7) -> dict:
-    """{sweep name: list of mismatches} from run_report; a skipped sweep maps
-    to the single entry "skipped"."""
-    return {name: sweep["issues"] for name, sweep in run_report(t, oracle_max).items()}

@@ -3,14 +3,18 @@
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from cyclotope import CountTable, cli, cycle, enumerate_statistics, formula_table, spectrum_fast
+from cyclotope import (
+    ORACLE_CAP, CountTable, cli, cycle, enumerate_statistics, formula_table, spectrum_fast,
+)
 from cyclotope.decomposition import DENSE_CAP
+from cyclotope.verification import _SWEEPS
 
 
 def run_cli(*args, **kwargs):
@@ -374,7 +378,7 @@ class TestParserReuse:
         ["decompose", "--t", "5", "--tope=+--++", "--method", "all"],
         ["stats", "--t", "5"],
         ["equinum", "--t", "4", "--tope", "++++", "--subset", "1", "--oracle"],
-        ["verify", "--t", "3", "--oracle-max", "3"],
+        ["verify", "--t", "3"],
         ["decompose", "--t", "4", "--tope", "++++", "--method", "intervals"],
     ]
 
@@ -393,6 +397,7 @@ class TestParserReuse:
             ["decompose", "--t", "5", "--method", "all"],
             ["cycle", "--t", "4", "--matrix", "--omega"],
             ["verify", "--t", "x"],
+            ["verify", "--t", "3", "--oracle-max", "3"],
             [],
         ],
     )
@@ -456,9 +461,24 @@ class TestVerifyCommand:
         assert "verify t=3: ok" in proc.stdout
 
     def test_oracle_max_skips(self):
-        proc = run_cli("verify", "--t", "8", "--oracle-max", "3")
-        assert proc.returncode == 0
-        assert "oracle: skipped" in proc.stdout
+        # The oracle sweep runs up to ORACLE_CAP and is skipped above it.
+        for t, status in ((8, "ok"), (ORACLE_CAP + 1, "skipped")):
+            proc = run_cli("verify", "--t", str(t))
+            assert proc.returncode == 0
+            assert f"oracle: {status}\n" in proc.stdout
+
+    def test_the_readme_cap_table_lists_each_sweeps_cap(self):
+        # Rows of the table name their sweeps in backticks; the cap column
+        # starts with the cap or "none".
+        text = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        table = text[text.index("| sweep | cap |"):].split("\n\n", 1)[0]
+        caps = {}
+        for row in table.splitlines()[2:]:
+            names, cap = row.strip("|").split("|")
+            word = cap.split()[0]
+            for name in re.findall(r"`([\w-]+)`", names):
+                caps[name] = None if word == "none" else int(word)
+        assert caps == {name: cap for name, _, cap in _SWEEPS}
 
 
 def _text_statuses(out):
@@ -471,7 +491,7 @@ def _text_statuses(out):
 class TestVerifyJson:
     """verify --format json: one object, the statuses of text mode."""
 
-    @pytest.mark.parametrize("argv", [["--t", "4"], ["--t", "12", "--oracle-max", "3"]])
+    @pytest.mark.parametrize("argv", [["--t", "4"], ["--t", "12"]])
     def test_statuses_match_text_mode(self, capsys, argv):
         assert cli.main(["verify", *argv]) == 0
         statuses, last = _text_statuses(capsys.readouterr().out)
@@ -494,7 +514,7 @@ class TestVerifyJson:
         sweeps = record["sweeps"]
         if argv[1] == "12":
             assert sweeps["equinumerosity"]["status"] == sweeps["oracle"]["status"] == "skipped"
-            assert sweeps["oracle"]["cap"] == 3
+            assert sweeps["oracle"]["cap"] == ORACLE_CAP
             assert sweeps["spectrum-methods"]["cases"] == 1 << 12
         else:
             assert sweeps["size-difference"]["cases"] == 4**4

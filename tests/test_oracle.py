@@ -43,8 +43,8 @@ def test_budget_cap():
 
 
 def test_the_sweep_keeps_the_budget_cap():
-    # verify --oracle-max 11 fails as the scalar search does, before the
-    # 4^11-row table is built.
+    # Above ORACLE_CAP, where verify skips it, the sweep fails as the scalar
+    # search does, before the 4^11-row table is built.
     with pytest.raises(BudgetExceeded, match=r"oracle subset space 4\^11 exceeds the cap"):
         verification.sweep_oracle(11)
 

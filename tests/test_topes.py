@@ -14,14 +14,17 @@ from cyclotope import (
     EmptySetError,
     GroundSubset,
     IntervalPartition,
+    ScaledIntMatrix,
     Spectrum,
     Tope,
     decomposition,
     interval_partition,
+    inverse_rows,
     negative_part,
     negpart_meet_join_cards,
     reorient,
     separation_set,
+    tope_matrix,
 )
 from cyclotope import verification
 
@@ -216,6 +219,41 @@ def test_subset_rejects_a_non_integer_dimension(t):
 def test_numpy_integer_dimensions_are_read_exactly():
     assert Tope.positive(np.int64(5)).t == 5
     assert GroundSubset(np.uint8(4), [4]).t == 4
+
+
+# Every index, size and count argument is read the same way.  Each call puts
+# the bad value in one argument position and valid values in the others;
+# gram_entry(4, 1.0, 2) used to return 2.0, inverse_gram_entry(4, 1.5, 2) 0
+# and count_subsets_by_boundary(5, True, 1) 8.
+_INTEGER_ARGUMENTS = {
+    "composition_count-m": lambda v: cyclotope.composition_count(v, 4),
+    "composition_count-n": lambda v: cyclotope.composition_count(2, v),
+    "count_topes_by_size": lambda v: cyclotope.count_topes_by_size(5, v),
+    "count_cycle_topes_by_negpart": lambda v: cyclotope.count_cycle_topes_by_negpart(5, v),
+    "count_by_negpart_and_size-j": lambda v: cyclotope.count_by_negpart_and_size(5, v, 3),
+    "count_by_negpart_and_size-l": lambda v: cyclotope.count_by_negpart_and_size(5, 2, v),
+    "count_by_boundary_class-l": lambda v: cyclotope.count_by_boundary_class(5, v, "neither"),
+    "count_by_boundary_class-j": lambda v: cyclotope.count_by_boundary_class(5, 3, "neither", v),
+    "count_subsets_by_boundary-rho": lambda v: cyclotope.count_subsets_by_boundary(5, v, 1),
+    "count_subsets_by_boundary-boundary":
+        lambda v: cyclotope.count_subsets_by_boundary(5, 2, v),
+    "gram_entry-i": lambda v: cyclotope.gram_entry(4, v, 2),
+    "gram_entry-j": lambda v: cyclotope.gram_entry(4, 2, v),
+    "inverse_gram_entry-i": lambda v: cyclotope.inverse_gram_entry(4, v, 2),
+    "inverse_gram_entry-j": lambda v: cyclotope.inverse_gram_entry(4, 2, v),
+    "cycle_vertex": lambda v: cyclotope.cycle_vertex(4, v),
+    "Spectrum.unit": lambda v: Spectrum.unit(v, 4),
+    "unit_flip_spectrum": lambda v: decomposition.unit_flip_spectrum(v, 4),
+    "Tope.sign": lambda v: Tope.positive(4).sign(v),
+    "Spectrum.coord": lambda v: Spectrum.unit(1, 4).coord(v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5])
+@pytest.mark.parametrize("call", _INTEGER_ARGUMENTS.values(), ids=_INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_refuse_bools_and_floats(call, value):
+    with pytest.raises(TypeError):
+        call(value)
 
 
 class TestTrustedAndValidatedSubsetsAgree:
@@ -472,7 +510,18 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
         return real(cls, t, rows)
 
     monkeypatch.setattr(CountTable, "_wrap", classmethod(checked_table))
-    verification.run_all(4, oracle_max=4)
+
+    def checked_matrix(cls, entries, denom, real=ScaledIntMatrix._wrap.__func__):
+        # A matrix stores 2-D int64 entries over a denominator of 1, 2 or 4.
+        frame = sys._getframe(1)
+        site = (frame.f_globals["__name__"], frame.f_lineno)
+        assert entries.dtype == np.int64 and entries.ndim == 2, site
+        assert type(denom) is int and denom in (1, 2, 4), site
+        seen.add(site)
+        return real(cls, entries, denom)
+
+    monkeypatch.setattr(ScaledIntMatrix, "_wrap", classmethod(checked_matrix))
+    verification.run_report(4)
     for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
                  "_meet_join_from_spectra", "_meet_join_cards"):
         monkeypatch.setattr(verification, name, _off_by_one(getattr(verification, name)))
@@ -495,6 +544,7 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     decomposition.unit_flip_spectrum(2, 3), -x, A.complement()
     Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
     GroundSubset.empty(3), GroundSubset.full(3)
+    tope_matrix(3) @ inverse_rows(3)
     assert seen == _wrap_call_sites()
 
 
