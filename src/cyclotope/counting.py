@@ -16,14 +16,11 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import CapExceeded, VerificationMismatch
-from .topes import _check_dimension, _integer
+from .topes import _check_dimension, _integer, _row_blocks
 
 ENUMERATION_CAP = 20
 
-# Masks per tally block: small enough that the block's arrays stay in cache.
-_TALLY_BLOCK = 1 << 16
-
-_CASES = ("left-only", "right-only", "both-ends", "neither")
+_CLASSES = ("left-only", "right-only", "both-ends", "neither")
 
 
 def _binom0(n: int, k: int) -> int:
@@ -97,8 +94,8 @@ def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) 
     t, l = _check_dimension(t), _integer(l)
     if l % 2 == 0 or not 3 <= l <= t:
         raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
-    if case not in _CASES:
-        raise ValueError(f"unknown case {case!r}, expected one of {_CASES}")
+    if case not in _CLASSES:
+        raise ValueError(f"unknown case {case!r}, expected one of {_CLASSES}")
     if j is None:
         if case in ("left-only", "right-only"):
             return _binom0(t - 1, l)
@@ -242,22 +239,11 @@ def enumerate_statistics(t: int) -> CountTable:
     span = 1 << t
     width = t + 1
     low = (1 << (t - 1)) - 1
-    block = min(span, _TALLY_BLOCK)
     counts = np.zeros(width * width, dtype=np.int64)
-    x = np.empty(block, dtype=np.uint32)
-    for start in range(0, span, block):
-        m = np.arange(start, start + block, dtype=np.uint32)
-        np.right_shift(m, 1, out=x)
-        x ^= m
-        x &= low
-        l = np.bitwise_count(x)
-        np.right_shift(m, t - 1, out=x)
-        x ^= m
-        x &= 1
-        l += x == 0
-        keys = np.bitwise_count(m).astype(np.uint16)
-        keys *= width
-        keys += l
+    for rows in _row_blocks(span, 1):
+        m = np.arange(rows.start, rows.stop, dtype=np.uint32)
+        l = np.bitwise_count((m >> 1 ^ m) & low) + ((m >> (t - 1) ^ m) & 1 == 0)
+        keys = np.bitwise_count(m).astype(np.uint16) * width + l
         counts += np.bincount(keys, minlength=width * width)
     if int(counts.sum()) != span:
         raise VerificationMismatch(f"tally lost topes: {int(counts.sum())} != 2^{t}")

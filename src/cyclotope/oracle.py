@@ -2,7 +2,8 @@
 
 The oracle knows nothing about spectra.  It enumerates every subset of the
 2t cycle vertices, sums each one, and ranks solutions by cardinality.  That
-independence is the point: it certifies the algebraic route at small t.
+independence is the point: it certifies the algebraic route at small t.  The
+subsets are scanned in row blocks, so memory stays bounded up to the cap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .cycle import cycle_vertex
 from .errors import BudgetExceeded, CyclotopeError
-from .topes import Tope
+from .topes import Tope, _row_blocks
 
 ORACLE_CAP = 10
 
@@ -33,41 +34,35 @@ class OracleResult:
     candidates_checked: int
 
 
-def _subset_sums(t: int):
-    """Sums of every subset of the 2t cycle vertices, plus subset popcounts.
-
-    Row b of the table is the entrywise sum over the vertices whose bit is
-    set in b.  Built by doubling: each new vertex adds its signs to the
-    previous half of the table.  Entries stay within +-2t, so int16 is safe
-    up to the oracle cap.
-    """
-    n = 2 * t
-    sums = np.zeros((1 << n, t), dtype=np.int16)
-    for b in range(n):
-        block = 1 << b
-        sums[block : 2 * block] = sums[:block] + cycle_vertex(t, b).astype(np.int16)
-    popcounts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    return sums, popcounts
-
-
 @lru_cache(maxsize=4)
 def _search_table(t: int) -> tuple:
     """The subset search for all 2^t topes at once, indexed by tope bitmask.
 
-    One pass over _subset_sums(t) keeps the vertex subsets whose sum is a
-    +-1 vector and keys each by the bitmask of its sum.  Per tope it returns
+    Subset lo | hi << t of the 2t cycle vertices sums to low[lo] + high[hi],
+    the sums of its positions in 0..t-1 and in t..2t-1.  This pair grid is
+    scanned in row blocks of hi that keep the subsets whose sum is a +-1
+    vector, each keyed by the bitmask of its sum.  Per tope it returns
     (least, ties, minimal, intruder): the least cardinality of a solution
     (-1 when there is none), how many solutions have it, the first of those
-    in ascending subset order, and the first solution of size at most t that
-    does not contain it (-1 when every one does).  Above ORACLE_CAP it
+    in ascending subset order, and the first solution of size at most t
+    that does not contain it (-1 when every one does).  Above ORACLE_CAP it
     raises BudgetExceeded before building anything.
     """
     if t > ORACLE_CAP:
         raise BudgetExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
-    sums, popcounts = _subset_sums(t)
-    found = np.flatnonzero((np.abs(sums) == 1).all(axis=1))
-    keys = (sums[found] < 0) @ (1 << np.arange(t, dtype=np.int64))
-    sizes = popcounts[found].astype(np.int64)
+    vertices = np.array([cycle_vertex(t, b) for b in range(2 * t)], dtype=np.int16)
+    members = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.int16)
+    low, high = members @ vertices[:t], members @ vertices[t:]
+    weights = 1 << np.arange(t, dtype=np.int64)
+    found, keys = [], []
+    for rows in _row_blocks(1 << t, (1 << t) * t):
+        sums = high[rows, None] + low
+        hi, lo = np.nonzero((np.abs(sums) == 1).all(axis=-1))
+        # np.nonzero is row-major: ascending hi, then lo, so ascending subsets.
+        found.append(lo | (hi + rows.start) << t)
+        keys.append((sums[hi, lo] < 0) @ weights)
+    found, keys = np.concatenate(found), np.concatenate(keys)
+    sizes = np.bitwise_count(found).astype(np.int64)
     # Sorted by tope, then size; the stable sort keeps each tie in
     # ascending subset order, so the first row of a tope is its minimal one.
     order = np.lexsort((sizes, keys))

@@ -101,6 +101,18 @@ def _out_of_range(what, lo, hi, error):
     return error(f"{what} entries must lie in [{lo}, {hi}]")
 
 
+# Cells per row block of every exhaustive scan, over rows or a pair grid:
+# the int64 temporaries of one block then take about 512 KiB whatever t is.
+_BLOCK = 1 << 16
+
+
+def _row_blocks(n, width):
+    """Slices of n rows of width cells each, at most _BLOCK cells a slice."""
+    step = max(1, _BLOCK // width)
+    for start in range(0, n, step):
+        yield slice(start, min(n, start + step))
+
+
 # Byte of an int8 entry -> "+" when the entry is positive, "-" otherwise.
 _SIGN_CHARS = bytes(ord("+") if 0 < b < 128 else ord("-") for b in range(256))
 
@@ -278,7 +290,8 @@ class GroundSubset(_Vector):
         return iter(self.members)
 
     def __contains__(self, e) -> bool:
-        return isinstance(e, (int, np.integer)) and 1 <= e <= self.t and bool(self._v[e - 1])
+        integer = isinstance(e, (int, np.integer)) and type(e) is not bool
+        return integer and 1 <= e <= self.t and bool(self._v[e - 1])
 
     def __str__(self) -> str:
         return ",".join(map(str, self.members)) or "none"

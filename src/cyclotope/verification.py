@@ -23,7 +23,8 @@ or GroundSubset is built only to name a failing row.  The unit-flip and
 boundary-case displays are two kernels of their own, each checked against
 the dense route rather than against the other.  run_report caps every
 sweep of _SWEEPS, the oracle at ORACLE_CAP, at a dimension that keeps
-`verify` at desk scale and reports a capped sweep as skipped.
+`verify` at desk scale and reports a capped sweep as skipped; above every
+cap it raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .counting import (
     ENUMERATION_CAP,
-    _CASES as _CLASSES,
+    _CLASSES,
     _binom0,
     composition_count,
     count_by_boundary_class,
@@ -47,6 +48,7 @@ from .counting import (
     formula_table,
 )
 from .cycle import (
+    DENSE_CAP,
     build_cycle,
     gram_entry,
     inverse_gram_entry,
@@ -69,12 +71,9 @@ from .decomposition import (
     _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
+from .errors import CapExceeded
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
-from .topes import GroundSubset, Tope, _meet_join_cards, reorient, separation_set
-
-# Cells per row block, pair grid or tope rows alike: the int64 temporaries of
-# one block then take about 512 KiB whatever t is.
-_BLOCK = 1 << 16
+from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks, reorient, separation_set
 
 
 def _mask_rows(t):
@@ -91,13 +90,6 @@ def _mask_rows(t):
     changes = np.bitwise_count((masks ^ (masks >> 1)) & ((1 << (t - 1)) - 1))
     sizes = changes.astype(np.int64) + ((masks ^ (masks >> (t - 1))) & 1 == 0)
     return masks, signs, members, sizes
-
-
-def _row_blocks(n, width):
-    """Slices of n rows of width cells each, at most _BLOCK cells a slice."""
-    step = max(1, _BLOCK // width)
-    for start in range(0, n, step):
-        yield slice(start, min(n, start + step))
 
 
 def _report(bad, rows, checks, cls=Tope):
@@ -324,8 +316,6 @@ def _closed_form_values(t: int, j: int, l: int) -> tuple:
     by_shifted = c(p, j) * c(p, t - j + 1) + c(p, t - j) * c(p, j + 1)
     mirrored = 2 * c(p, t - j) * c(p, j) + c(p, t - j) * c(h, j) + c(h, t - j) * c(p, j)
     return by_compositions, by_binomials, by_shifted, mirrored
-
-
 
 
 def sweep_counting(t: int) -> list:
@@ -559,13 +549,14 @@ def sweep_oracle(t: int) -> list:
 # Caps keep every sweep inside desk scale when verify is run at larger t; a
 # capped sweep is reported as skipped, not silently shrunk.  The pairwise
 # sweeps cover 4^t pairs, so each step up in t quadruples their time; the
-# oracle searches 4^t vertex subsets and stops at its own cap.
+# oracle searches 4^t vertex subsets and stops at its own cap.  The two
+# sweeps linear in t stop at DENSE_CAP, as the dense matrices do.
 _SWEEPS = (
-    ("cycle-structure", sweep_cycle_structure, None),
+    ("cycle-structure", sweep_cycle_structure, DENSE_CAP),
     ("matrix-identities", sweep_matrix_identities, 64),
     ("spectrum-methods", sweep_spectrum_methods, 16),
     ("decompositions", sweep_decompositions, 16),
-    ("spectrum-updates", sweep_spectrum_updates, None),
+    ("spectrum-updates", sweep_spectrum_updates, DENSE_CAP),
     ("counting", sweep_counting, ENUMERATION_CAP),
     ("boundary-classes", sweep_boundary_classes, 16),
     ("equinumerosity", sweep_equinumerosity, 11),
@@ -592,15 +583,18 @@ def run_report(t: int) -> dict:
     """Run every sweep of _SWEEPS at dimension t, skipping those whose cap is below t.
 
     Returns {sweep name: {"status", "issues", "cap", "cases", "seconds"}}:
-    "ok", "FAIL" or "skipped", the list of mismatches, the cap (None for
-    none), the cases checked (2^t topes or subsets unless _CASES says
-    otherwise) and the sweep's wall time.  A skipped sweep has no issues,
-    0 cases and 0 seconds.
+    "ok", "FAIL" or "skipped", the list of mismatches, the cap, the cases
+    checked (2^t topes or subsets unless _CASES says otherwise) and the
+    sweep's wall time.  A skipped sweep has no issues, 0 cases and 0
+    seconds.  Above every cap it raises CapExceeded before any sweep runs.
     """
+    top = max(cap for _, _, cap in _SWEEPS)
+    if t > top:
+        raise CapExceeded(f"verify at t = {t} is above every sweep's cap (the largest is {top})")
     report = {}
     for name, sweep, cap in _SWEEPS:
         status, issues, cases, seconds = "skipped", [], 0, 0.0
-        if cap is None or t <= cap:
+        if t <= cap:
             start = time.perf_counter()
             issues = sweep(t)
             seconds = time.perf_counter() - start

@@ -344,19 +344,14 @@ _PEAK_PROBE = (
 )
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-@pytest.mark.parametrize("argv", [
-    ["cycle", "--t", "6000"],
-    ["stats", "--t", "1200", "--format", "json"],
-])
-def test_streamed_output_fits_in_64_mib_above_the_import_peak(argv):
-    # A cycle that held its 12000 vertices, or a table held whole, needs more
-    # than the 64 MiB allowed here; either would die with a traceback.
+def _run_under_budget(argv, mib):
+    """Run the CLI on argv in a fresh process whose address space may grow
+    mib MiB past the peak of a process that only imported the CLI."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
                            env=env, check=True)
-    limit = int(probe.stdout) * 1024 + (64 << 20)
-    proc = subprocess.run(
+    limit = int(probe.stdout) * 1024 + (mib << 20)
+    return subprocess.run(
         [sys.executable, "-m", "cyclotope", *argv],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
@@ -365,8 +360,33 @@ def test_streamed_output_fits_in_64_mib_above_the_import_peak(argv):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         timeout=300,
     )
+
+
+needs_proc_status = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                       reason="needs /proc/self/status")
+
+
+@needs_proc_status
+@pytest.mark.parametrize("argv", [
+    ["cycle", "--t", "6000"],
+    ["stats", "--t", "1200", "--format", "json"],
+    ["verify", "--t", "6000"],
+])
+def test_streamed_output_fits_in_64_mib_above_the_import_peak(argv):
+    # A cycle that held its 12000 vertices, or a table held whole, needs more
+    # than the 64 MiB allowed here; either would die with a traceback.  verify
+    # above every sweep's cap is refused before any sweep runs.
+    proc = _run_under_budget(argv, 64)
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
+
+
+@needs_proc_status
+def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
+    # The oracle scans the 4^10 vertex subsets one row block at a time; a
+    # (4^10, 10) table of their sums alone would take 20 MiB.
+    proc = _run_under_budget(["verify", "--t", str(ORACLE_CAP)], 32)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestParserReuse:
@@ -466,6 +486,15 @@ class TestVerifyCommand:
             proc = run_cli("verify", "--t", str(t))
             assert proc.returncode == 0
             assert f"oracle: {status}\n" in proc.stdout
+
+    def test_above_every_cap_is_a_usage_error(self):
+        top = max(cap for _, _, cap in _SWEEPS)
+        assert top == DENSE_CAP
+        proc = run_cli("verify", "--t", str(top + 1))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: verify at t = {top + 1} is above every sweep's cap (the largest is {top})\n"
+        )
 
     def test_the_readme_cap_table_lists_each_sweeps_cap(self):
         # Rows of the table name their sweeps in backticks; the cap column

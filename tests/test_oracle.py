@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from cyclotope import (
     spectrum_fast,
 )
 from cyclotope import oracle, verification
-from cyclotope.oracle import _subset_sums
+from cyclotope.topes import _row_blocks
 
 
 def test_positive_tope():
@@ -49,12 +51,24 @@ def test_the_sweep_keeps_the_budget_cap():
         verification.sweep_oracle(11)
 
 
+@lru_cache(maxsize=1)
+def _plain_sums(t):
+    """Sums and sizes of all 4^t subsets of the 2t cycle vertices, bit b for
+    position b, as one product of membership rows with the vertex rows.
+    Vertex k < t flips the first k coordinates of all-plus; vertex t + k is
+    the antipode of vertex k."""
+    first = np.where(np.arange(t)[None] < np.arange(t)[:, None], -1, 1)
+    vertices = np.concatenate([first, -first])
+    members = (np.arange(1 << (2 * t))[:, None] >> np.arange(2 * t)) & 1
+    return members @ vertices, members.sum(axis=1)
+
+
 def _scan(T):
     """One tope's search written out: the subsets of the 2t cycle vertices
     whose sum is T, ranked by cardinality, with the superset check."""
     t = T.t
-    sums, popcounts = _subset_sums(t)
-    matches = np.flatnonzero((sums == T.signs.astype(np.int16)).all(axis=1))
+    sums, popcounts = _plain_sums(t)
+    matches = np.flatnonzero((sums == T.signs).all(axis=1))
     pc = popcounts[matches]
     least = int(pc.min())
     assert least % 2 == 1
@@ -65,8 +79,11 @@ def _scan(T):
     return positions, at_least.size == 1
 
 
-@pytest.mark.parametrize("t", [3, 4, 5, 6])
+# Up to t = 6 the oracle's scan is one row block; at t = 8 it spans 8.
+@pytest.mark.parametrize("t", [3, 4, 5, 6, 7, 8])
 def test_table_equals_a_one_tope_scan_on_every_tope(t):
+    if t == 8:
+        assert len(list(_row_blocks(1 << t, (1 << t) * t))) == 8
     for mask in range(1 << t):
         T = Tope.from_bitmask(mask, t)
         result = bruteforce_minimal_decomposition(T)

@@ -147,6 +147,9 @@ class TestGroundSubset:
         A = GroundSubset(5, [3, 1])
         assert A.members == (1, 3)
         assert 3 in A and 2 not in A
+        # Only integers are members: 1 is, and the values equal to it are not.
+        assert 1 in A and np.int64(1) in A
+        assert not any(e in A for e in (True, np.True_, 1.0))
         assert len(A) == 2
         assert str(A) == "1,3"
 
