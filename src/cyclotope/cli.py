@@ -13,14 +13,13 @@ import argparse
 import functools
 import json
 import sys
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .counting import ENUMERATION_CAP, _table_rows, enumerate_statistics
+from .counting import ENUMERATION_CAP, _mirror, _table_columns, enumerate_statistics
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import spectrum_dense, spectrum_fast, spectrum_intervals
 from .equinumerosity import equal_size_criterion
@@ -169,41 +168,46 @@ def _decompose_json(coords: np.ndarray, agreement: Optional[bool]) -> str:
     return b"".join(parts).decode("ascii")
 
 
-# Rows of the stats table rendered per write: the text held at once stays
-# bounded whatever t is.
-_STATS_CHUNK = 4096
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     """The table as CSV, or as the json.dumps of its rows as dicts with the
-    keys t, j, l, count_formula and, with --enumerate, count_enum.  Each row
-    is rendered by one %-template from its (j, l, count[, count_enum]) tuple,
-    and the rows are streamed as _table_rows yields them, _STATS_CHUNK a write.
+    keys t, j, l, count_formula and, with --enumerate, count_enum.  Each
+    column of _table_columns is one join of its rows' cells, written as it
+    comes; the j strings are built once, and a column's counts are converted
+    for its first half only, as the second half mirrors them.
     """
     t = _check_dimension(args.t)
-    rows = _table_rows(t)
-    mismatch = False
-    if args.enumerate_counts:
-        enum = {(j, l): c for j, l, c in enumerate_statistics(t)}
-        rows = [(j, l, c, enum.pop((j, l), 0)) for j, l, c in rows]
-        # Formula rows are exactly the nonzero ones, so an enumerated row
-        # left over is itself a mismatch.
-        mismatch = bool(enum) or any(c != e for _, _, c, e in rows)
+    enum = {(j, l): c for j, l, c in enumerate_statistics(t)} if args.enumerate_counts else None
     if args.format == "json":
-        row = f'{{"t": {t}, "j": %d, "l": %d, "count_formula": %d'
-        row += ', "count_enum": %d}' if args.enumerate_counts else "}"
-        head, sep, tail = "[", ", ", "]\n"
+        first = f'[{{"t": {t}, "j": '
+        lead, tail = "}, " + first[1:], "}]\n"
+        cell, extra = ', "l": %d, "count_formula": ', ', "count_enum": '
     else:
-        head = "t,j,l,count_formula" + (",count_enum" if args.enumerate_counts else "")
-        row = f"\n{t},%d,%d,%d" + (",%d" if args.enumerate_counts else "")
-        sep, tail = "", "\n"
+        lead, tail = f"\n{t},", "\n"
+        cell, extra = ",%d,", ","
+        first = "t,j,l,count_formula" + (",count_enum" if enum is not None else "") + lead
+    mismatch = False
 
     def pieces():
-        yield head
-        cells, lead = iter(rows), ""
-        while chunk := [row % r for r in islice(cells, _STATS_CHUNK)]:
-            yield lead + sep.join(chunk)
-            lead = sep
+        nonlocal mismatch
+        js = list(map(str, range(t + 1)))
+        prefix = first
+        for l, j0, half in _table_columns(t):
+            counts = _mirror(list(map(str, half)), t)
+            n = len(counts)
+            row = [lead, "", cell % l, ""] + ([extra, ""] if enum is not None else [])
+            parts = row * n
+            parts[0] = prefix
+            parts[1 :: len(row)] = js[j0 : j0 + n]
+            parts[3 :: len(row)] = counts
+            if enum is not None:
+                column = [enum.pop((j, l), 0) for j in range(j0, j0 + n)]
+                mismatch |= column != _mirror(half, t)
+                parts[5 :: len(row)] = map(str, column)
+            yield "".join(parts)
+            prefix = lead
+        # Formula rows are exactly the nonzero ones, so an enumerated cell
+        # left over is itself a mismatch.
+        mismatch |= bool(enum)
         yield tail
 
     _emit(pieces(), args.output)

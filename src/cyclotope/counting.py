@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -173,6 +173,7 @@ class CountTable:
 
     def count(self, j: int, l: int) -> int:
         """The count of cell (j, l), 0 for a cell without a row; O(log rows)."""
+        j, l = _integer(j), _integer(l)
         k = bisect.bisect_left(self._rows, (l, j), key=_cell_order)
         if k < len(self._rows) and self._rows[k][:2] == (j, l):
             return self._rows[k][2]
@@ -193,26 +194,36 @@ class CountTable:
         return hash((self._t, self._rows))
 
 
-def _table_rows(t: int):
-    """The rows of formula_table, yielded in (l, j) order one binomial column
-    at a time, so only one column is held.
+def _mirror(half: list, t: int) -> list:
+    """The whole column from its first half by j <-> t-j; an even t's middle is its own."""
+    return half + half[-1 - (t % 2 == 0) :: -1]
+
+
+def _table_columns(t: int):
+    """The columns of formula_table as (l, j0, half), in l order, one binomial
+    column at a time.  half holds the cells j = j0..t//2 of column l, and
+    _mirror(half, t) the whole column, j = j0..t-j0.
 
     This is the batch form of count_by_negpart_and_size.  col[n] = C(n, h)
     for n = 0..t, and column h follows from column h-1 by one running sum,
     C(n, h) = sum over m < n of C(m, h-1).  With rev[n] = C(t-n, h), the cell
-    (j, 2h+1) is col[j-1] rev[j] + rev[j+1] col[j].  The cells are symmetric
-    under j <-> t-j, so each column computes its first half and mirrors it.
+    (j, 2h+1) is col[j-1] rev[j] + rev[j+1] col[j].  Column l = 1 holds the
+    2t cycle vertices: one each at j = 0 and j = t, two at every other j.
     """
-    yield from ((j, 1, count_cycle_topes_by_negpart(t, j)) for j in range(t + 1))
+    yield 1, 0, [1] + [2] * (t // 2)
     col = [1] * (t + 1)
     for h in range(1, (t - 1) // 2 + 1):
         col = [0, *accumulate(col[:-1])]
         rev = col[::-1]
-        half = [a * b + c * d for a, b, c, d in
-                zip(col[h - 1 : t // 2], rev[h:], rev[h + 1 :], col[h : t // 2 + 1])]
-        # For even t the middle cell j = t/2 is its own mirror image.
-        counts = half + half[-1 - (t % 2 == 0) :: -1]
-        yield from zip(range(h, t - h + 1), [2 * h + 1] * len(counts), counts)
+        yield 2 * h + 1, h, [a * b + c * d for a, b, c, d in
+                             zip(col[h - 1 : t // 2], rev[h:], rev[h + 1 :], col[h : t // 2 + 1])]
+
+
+def _table_rows(t: int):
+    """The rows (j, l, count) of formula_table in (l, j) order: each column of
+    _table_columns mirrored and yielded in turn, so only one column is held."""
+    for l, j0, half in _table_columns(t):
+        yield from zip(range(j0, t - j0 + 1), repeat(l), _mirror(half, t))
 
 
 def formula_table(t: int) -> CountTable:

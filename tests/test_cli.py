@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from cyclotope import (
-    ORACLE_CAP, CountTable, cli, cycle, enumerate_statistics, formula_table, spectrum_fast,
+    ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
+    enumerate_statistics, formula_table, spectrum_fast,
 )
 from cyclotope.decomposition import DENSE_CAP
 from cyclotope.verification import _SWEEPS
@@ -274,7 +275,8 @@ def _stats_reference(t, fmt, enum):
 class TestStatsTableBytes:
     """In-process stats stdout equals the dict-per-row rendering."""
 
-    @pytest.mark.parametrize("t", [3, 4, 5, 20, 141])
+    # Even t has a middle cell j = t/2 that is its own mirror image.
+    @pytest.mark.parametrize("t", [3, 4, 5, 6, 20, 64, 141, 142])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("enumerate_counts", [False, True])
     def test_stdout_is_the_dict_rendering(self, capsys, t, fmt, enumerate_counts):
@@ -301,13 +303,25 @@ class TestStatsTableBytes:
             assert capsys.readouterr().out == _stats_reference(5, fmt, table)
 
 
-class TestStatsChunks:
-    """stats writes its rows in chunks; the bytes do not depend on the chunk."""
+@pytest.mark.parametrize("t", [141, 142])
+def test_every_csv_row_is_the_scalar_count(capsys, t):
+    # The scalar counts share no code with the column builder, so a wrong
+    # cell or a wrong mirror image shows here.
+    assert cli.main(["stats", "--t", str(t)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,j,l,count_formula"
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    want = [(t, j, 1, count_cycle_topes_by_negpart(t, j)) for j in range(t + 1)]
+    for l in range(3, t + 1, 2):
+        want += [(t, j, l, count_by_negpart_and_size(t, j, l)) for j in range(t + 1)]
+    assert rows == [row for row in want if row[3]]
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+
+class TestStatsChunks:
+    """stats writes its rows a column at a time; the bytes are the dict rendering."""
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_chunked_rows_are_the_dict_rendering(self, capsys, monkeypatch, tmp_path, chunk, fmt):
-        monkeypatch.setattr(cli, "_STATS_CHUNK", chunk)
+    def test_chunked_rows_are_the_dict_rendering(self, capsys, tmp_path, fmt):
         assert cli.main(["stats", "--t", "9", "--format", fmt, "--enumerate"]) == 0
         assert capsys.readouterr().out == _stats_reference(9, fmt, enumerate_statistics(9))
         path = tmp_path / "table"

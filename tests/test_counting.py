@@ -24,7 +24,7 @@ from cyclotope import (
     negative_part,
     spectrum_fast,
 )
-from cyclotope import counting, verification
+from cyclotope import cli, counting, verification
 from cyclotope.cli import main
 from cyclotope.verification import _closed_form_values
 
@@ -161,6 +161,32 @@ def test_sweep_counting_names_a_wrong_cell_of_the_table_builder(monkeypatch, cel
     ]
 
 
+@pytest.mark.parametrize("cell", [(0, 1), (3, 5), (5, 11)])
+def test_a_wrong_first_half_cell_shows_at_j_and_at_its_mirror(monkeypatch, capsys, cell):
+    # A fault planted in the first half of one column of the builder reaches
+    # both cells of its mirror pair, (j, l) and (t - j, l).
+    def planted(t):
+        for l, j0, half in real(t):
+            if l == cell[1]:
+                half = half.copy()
+                half[cell[0] - j0] += 1
+            yield l, j0, half
+
+    real = counting._table_columns
+    t = 12
+    j, l = cell
+    want = formula_table(t).count(j, l)
+    monkeypatch.setattr(counting, "_table_columns", planted)
+    monkeypatch.setattr(cli, "_table_columns", planted)
+    assert verification.sweep_counting(t) == [
+        f"t={t}, j={k}, l={l}: formula table {want + 1} != enumerated {want}" for k in (j, t - j)
+    ]
+    assert main(["stats", "--t", str(t), "--enumerate"]) == 1
+    out = capsys.readouterr().out
+    assert f"\n{t},{j},{l},{want + 1},{want}\n" in out
+    assert f"\n{t},{t - j},{l},{want + 1},{want}\n" in out
+
+
 def test_sweep_counting_names_a_table_out_of_order(monkeypatch):
     real = counting._table_rows
     monkeypatch.setattr(counting, "_table_rows", lambda t: tuple(sorted(real(t))))
@@ -170,6 +196,7 @@ def test_sweep_counting_names_a_table_out_of_order(monkeypatch):
 
 
 def test_table_rows_are_yielded_column_by_column():
+    assert inspect.isgeneratorfunction(counting._table_columns)
     assert inspect.isgeneratorfunction(counting._table_rows)
     rows = counting._table_rows(9)
     assert next(rows) == (0, 1, 1)

@@ -227,7 +227,8 @@ def test_numpy_integer_dimensions_are_read_exactly():
 # Every index, size and count argument is read the same way.  Each call puts
 # the bad value in one argument position and valid values in the others;
 # gram_entry(4, 1.0, 2) used to return 2.0, inverse_gram_entry(4, 1.5, 2) 0
-# and count_subsets_by_boundary(5, True, 1) 8.
+# and count_subsets_by_boundary(5, True, 1) 8; formula_table(5).count(True, 1)
+# returned 2 and .count(2.5, 3) 0.
 _INTEGER_ARGUMENTS = {
     "composition_count-m": lambda v: cyclotope.composition_count(v, 4),
     "composition_count-n": lambda v: cyclotope.composition_count(2, v),
@@ -249,6 +250,8 @@ _INTEGER_ARGUMENTS = {
     "unit_flip_spectrum": lambda v: decomposition.unit_flip_spectrum(v, 4),
     "Tope.sign": lambda v: Tope.positive(4).sign(v),
     "Spectrum.coord": lambda v: Spectrum.unit(1, 4).coord(v),
+    "CountTable.count-j": lambda v: cyclotope.formula_table(5).count(v, 1),
+    "CountTable.count-l": lambda v: cyclotope.formula_table(5).count(2, v),
 }
 
 
