@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through real subprocesses; record bytes in process."""
 
+import io
 import json
 import os
 import random
@@ -317,13 +318,34 @@ def test_every_csv_row_is_the_scalar_count(capsys, t):
     assert rows == [row for row in want if row[3]]
 
 
-class TestStatsChunks:
-    """stats writes its rows a column at a time; the bytes are the dict rendering."""
+class _ShortWrites(io.RawIOBase):
+    """A sink that takes at most chunk bytes a write, as a pipe may."""
 
+    def __init__(self, chunk):
+        self.chunk, self.data = chunk, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[: self.chunk])
+        self.data += taken
+        return len(taken)
+
+
+class TestStatsChunks:
+    """stats writes its rows a column at a time; the bytes are the dict
+    rendering, also through a stdout that takes them in chunks of any size."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_chunked_rows_are_the_dict_rendering(self, capsys, tmp_path, fmt):
+    def test_chunked_rows_are_the_dict_rendering(self, monkeypatch, tmp_path, chunk, fmt):
+        sink = _ShortWrites(chunk)
+        out = io.TextIOWrapper(io.BufferedWriter(sink, buffer_size=chunk), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
         assert cli.main(["stats", "--t", "9", "--format", fmt, "--enumerate"]) == 0
-        assert capsys.readouterr().out == _stats_reference(9, fmt, enumerate_statistics(9))
+        out.flush()
+        assert sink.data.decode() == _stats_reference(9, fmt, enumerate_statistics(9))
         path = tmp_path / "table"
         assert cli.main(["stats", "--t", "9", "--format", fmt, "--output", str(path)]) == 0
         assert path.read_text() == _stats_reference(9, fmt, None)
