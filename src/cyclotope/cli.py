@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: decompose, stats, verify, equinum, cycle, bench.  Output is
-deterministic for a fixed configuration; JSON records use the fixed field
-names x, terms, size, j, l, count_formula, count_enum.
+deterministic for a fixed invocation, except for the wall times that bench
+prints and the per-sweep "seconds" of verify --format json.  JSON records use
+the fixed field names x, terms, size, j, l, count_formula, count_enum.
 
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage error.
 """
@@ -21,17 +22,10 @@ from . import __version__
 from .bench import run_bench
 from .counting import ENUMERATION_CAP, _mirror, _table_columns, enumerate_statistics
 from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
-from .decomposition import spectrum_dense, spectrum_fast, spectrum_intervals
+from .decomposition import spectrum_fast
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError, VerificationMismatch
 from .topes import GroundSubset, Tope, _check_dimension
-
-_METHODS = {
-    "dense": spectrum_dense,
-    "fast": spectrum_fast,
-    "intervals": spectrum_intervals,
-}
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="dimension (>= 3)")
     p.add_argument("--tope", required=True,
                    help="sign string over '+'/'-' of length t, or '-' to read it from stdin")
-    p.add_argument("--method", choices=["dense", "fast", "intervals", "all"], default="fast")
 
     p = sub.add_parser("stats", help="counts of topes by negative-part size and term count")
     p.add_argument("--t", type=int, required=True)
@@ -67,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tope", required=True, help="as for decompose, including '-' for stdin")
     p.add_argument("--subset", required=True, help="comma-separated 1-based indices, or 'none'")
-    p.add_argument("--oracle", action="store_true", help="also compare the two sizes directly")
 
     p = sub.add_parser("cycle", help="print the cycle vertices or one of the exact matrices")
     p.add_argument("--t", type=int, required=True)
@@ -108,17 +100,8 @@ def _read_tope(args: argparse.Namespace) -> Tope:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    T = _read_tope(args)
-    if args.method == "all":
-        spectra = {name: fn(T) for name, fn in _METHODS.items()}
-        values = list(spectra.values())
-        agreement = all(x == values[0] for x in values)
-        x = values[0]
-    else:
-        agreement = None
-        x = _METHODS[args.method](T)
-    print(_decompose_json(x.coords, agreement))
-    return 0 if agreement in (None, True) else 1
+    print(_decompose_json(spectrum_fast(_read_tope(args)).coords))
+    return 0
 
 
 # Cells of the bulk JSON renderers.  A NUL byte pads a cell to its fixed
@@ -132,14 +115,13 @@ def _joined(cells: np.ndarray) -> bytes:
     return cells.reshape(-1)[:-2].tobytes().replace(b"\x00", b"")
 
 
-def _decompose_json(coords: np.ndarray, agreement: Optional[bool]) -> str:
+def _decompose_json(coords: np.ndarray) -> str:
     """The decompose record, byte for byte the json.dumps of its dict form.
 
     That dict is {"x": coords, "terms": [{"sign": s, "index": i}, ...],
-    "size": number of terms} plus "agreement" when given, with the terms at
-    the nonzero coordinates in ascending index order.  Each list is rendered
-    as one uint8 array of fixed-width cells, without a Python object per
-    element.
+    "size": number of terms}, with the terms at the nonzero coordinates in
+    ascending index order.  Each list is rendered as one uint8 array of
+    fixed-width cells, without a Python object per element.
     """
     nz = coords.nonzero()[0]
     digits = len(str(coords.shape[0] - 1))
@@ -157,15 +139,11 @@ def _decompose_json(coords: np.ndarray, agreement: Optional[bool]) -> str:
         np.add(digit, ord("0"), out=column, casting="unsafe")
         if p:
             column[: np.searchsorted(nz, 10**p)] = 0
-    parts = [
+    return b"".join([
         b'{"x": [', _joined(np.take(_X_CELLS, coords + 1).view(np.uint8)),
         b'], "terms": [', _joined(terms),
-        b'], "size": %d' % nz.shape[0],
-    ]
-    if agreement is not None:
-        parts.append(b', "agreement": ' + json.dumps(agreement).encode())
-    parts.append(b"}")
-    return b"".join(parts).decode("ascii")
+        b'], "size": %d}' % nz.shape[0],
+    ]).decode("ascii")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -252,14 +230,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_equinum(args: argparse.Namespace) -> int:
     T = _read_tope(args)
     A = GroundSubset.from_string(args.t, args.subset)
-    report = equal_size_criterion(T, A, include_direct=args.oracle)
-    record = {"equal": report.equal, "lhs_sum": report.lhs_sum, "rhs": report.rhs}
-    if report.direct_equal is not None:
-        record["direct_equal"] = report.direct_equal
-    print(json.dumps(record))
-    if report.direct_equal is not None and report.direct_equal != report.equal:
-        print("criterion disagrees with the direct comparison", file=sys.stderr)
-        return 1
+    report = equal_size_criterion(T, A)
+    print(json.dumps({"equal": report.equal, "lhs_sum": report.lhs_sum, "rhs": report.rhs}))
     return 0
 
 
@@ -296,11 +268,15 @@ _DISPATCH = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments; returns the process exit status."""
+    """Dispatch parsed arguments; returns the process exit status.
+
+    A request too large for the memory available is a usage error, like one
+    above a cap.
+    """
     try:
         return _DISPATCH[args.subcommand](args)
-    except (CyclotopeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CyclotopeError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1 if isinstance(exc, VerificationMismatch) else 2
 
 

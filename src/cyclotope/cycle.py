@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
-from .topes import Tope, _check_dimension, _integer
+from .topes import Tope, _check_dimension, _int_array, _integer
 
 # Largest t for the dense t x t matrices: one int64 matrix takes 128 MiB at
 # t = 4096 and grows quadratically.
@@ -25,19 +25,31 @@ DENSE_CAP = 4096
 
 
 class ScaledIntMatrix:
-    """An exact rational matrix stored as integer entries over a fixed denominator."""
+    """An exact rational matrix stored as integer entries over a fixed denominator.
+
+    The entries follow the rules of the vector constructors: bool, float and
+    object data raise TypeError (an ndarray is judged by its dtype, nested
+    lists entry by entry), and an entry outside int64 raises ValueError.
+    """
 
     __slots__ = ("_entries", "_denom")
 
     def __init__(self, entries, denom: int = 1):
-        arr = np.asarray(entries, dtype=np.int64).copy()
-        if arr.ndim != 2:
+        if isinstance(entries, np.ndarray):
+            shape, flat = entries.shape, entries.reshape(-1)
+        else:
+            nested = np.asarray(entries, dtype=object)
+            shape, flat = nested.shape, nested.reshape(-1).tolist()
+        if len(shape) != 2:
             raise ValueError("entries must be a 2-D array")
+        int64 = np.iinfo(np.int64)
+        arr = _int_array(flat, "matrix", int64.min, int64.max).astype(np.int64).reshape(shape)
+        denom = _integer(denom)
         if denom not in (1, 2, 4):
             raise ValueError(f"denominator must be 1, 2 or 4, got {denom}")
         arr.flags.writeable = False
         self._entries = arr
-        self._denom = int(denom)
+        self._denom = denom
 
     @classmethod
     def _wrap(cls, entries: np.ndarray, denom: int) -> "ScaledIntMatrix":

@@ -242,14 +242,14 @@ def spectrum_update(x1: Spectrum, T1: Tope, S: GroundSubset) -> Spectrum:
     Flipping coordinate s subtracts twice T1(s) times row s of the inverse
     matrix from the spectrum; each such row has at most two nonzero entries,
     so the update touches at most 2|S| coordinates.  All flips together
-    subtract the telescoping transform of T1 restricted to S.
+    subtract the telescoping transform of T1 restricted to S.  Raises
+    InvalidSpectrum unless x1 is exactly the spectrum of T1.
     """
     _require_same_t(x1, T1)
     _require_same_t(T1, S)
-    coords = _spectrum_update(x1.coords, T1.signs, S.inside)
-    if coords.min() < -1 or coords.max() > 1:
-        raise InvalidSpectrum("update left the coordinate range; x1 does not match T1")
-    return Spectrum._wrap(coords)
+    if spectrum_fast(T1) != x1:
+        raise InvalidSpectrum("x1 is not the spectrum of T1")
+    return Spectrum._wrap(_spectrum_update(x1.coords, T1.signs, S.inside))
 
 
 def _spectrum_update(coords: np.ndarray, signs: np.ndarray, inside: np.ndarray) -> np.ndarray:

@@ -11,13 +11,11 @@ counts when both topes are reorientations of the all-plus tope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .decomposition import spectrum_fast
 from .errors import EmptySetError, NotProperSubset
-from .topes import GroundSubset, Tope, _require_same_t, interval_partition, reorient
+from .topes import GroundSubset, Tope, _require_same_t, interval_partition
 
 
 @dataclass(frozen=True)
@@ -28,13 +26,11 @@ class CriterionReport:
     lhs_sum: the boundary sum over adjacent pairs split by A.
     rhs: the required value (T(1)*T(t) when A contains exactly one of {1, t},
         else 0).
-    direct_equal: direct size comparison, when requested.
     """
 
     equal: bool
     lhs_sum: int
     rhs: int
-    direct_equal: Optional[bool] = None
 
 
 def _boundary_sum(signs: np.ndarray, split: np.ndarray) -> tuple:
@@ -57,7 +53,7 @@ def _boundary_sum(signs: np.ndarray, split: np.ndarray) -> tuple:
     return lhs, rhs
 
 
-def equal_size_criterion(T: Tope, A: GroundSubset, include_direct: bool = False) -> CriterionReport:
+def equal_size_criterion(T: Tope, A: GroundSubset) -> CriterionReport:
     """Decide |Q(T)| = |Q(reorient(T, A))| from the boundary of A alone.
 
     Sums T(i)*T(i+1) over the positions i where exactly one of {i, i+1}
@@ -70,10 +66,7 @@ def equal_size_criterion(T: Tope, A: GroundSubset, include_direct: bool = False)
         raise NotProperSubset("the criterion is stated for proper subsets only")
     lhs, rhs = _boundary_sum(T.signs, A.inside)
     lhs, rhs = int(lhs), int(rhs)
-    direct = None
-    if include_direct:
-        direct = spectrum_fast(T).support_size == spectrum_fast(reorient(T, A)).support_size
-    return CriterionReport(equal=(lhs == rhs), lhs_sum=lhs, rhs=rhs, direct_equal=direct)
+    return CriterionReport(equal=(lhs == rhs), lhs_sum=lhs, rhs=rhs)
 
 
 def equinumerosity_indicator(T1: Tope, T2: Tope) -> int:

@@ -205,8 +205,44 @@ class TestScaledIntMatrix:
         matrices = {tope_matrix(5), inverse_rows(5), inverse_gram_matrix(5)}
         assert len(matrices) == 3
         assert ScaledIntMatrix(tope_matrix(5).entries) in matrices
-        assert hash(tope_matrix(4) @ inverse_rows(4)) == hash(ScaledIntMatrix(np.eye(4)))
+        identity = ScaledIntMatrix(np.eye(4, dtype=np.int64))
+        assert hash(tope_matrix(4) @ inverse_rows(4)) == hash(identity)
+        with pytest.raises(TypeError):
+            ScaledIntMatrix(np.eye(4))
         assert inverse_rows(5) not in {ScaledIntMatrix(inverse_rows(5).entries, 1)}
+
+    @pytest.mark.parametrize("entries", [
+        [[1.5, 2], [0, 1]],
+        np.array([[1.9, 0], [0, 1]]),
+        [[1, True], [0, 1]],
+        np.eye(2, dtype=bool),
+        np.array([[1, 0], [0, 1]], dtype=object),
+    ])
+    def test_float_bool_or_object_entries_raise_type_error(self, entries):
+        with pytest.raises(TypeError):
+            ScaledIntMatrix(entries)
+
+    @pytest.mark.parametrize("denom", [True, 2.0])
+    def test_denominator_is_read_as_an_integer(self, denom):
+        with pytest.raises(TypeError):
+            ScaledIntMatrix([[1, 0], [0, 1]], denom)
+
+    @pytest.mark.parametrize("entries", [
+        [[2**63, 0], [0, 1]],
+        [[-(2**63) - 1, 0], [0, 1]],
+        [[2**70] * 70] * 2,
+        np.array([[2**64 - 1]], dtype=np.uint64),
+    ])
+    def test_an_entry_beyond_int64_raises_value_error(self, entries):
+        with pytest.raises(ValueError, match="must lie in"):
+            ScaledIntMatrix(entries)
+
+    def test_entries_are_copied_exactly(self):
+        given = np.array([[-(2**63), 2**63 - 1], [0, 1]], dtype=np.int64)
+        m = ScaledIntMatrix(given, 4)
+        given[1, 1] = 7
+        assert m.entries.tolist() == [[-(2**63), 2**63 - 1], [0, 1]] and m.denom == 4
+        assert ScaledIntMatrix([[np.int8(3), 2], [0, 1]]).entries.dtype == np.int64
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cyclotope import (
+    CapExceeded,
     Decomposition,
     DimensionMismatch,
     DimensionTooSmall,
@@ -26,6 +27,8 @@ from cyclotope import (
     spectrum_update,
     unit_flip_spectrum,
 )
+from cyclotope import decomposition
+from cyclotope.cycle import DENSE_CAP
 
 
 def sigma(s, t):
@@ -82,6 +85,14 @@ class TestSpectrumDense:
         T = Tope([1, -1, -1, 1, 1])
         x = spectrum_dense(T)
         assert x.coords.tolist() == [1, -1, 0, 1, 0]
+
+    def test_dense_route_is_capped(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError(f"built the entries of a {t} x {t} matrix")
+
+        monkeypatch.setattr(decomposition, "_inverse_entries", refuse)
+        with pytest.raises(CapExceeded, match=f"capped at t = {DENSE_CAP}"):
+            spectrum_dense(Tope.positive(DENSE_CAP + 1))
 
 
 class TestSpectrumFast:
@@ -238,6 +249,19 @@ class TestSpectrumUpdate:
         wrong = spectrum_fast(Tope([-1, 1, 1, 1]))
         with pytest.raises(InvalidSpectrum):
             spectrum_update(wrong, T, GroundSubset(4, [1]))
+
+    @pytest.mark.parametrize("x1_of, T1, flip", [
+        # the update stays in range but is no spectrum: [-1, -1, 1] has the
+        # vertex sum (-1, -3, -1)
+        ("---", "+++", 2),
+        # the update is the spectrum of -+-+, not of the reoriented --++
+        ("++-+", "+-++", 1),
+    ])
+    def test_spectrum_of_another_tope_is_rejected(self, x1_of, T1, flip):
+        x1 = spectrum_fast(Tope.from_string(x1_of))
+        T1 = Tope.from_string(T1)
+        with pytest.raises(InvalidSpectrum, match="x1 is not the spectrum of T1"):
+            spectrum_update(x1, T1, GroundSubset(T1.t, [flip]))
 
 
 class TestUnitFlipSpectrum:

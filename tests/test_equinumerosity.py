@@ -1,6 +1,7 @@
 import pytest
 
 from cyclotope import (
+    CriterionReport,
     EmptySetError,
     GroundSubset,
     NotProperSubset,
@@ -31,17 +32,11 @@ class TestCriterion:
 
     def test_interior_singleton_grows(self):
         report = equal_size_criterion(Tope.positive(4), GroundSubset(4, [2]))
-        assert report.lhs_sum == 2 and report.rhs == 0
-        assert not report.equal
+        assert report == CriterionReport(equal=False, lhs_sum=2, rhs=0)
 
     def test_full_set_rejected(self):
         with pytest.raises(NotProperSubset):
             equal_size_criterion(Tope.positive(4), GroundSubset.full(4))
-
-    def test_direct_comparison_field(self):
-        report = equal_size_criterion(Tope.positive(4), GroundSubset(4, [2]), include_direct=True)
-        assert report.direct_equal is False
-        assert equal_size_criterion(Tope.positive(4), GroundSubset(4, [2])).direct_equal is None
 
     def test_exhaustive_small(self):
         for t in (3, 4, 5):

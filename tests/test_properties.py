@@ -133,8 +133,8 @@ def test_terms_are_the_nonzero_spectrum_entries(case):
 
 
 @relaxed
-@given(masks(1), st.sampled_from([None, True, False]))
-def test_decompose_record_is_the_json_dumps_of_its_dict(case, agreement):
+@given(masks(1))
+def test_decompose_record_is_the_json_dumps_of_its_dict(case):
     t, m = case
     x = _spectrum(m, t)
     record = {
@@ -142,10 +142,8 @@ def test_decompose_record_is_the_json_dumps_of_its_dict(case, agreement):
         "terms": [{"sign": c, "index": i} for i, c in enumerate(x) if c],
         "size": _size(m, t),
     }
-    if agreement is not None:
-        record["agreement"] = agreement
     coords = spectrum_fast(Tope.from_bitmask(m, t)).coords
-    assert _decompose_json(coords, agreement) == json.dumps(record)
+    assert _decompose_json(coords) == json.dumps(record)
 
 
 @relaxed

@@ -26,7 +26,7 @@ from cyclotope import (
     separation_set,
     tope_matrix,
 )
-from cyclotope import verification
+from cyclotope import bench, verification
 
 
 def _all_subsets(t):
@@ -551,6 +551,7 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
     GroundSubset.empty(3), GroundSubset.full(3)
     tope_matrix(3) @ inverse_rows(3)
+    bench.random_tope(3)
     assert seen == _wrap_call_sites()
 
 
