@@ -184,8 +184,12 @@ class Tope(_Vector):
         """Parse a '+'/'-' string such as "++-+-"."""
         raw = np.frombuffer(text.encode(), dtype=np.uint8)
         plus = raw == ord("+")
-        if not text or not (plus | (raw == ord("-"))).all():
-            raise ValueError(f"tope string must be nonempty over '+'/'-': {text!r}")
+        if not text:
+            raise ValueError("tope string must be nonempty over '+'/'-': ''")
+        if not (plus | (raw == ord("-"))).all():
+            k = len(text) - len(text.lstrip("+-"))
+            raise ValueError(f"tope string must be over '+'/'-': position {k + 1} "
+                             f"of {len(text)} is {text[k]!r}")
         _check_dimension(raw.shape[0])
         return cls._wrap(plus.view(np.int8) * np.int8(2) - np.int8(1))
 

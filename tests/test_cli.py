@@ -105,6 +105,16 @@ class TestDecomposeCommand:
         proc = run_cli("decompose", "--t", "3", "--tope", "+0-")
         assert proc.returncode == 2
 
+    def test_bad_character_error_is_bounded_by_the_position_not_the_tope(self):
+        # The line names the first bad position and its character; it does
+        # not echo the 100,000-character tope.
+        t = 100000
+        proc = run_cli("decompose", "--t", str(t), "--tope", "-", input="+" * (t - 1) + "x")
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: tope string must be over '+'/'-': "
+                               f"position {t} of {t} is 'x'\n")
+        assert len(proc.stderr.encode()) < 200
+
     def test_tope_from_stdin_past_the_argv_limit(self):
         # 200000 characters exceed the 128 KiB argv cap on one argument.
         t = 200000
@@ -171,7 +181,8 @@ class TestDecomposeRecordBytes:
     """In-process decompose stdout equals json.dumps of the dict record, for
     the tope given in argv and read from stdin."""
 
-    @pytest.mark.parametrize("t", [3, 4, 5, 17, 1500, 65536])
+    # 10, 100 and 1000 add an index digit, and with it a leading-zero prefix.
+    @pytest.mark.parametrize("t", [3, 4, 5, 10, 11, 17, 100, 101, 1000, 1001, 1500, 65536])
     @pytest.mark.parametrize("source", ["argv", "stdin"])
     def test_stdout_is_the_json_dumps_of_the_record(self, capsys, monkeypatch, t, source):
         for tope in _topes(t):
@@ -352,15 +363,17 @@ _PEAK_PROBE = (
 )
 
 
-def _run_under_budget(argv, mib):
-    """Run the CLI on argv in a fresh process whose address space may grow
-    mib MiB past the peak of a process that only imported the CLI."""
+def _run_under_budget(argv, mib, stdin=None):
+    """Run the CLI on argv, with the text stdin as its standard input, in a
+    fresh process whose address space may grow mib MiB past the peak of a
+    process that only imported the CLI."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
                            env=env, check=True)
     limit = int(probe.stdout) * 1024 + (mib << 20)
     return subprocess.run(
         [sys.executable, "-m", "cyclotope", *argv],
+        input=stdin,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,
@@ -401,6 +414,17 @@ def test_running_out_of_memory_is_one_error_line_and_exit_2(argv):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@needs_proc_status
+def test_decompose_of_a_dense_tope_fits_in_64_mib_above_the_import_peak():
+    # At t = 10^6 a tope whose adjacent entries differ half the time has
+    # about 500,000 terms, an 18 MB record.
+    t = 10**6
+    rng = random.Random(16)
+    tope = "".join(rng.choice("+-") for _ in range(t))
+    proc = _run_under_budget(["decompose", "--t", str(t), "--tope", "-"], 64, stdin=tope)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_memory_error_without_a_message_names_its_type(capsys, monkeypatch):

@@ -79,8 +79,10 @@ class TestTope:
 
     def test_from_string(self):
         assert Tope.from_string("++-+-") == Tope([1, 1, -1, 1, -1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"position 3 of 3 is 'x'$"):
             Tope.from_string("++x")
+        with pytest.raises(ValueError, match=r"nonempty over '\+'/'-': ''$"):
+            Tope.from_string("")
 
     def test_bitmask_roundtrip(self):
         for t in (3, 5, 8):
