@@ -129,7 +129,7 @@ def _decompose_parts(coords: np.ndarray) -> list:
     """
     x = _joined(np.take(_X_CELLS, coords + 1).view(np.uint8))
     x = x.translate(None, b"\x00").decode("ascii")
-    nz = coords.nonzero()[0]
+    nz = (coords != 0).nonzero()[0]
     digits = len(str(coords.shape[0] - 1))
     head = len(_TERM_HEAD)
     terms = np.empty((nz.shape[0], head + digits + 3), dtype=np.uint8)

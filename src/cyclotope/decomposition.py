@@ -118,7 +118,7 @@ class Decomposition(_Vector):
 
     @property
     def terms(self) -> tuple:
-        nz = self._v.nonzero()[0]
+        nz = (self._v != 0).nonzero()[0]
         return tuple(zip(self._v[nz].tolist(), nz.tolist()))
 
     @property
@@ -176,7 +176,7 @@ def spectrum_fast(T: Tope) -> Spectrum:
 
 def _telescope(signs: np.ndarray) -> np.ndarray:
     # The telescoping form along the last axis of an int8 sign array, in int8.
-    out = _half_inverse_transform(signs, np.int8)
+    out = _half_inverse_transform(signs)
     if np.count_nonzero(out & 1):
         raise ValueError("sign entries must be exactly +1 or -1")
     out >>= 1
@@ -225,11 +225,11 @@ def decomposition_size(T: Tope) -> int:
     return spectrum_fast(T).support_size
 
 
-def _half_inverse_transform(v: np.ndarray, dtype=np.int64) -> np.ndarray:
+def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
     # v times twice the inverse matrix along the last axis, in O(t): the
-    # columns telescope.  Computed in v's dtype and stored as dtype; both
-    # must hold twice the largest |v| entry.
-    out = np.empty(v.shape, dtype=dtype)
+    # columns telescope.  Computed in v's dtype and layout; the dtype must
+    # hold twice the largest |v| entry.
+    out = np.empty_like(v)
     # [()] turns the 0-d views of a 1-d v into scalars, which add cheaply.
     out[..., 0] = v[..., 0][()] + v[..., -1][()]
     np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
@@ -257,7 +257,7 @@ def _spectrum_update(coords: np.ndarray, signs: np.ndarray, inside: np.ndarray) 
     # S is signs * inside; its transform has entries in [-2, 2], so a
     # spectrum entry moves into [-3, 3].  The difference is written into
     # the transform's buffer.
-    step = _half_inverse_transform(signs * inside, np.int8)
+    step = _half_inverse_transform(signs * inside)
     return np.subtract(coords, step, out=step)
 
 
@@ -285,21 +285,14 @@ def _unit_flip_sum(inside: np.ndarray) -> np.ndarray:
     # The display along the last axis of a bool array of subsets A, in int8:
     # (1 - |A|) sigma(1) plus the support of unit_flip_spectrum(s) for each
     # member s, that is +sigma(2) for s = 1, -sigma(t) for s = t and
-    # +sigma(1) - sigma(s) + sigma(s + 1) otherwise.  One bincount scatters
-    # the flat positions of all the terms, the +1 terms into its first half
-    # and the -1 terms into its second.
-    t = inside.shape[-1]
-    flat = inside.reshape(-1, t)
-    n = flat.size
-    row, e = np.nonzero(flat)  # member s = e + 1 of subset row
-    at = row * t + e  # flat position of sigma(s)
-    first, last = e == 0, e == t - 1
-    plus = [row[~(first | last)] * t, at[~last] + 1]
-    minus = at[~first] + n
-    counts = np.bincount(np.concatenate(plus + [minus]), minlength=2 * n)
-    out = counts[:n] - counts[n:]
-    out[::t] += 1 - np.count_nonzero(flat, axis=-1)
-    return out.astype(np.int8).reshape(inside.shape)
+    # +sigma(1) - sigma(s) + sigma(s + 1) otherwise.  Coordinate 1 thus gets
+    # 1 - |A| plus one per member 1 < s < t, and coordinate e > 1 gets +1
+    # from member e - 1 and -1 from member e.
+    out = np.empty_like(inside, dtype=np.int8)
+    np.subtract(inside[..., :-1], inside[..., 1:], out=out[..., 1:], dtype=np.int8)
+    interior = np.count_nonzero(inside[..., 1:-1], axis=-1)
+    out[..., 0] = 1 - np.count_nonzero(inside, axis=-1) + interior
+    return out
 
 
 def spectrum_from_boundary_cases(A: GroundSubset) -> Spectrum:
@@ -346,10 +339,12 @@ def _size_difference(signs1: np.ndarray, signs2: np.ndarray) -> np.ndarray:
     # With u = (T1 - T2)/2 the restriction of T1 to the separation set and
     # T1 - u = (T1 + T2)/2, the inner product of the transforms of T1 - u
     # and u is a quarter of that of T1 + T2 and T1 - T2; along the last axis.
-    both = np.vecdot(
-        _half_inverse_transform(signs1 + signs2), _half_inverse_transform(signs1 - signs2)
-    )
-    return both >> 2
+    # Both transforms have entries in [-4, 4].  Integer sums wrap, so only
+    # the result, 4 times a size difference below t, must fit the accumulator.
+    acc = np.int16 if 4 * signs1.shape[-1] < 1 << 15 else np.int64
+    both = _half_inverse_transform(signs1 + signs2)
+    both *= _half_inverse_transform(signs1 - signs2)
+    return np.add.reduce(both, axis=-1, dtype=acc) >> 2
 
 
 def negpart_size_from_spectrum(x: Spectrum) -> int:
@@ -365,12 +360,13 @@ def negpart_size_from_spectrum(x: Spectrum) -> int:
 
 
 def _negpart_size(coords: np.ndarray) -> np.ndarray:
-    # |T^-| along the last axis of tope spectra: the weighted sum, minus 1,
-    # plus t + 2 where the coordinate sum is -1.
+    # |T^-| along the last axis of tope spectra: the weighted sum w, minus 1,
+    # plus t + 2 where the coordinate sum is -1, which is where w < 0: w is
+    # |T^-| + 1 in [1, t] for sum 1 and |T^-| - t - 1 in [-t, -1] for sum -1.
     t = coords.shape[-1]
-    weighted = coords.astype(np.int64) @ np.arange(1, t + 1, dtype=np.int64)
-    negative = coords.sum(axis=-1, dtype=np.int64) < 0
-    return weighted - 1 + (t + 2) * negative
+    acc = np.int16 if t < 1 << 15 else np.int64
+    weighted = np.add.reduce(coords * np.arange(1, t + 1, dtype=acc), axis=-1, dtype=acc)
+    return weighted - 1 + (t + 2) * (weighted < 0)
 
 
 def _vertex_sum(coords: np.ndarray) -> np.ndarray:
@@ -399,16 +395,20 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     #   s1 = s2 = +1:  4 meet = -t - 4 + g + 2w,  4 join = t - 4 - g + 2w
     #   mixed:         4 meet = t + g + 2w,       4 join = 3t - g + 2w
     # which is 4 meet = t - (s1 + s2)(t + 2) + g + 2w, 4 join = 4 meet + 2t - 2g.
-    s1 = np.add.reduce(x1, axis=-1)
-    s2 = np.add.reduce(x2, axis=-1)
+    # x1 G x2 with G = M M^T is the inner product of the vertex sums x M,
+    # and a coordinate sum is the last entry of its vertex sum.
+    v1, v2 = _vertex_sum(x1), _vertex_sum(x2)
     # Integer sums lie in {-1, 1} exactly when their product does.
-    if np.count_nonzero(np.abs(s1 * s2) != 1):
+    if np.count_nonzero(np.abs(v1[..., -1] * v2[..., -1]) != 1):
         raise InvalidSpectrum("tope spectra have coordinate sum +-1")
+    # Integer arithmetic wraps: only the results, in [0, 4t], must fit acc.
     t = x1.shape[-1]
-    # x1 G x2 with G = M M^T is the inner product of the two vectors x M.
-    g = np.vecdot(_vertex_sum(x1), _vertex_sum(x2))
-    w = (x1 + x2) @ np.arange(1, t + 1, dtype=np.int64)
-    meet4 = t - (s1 + s2) * (t + 2) + g + 2 * w
+    acc = np.int16 if 4 * t < 1 << 15 else np.int64
+    g = np.add.reduce(v1 * v2, axis=-1, dtype=acc)
+    # 2w - (t + 2)(s1 + s2) is the inner product of x1 + x2 with the
+    # weights 2i - t - 2.
+    weights = np.arange(-t, t, 2, dtype=acc)
+    meet4 = np.add.reduce((x1 + x2) * weights, axis=-1, dtype=acc) + g + t
     join4 = meet4 + 2 * (t - g)
     if np.count_nonzero((meet4 | join4) & 3):
         raise InvalidSpectrum("cardinality formulas did not divide exactly")

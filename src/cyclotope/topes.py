@@ -440,12 +440,12 @@ def negpart_meet_join_cards(T1: Tope, T2: Tope) -> tuple:
 
 def _meet_join_cards(a: np.ndarray, b: np.ndarray) -> tuple:
     # 4|A- & B-| = t + <a, b> - sum(a) - sum(b) and 4|A- | B-| = 3t - <a, b>
-    # - sum(a) - sum(b), along the last axis of the two sign arrays.
+    # - sum(a) - sum(b), along the last axis of the two sign arrays.  Integer
+    # sums wrap, so only the results, in [0, 4t], must fit the accumulator.
     t = a.shape[-1]
-    a = a.astype(np.int64)
-    b = b.astype(np.int64)
-    dot = np.vecdot(a, b)
-    total = np.add.reduce(a, axis=-1) + np.add.reduce(b, axis=-1)
+    acc = np.int16 if 4 * t < 1 << 15 else np.int64
+    dot = np.add.reduce(a * b, axis=-1, dtype=acc)
+    total = np.add.reduce(a + b, axis=-1, dtype=acc)
     meet4 = t + dot - total
     join4 = 3 * t - dot - total
     if np.count_nonzero((meet4 | join4) & 3):

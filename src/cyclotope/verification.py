@@ -14,21 +14,26 @@ kernels on stacks of rows.  They build the 2^t sign and membership rows
 once from the masks 0..2^t-1 and compare the kernels' results with plain
 mask arithmetic: sizes from popcounts of adjacent sign changes, meets and
 joins from popcounts of m1 & m2 and m1 | m2, interval counts from popcounts
-of run starts, vertex sums as x @ M.  The per-tope sweeps run on row blocks
-of the tope rows, flip-spectra on row blocks of the subset rows, the
-pairwise sweeps (equinumerosity, size-difference, negpart-cardinalities) on
-row blocks of the 4^t pair grid by broadcasting, and spectrum-updates on the
-stack of its random paths, all drawn from one block of random bytes.  A Tope
-or GroundSubset is built only to name a failing row.  The unit-flip and
-boundary-case displays are two kernels of their own, each checked against
-the dense route rather than against the other.  run_report caps every
-sweep of _SWEEPS, the oracle at ORACLE_CAP, at a dimension that keeps
-`verify` at desk scale and reports a capped sweep as skipped; above every
-cap it raises CapExceeded.
+of run starts, vertex sums as x @ M.  Every stack is coordinate-major: each
+coordinate's entries lie contiguous across the rows (a Fortran-ordered
+(2^t, t) array), and the kernels built from ufuncs and reductions keep
+that layout, so each runs one long loop per coordinate instead of one
+loop of length t per row.  The per-tope sweeps run on row blocks of the
+tope rows, flip-spectra on row blocks of the subset rows, equinumerosity
+and size-difference on row blocks of the 4^t pair grid by broadcasting,
+negpart-cardinalities on square tiles of it, and spectrum-updates on one
+(step, path) stack of its random paths, all drawn from one block of random
+bytes.  A Tope or GroundSubset is built only to name a failing row, from a
+copy of it.  The unit-flip and boundary-case displays are two kernels of
+their own, each checked against the dense route rather than against the
+other.  run_report caps every sweep of _SWEEPS, the oracle at ORACLE_CAP,
+at a dimension that keeps `verify` at desk scale and reports a capped
+sweep as skipped; above every cap it raises CapExceeded.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -56,7 +61,7 @@ from .cycle import (
     inverse_rows,
     tope_matrix,
 )
-from . import decomposition
+from . import decomposition, topes
 from .decomposition import (
     Spectrum,
     _boundary_case_display,
@@ -81,12 +86,13 @@ def _mask_rows(t):
 
     Bit e-1 of a mask set means entry e of the tope is -1 and coordinate e
     belongs to the subset; signs and members are the (2^t, t) int8 and bool
-    rows.  The size of the minimal decomposition is read off the mask: the
-    adjacent sign changes plus one when T(1) = T(t).
+    rows, coordinate-major: Fortran-ordered, each coordinate's entries
+    contiguous across the rows.  The size of the minimal decomposition is
+    read off the mask: the adjacent sign changes plus one when T(1) = T(t).
     """
     masks = np.arange(1 << t, dtype=np.int64)
-    members = (masks[:, None] >> np.arange(t)) & 1 == 1
-    signs = np.where(members, -1, 1).astype(np.int8)
+    members = ((masks >> np.arange(t)[:, None]) & 1 == 1).T
+    signs = 1 - 2 * members.view(np.int8)
     changes = np.bitwise_count((masks ^ (masks >> 1)) & ((1 << (t - 1)) - 1))
     sizes = changes.astype(np.int64) + ((masks ^ (masks >> (t - 1))) & 1 == 0)
     return masks, signs, members, sizes
@@ -101,7 +107,7 @@ def _report(bad, rows, checks, cls=Tope):
     """
     failing = np.logical_or.reduce([failed for failed, _ in checks])
     for i in np.flatnonzero(failing):
-        T = cls._wrap(rows[i])
+        T = cls._wrap(rows[i].copy())
         bad += [message(T, i) for failed, message in checks if failed[i]]
 
 
@@ -163,9 +169,10 @@ def sweep_spectrum_methods(t: int) -> list:
     """All 2^t topes: route agreement plus every per-tope spectrum law.
 
     The dense, telescoping and interval kernels run on row blocks of the
-    sign rows.  Where the three agree, the laws are checked on the dense
-    rows against the tope rows, x @ M, the prefix-sum map and, for the
-    interval law, popcounts of the run starts of the masks.
+    sign rows.  Where the three agree, the laws are checked on the
+    telescoping rows, which share the sign rows' layout, against the tope
+    rows, x @ M, the prefix-sum map and, for the interval law, popcounts of
+    the run starts of the masks.
     """
     bad = []
     masks, signs, members, _ = _mask_rows(t)
@@ -179,7 +186,7 @@ def sweep_spectrum_methods(t: int) -> list:
         fast = _telescope(s)
         ivls = _spectrum_intervals(members[rows])
         agree = (dense == fast).all(axis=-1) & (dense == ivls).all(axis=-1)
-        x = dense
+        x = fast
         support = np.count_nonzero(x, axis=-1)
         total = x.sum(axis=-1, dtype=np.int64)
         back = x.astype(np.int64) @ m_entries
@@ -249,18 +256,18 @@ _PATHS, _STEPS, _SEED = 20, 16, 7
 def sweep_spectrum_updates(t: int) -> list:
     """Random reorientation paths: incremental updates match recomputation.
 
-    The paths' start topes and flip sets are drawn first, by _path_draws;
-    the steps then run on the stack of all paths, and the first diverging
-    step of each path is reported.
+    The start topes and flip sets are drawn by _path_draws.  A running xor
+    of the flips gives the signs around every step, and one update call runs
+    all steps from the recomputed spectra; up to each path's first diverging
+    step, which is reported, chained updates would give those same spectra.
     """
     signs, flips = _path_draws(t)
-    x = _telescope(signs)
-    first = np.full(_PATHS, -1)
-    for step in range(_STEPS):
-        x = _spectrum_update(x, signs, flips[step])
-        signs = np.where(flips[step], -signs, signs)  # reorient
-        diverged = (x != _telescope(signs)).any(axis=-1) & (first < 0)
-        first[diverged] = step
+    flipped = np.zeros((_STEPS + 1, _PATHS, t), dtype=bool, order="F")
+    np.logical_xor.accumulate(flips, axis=0, out=flipped[1:])
+    walk = np.where(flipped, -signs, signs)  # reorient
+    x = _telescope(walk)
+    diverged = (_spectrum_update(x[:-1], walk[:-1], flips) != x[1:]).any(axis=-1)
+    first = np.where(diverged.any(axis=0), np.argmax(diverged, axis=0), -1)
     return [
         f"path {p} step {step}: update diverged from recomputation"
         for p, step in enumerate(first.tolist())
@@ -282,7 +289,7 @@ def _path_draws(t):
     with m = min(t, max(2, t // 4) + 1).  Even steps flip {k}; odd steps
     flip the size coordinates of least sort key, a uniform sample.  The
     signs are (_PATHS, t) int8 and the flip sets a (_STEPS, _PATHS, t) bool
-    stack.
+    stack, both coordinate-major.
     """
     cells = _STEPS * _PATHS
     block = random.Random(_SEED).randbytes(8 * cells * (t + 1) + (_PATHS * t + 7) // 8)
@@ -290,12 +297,12 @@ def _path_draws(t):
     words = np.frombuffer(block, "<u4", 2 * cells, 8 * cells * t).reshape(_STEPS, _PATHS, 2)
     bits = np.frombuffer(block, np.uint8, offset=8 * cells * (t + 1))
     negative = np.unpackbits(bits, count=_PATHS * t, bitorder="little").reshape(_PATHS, t)
-    signs = np.where(negative == 1, -1, 1).astype(np.int8)
+    signs = np.asfortranarray(np.where(negative == 1, -1, 1), dtype=np.int8)
     top = min(t, max(2, t // 4) + 1)
     picks = (words.astype(np.uint64) * np.array([t, top], dtype=np.uint64)) >> 32
     k, size = picks.astype(np.int64).transpose(2, 0, 1) + 1
     coords = np.arange(1, t + 1)
-    flips = np.empty((_STEPS, _PATHS, t), dtype=bool)
+    flips = np.empty((_STEPS, _PATHS, t), dtype=bool, order="F")
     flips[0::2] = coords == k[0::2, :, None]
     ranked = np.argsort(keys[1::2], axis=-1, kind="stable")
     np.put_along_axis(flips[1::2], ranked, np.arange(t) < size[1::2, :, None], axis=-1)
@@ -419,7 +426,7 @@ def sweep_equinumerosity(t: int) -> list:
         equal = lhs == rhs
         direct = sizes[rows, None] == sizes[masks[rows, None] ^ masks]
         for i, a in np.argwhere(equal != direct):
-            T, A = Tope._wrap(signs[rows.start + i]), GroundSubset._wrap(members[a])
+            T, A = Tope._wrap(signs[rows.start + i].copy()), GroundSubset._wrap(members[a].copy())
             bad.append(f"{T}, A={A}: criterion {equal[i, a]} != direct {direct[i, a]}")
     for rows in _row_blocks(n, n * t):
         lhs, rhs = _boundary_sum(signs[rows, None], signs[rows, None] != signs[None])
@@ -428,7 +435,7 @@ def sweep_equinumerosity(t: int) -> list:
         differs = ind != _size_difference(signs[rows, None], signs[None])
         for i, j in np.argwhere(wrong | differs):
             a = rows.start + i
-            T1, T2 = Tope._wrap(signs[a]), Tope._wrap(signs[j])
+            T1, T2 = Tope._wrap(signs[a].copy()), Tope._wrap(signs[j].copy())
             if wrong[i, j]:
                 bad.append(f"{T1}, {T2}: indicator {ind[i, j]} vs sizes {sizes[a]}, {sizes[j]}")
             if differs[i, j]:
@@ -442,8 +449,8 @@ def sweep_equinumerosity(t: int) -> list:
     for rows in _row_blocks(n - 1, (n - 1) * t):
         same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
         for i, j in np.argwhere(same != (sizes[1:][rows, None] == sizes[1:])):
-            A = GroundSubset._wrap(members[rows.start + i + 1])
-            B = GroundSubset._wrap(members[j + 1])
+            A = GroundSubset._wrap(members[rows.start + i + 1].copy())
+            B = GroundSubset._wrap(members[j + 1].copy())
             bad.append(f"A={A}, B={B}: interval rule != direct comparison")
     return bad
 
@@ -456,13 +463,18 @@ def sweep_size_difference(t: int) -> list:
     for rows in _row_blocks(n, n * t):
         diff = _size_difference(signs[rows, None], signs[None])
         for i, j in np.argwhere(diff != sizes[rows, None] - sizes):
-            T1, T2 = Tope._wrap(signs[rows.start + i]), Tope._wrap(signs[j])
+            T1, T2 = Tope._wrap(signs[rows.start + i].copy()), Tope._wrap(signs[j].copy())
             bad.append(f"{T1}, {T2}: size difference mismatch")
     return bad
 
 
 def sweep_negpart_cardinalities(t: int) -> list:
-    """Negative-part size and meet/join cardinalities against mask popcounts."""
+    """Negative-part size and meet/join cardinalities against mask popcounts.
+
+    The pair grid runs in square tiles of at most _BLOCK cells: the spectral
+    kernel takes each spectrum's prefix sums, its vertex sum, which row
+    blocks of the whole grid would redo for all 2^t spectra in every block.
+    """
     bad = []
     masks, signs, _, _ = _mask_rows(t)
     n = masks.shape[0]
@@ -472,15 +484,18 @@ def sweep_negpart_cardinalities(t: int) -> list:
         (_negpart_size(spectra) != negatives,
          lambda T, i: f"{T}: negative-part size from spectrum != {negatives[i]}"),
     ])
-    for rows in _row_blocks(n, n * t):
+    tile = math.isqrt(topes._BLOCK // t) * t
+    for rows in _row_blocks(n, tile):
         meet = np.bitwise_count(masks[rows, None] & masks)
         join = np.bitwise_count(masks[rows, None] | masks)
-        spectral = _meet_join_from_spectra(spectra[rows, None], spectra[None])
+        parts = [(_meet_join_from_spectra(spectra[rows, None], spectra[None, cols]),
+                  _meet_join_cards(signs[rows, None], signs[None, cols]))
+                 for cols in _row_blocks(n, tile)]
+        spectral, cards = (np.concatenate(part, axis=-1) for part in zip(*parts))
         wrong_spectra = (spectral[0] != meet) | (spectral[1] != join)
-        cards = _meet_join_cards(signs[rows, None], signs[None])
         wrong_cards = (cards[0] != meet) | (cards[1] != join)
         for i, j in np.argwhere(wrong_spectra | wrong_cards):
-            T1, T2 = Tope._wrap(signs[rows.start + i]), Tope._wrap(signs[j])
+            T1, T2 = Tope._wrap(signs[rows.start + i].copy()), Tope._wrap(signs[j].copy())
             want = (int(meet[i, j]), int(join[i, j]))
             if wrong_spectra[i, j]:
                 got = (int(spectral[0][i, j]), int(spectral[1][i, j]))
@@ -500,7 +515,7 @@ def sweep_unit_flip_spectra(t: int) -> list:
     """
     _, signs, members, _ = _mask_rows(t)
     n = members.shape[0]
-    flips = np.empty(signs.shape, dtype=np.int8)
+    flips = np.empty_like(signs)
     wrong_flips = np.empty(n, dtype=bool)
     wrong_cases = np.empty(n, dtype=bool)
     for rows in _row_blocks(n, t):

@@ -331,6 +331,16 @@ class TestSizeDifference:
             for b in range(len(topes)):
                 assert size_difference(topes[a], topes[b]) == sizes[a] - sizes[b]
 
+    @pytest.mark.parametrize("t", [2**13 - 1, 2**13, 2**13 + 1])
+    def test_largest_differences_around_the_accumulator_switch(self, t):
+        # The inner product is 4 times the size difference.  Alternating
+        # signs have the largest size, t - 1 + t % 2, and all-plus size 1, so
+        # at t = 2^13 + 1 it reaches 2^15, one past int16.
+        alternating = Tope([(-1) ** e for e in range(t)])
+        size = t - 1 + t % 2
+        assert size_difference(alternating, Tope.positive(t)) == size - 1
+        assert size_difference(Tope.positive(t), alternating) == 1 - size
+
 
 class TestNegpartFromSpectrum:
     def test_examples(self):
@@ -347,6 +357,22 @@ class TestNegpartFromSpectrum:
     def test_meet_join_example(self):
         x = -sigma(1, 4)
         assert negpart_meet_join_from_spectra(x, x) == (4, 4)
+
+    @pytest.mark.parametrize("t", [2**15 - 1, 2**15, 2**15 + 1])
+    def test_largest_weighted_sums_around_the_accumulator_switch(self, t):
+        # sigma(t) is the spectrum of the tope negative on 1..t-1 and -sigma(t)
+        # of the one negative on t alone: weighted sums t and -t, which pass
+        # int16 at t = 2^15.
+        assert negpart_size_from_spectrum(sigma(t, t)) == t - 1
+        assert negpart_size_from_spectrum(-sigma(t, t)) == 1
+
+    @pytest.mark.parametrize("t", [2**13 - 1, 2**13, 2**13 + 1])
+    def test_largest_cardinalities_around_the_accumulator_switch(self, t):
+        # All-minus has the largest meet and join with itself, 4t = 2^15 at
+        # t = 2^13, one past int16.
+        x = -sigma(1, t)
+        assert negpart_meet_join_from_spectra(x, x) == (t, t)
+        assert negpart_meet_join_from_spectra(x, -x) == (0, t)
 
     def test_rejects_non_tope_spectrum(self):
         with pytest.raises(InvalidSpectrum):

@@ -32,9 +32,17 @@ from cyclotope import (
 )
 from cyclotope.cli import _decompose_parts
 from cyclotope.decomposition import (
+    _boundary_case_display,
     _half_inverse_transform,
     _meet_join_from_spectra,
+    _negpart_size,
     _size_difference,
+    _spectrum_dense,
+    _spectrum_intervals,
+    _spectrum_update,
+    _telescope,
+    _tope_signs,
+    _unit_flip_sum,
     _vertex_sum,
 )
 from cyclotope.equinumerosity import _boundary_sum, _interval_count_rule
@@ -207,6 +215,58 @@ def test_batched_interval_rule_matches_the_scalar_rule_row_by_row(case):
     rule = _interval_count_rule(rho[:, 0], touch[:, 0], rho[:, 1], touch[:, 1])
     for k, (m1, m2) in enumerate(pairs):
         assert equal_size_by_interval_count(_subset(m1, t), _subset(m2, t)) == rule[k]
+
+
+def _kernel_values(s1, s2, x1, x2, inside):
+    """Every private kernel along the last axis, on sign rows s1 and s2, their
+    spectra x1 and x2 and the membership rows inside."""
+    return {
+        "_spectrum_dense": _spectrum_dense(s1),
+        "_telescope": _telescope(s1),
+        "_spectrum_intervals": _spectrum_intervals(inside),
+        "_half_inverse_transform": _half_inverse_transform(s1),
+        "_spectrum_update": _spectrum_update(x1, s1, inside),
+        "_unit_flip_sum": _unit_flip_sum(inside),
+        "_boundary_case_display": _boundary_case_display(inside),
+        "_size_difference": _size_difference(s1, s2),
+        "_negpart_size": _negpart_size(x1),
+        "_vertex_sum": _vertex_sum(x1),
+        "_tope_signs": _tope_signs(x1),
+        "_meet_join_from_spectra": _meet_join_from_spectra(x1, x2),
+        "_boundary_sum": _boundary_sum(s1, inside),
+        "_meet_join_cards": _meet_join_cards(s1, s2),
+    }
+
+
+@relaxed
+@given(pair_stacks())
+def test_each_kernel_gives_the_same_values_in_c_order_fortran_order_and_row_by_row(case):
+    # The sweeps run the kernels on coordinate-major stacks, the public
+    # functions on single vectors; neither layout may change a value or a
+    # dtype.
+    t, pairs = case
+    first = [Tope.from_bitmask(m1, t) for m1, _ in pairs]
+    second = [Tope.from_bitmask(m2, t) for _, m2 in pairs]
+    stacks = (
+        np.stack([T.signs for T in first]),
+        np.stack([T.signs for T in second]),
+        np.stack([spectrum_fast(T).coords for T in first]),
+        np.stack([spectrum_fast(T).coords for T in second]),
+        np.stack([T.signs < 0 for T in second]),
+    )
+    c_order = _kernel_values(*stacks)
+    f_order = _kernel_values(*map(np.asfortranarray, stacks))
+    rows = [_kernel_values(*(stack[k] for stack in stacks)) for k in range(len(pairs))]
+    for name, value in c_order.items():
+        by_row = [row[name] for row in rows]
+        if isinstance(value, tuple):
+            parts = zip(value, f_order[name], zip(*by_row))
+        else:
+            parts = [(value, f_order[name], by_row)]
+        for c, f, r in parts:
+            r = np.array(r)
+            assert c.dtype == f.dtype == r.dtype, name
+            assert c.tolist() == f.tolist() == r.tolist(), name
 
 
 @relaxed

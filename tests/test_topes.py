@@ -557,6 +557,32 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     assert seen == _wrap_call_sites()
 
 
+def test_a_named_row_is_a_contiguous_copy_of_its_row(monkeypatch):
+    # The sweeps' row stacks are coordinate-major, so a row is a strided view
+    # into the whole stack; a Tope or GroundSubset naming a failure copies it.
+    named = []
+    for cls in (Tope, GroundSubset):
+        real = cls._wrap.__func__
+
+        def recording(cls, arr, real=real):
+            if sys._getframe(1).f_globals["__name__"] == "cyclotope.verification":
+                named.append(arr)
+            return real(cls, arr)
+
+        monkeypatch.setattr(cls, "_wrap", classmethod(recording))
+    for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
+                 "_meet_join_from_spectra", "_meet_join_cards"):
+        monkeypatch.setattr(verification, name, _off_by_one(getattr(verification, name)))
+    for sweep in (verification.sweep_equinumerosity, verification.sweep_size_difference,
+                  verification.sweep_negpart_cardinalities):
+        assert sweep(4)
+    monkeypatch.setattr(verification, "_telescope", _off_by_one(verification._telescope))
+    monkeypatch.setattr(verification, "_unit_flip_sum", _off_by_one(verification._unit_flip_sum))
+    assert verification.sweep_spectrum_methods(4) and verification.sweep_unit_flip_spectra(4)
+    assert named
+    assert all(arr.base is None and arr.flags.c_contiguous for arr in named)
+
+
 class TestMeetJoinCards:
     def test_examples(self):
         negd = Tope.negative(4)
@@ -574,3 +600,11 @@ class TestMeetJoinCards:
                     T2 = Tope.from_bitmask(m2, t)
                     n2 = set(negative_part(T2))
                     assert negpart_meet_join_cards(T1, T2) == (len(n1 & n2), len(n1 | n2))
+
+    @pytest.mark.parametrize("t", [2**13 - 1, 2**13, 2**13 + 1])
+    def test_largest_cardinalities_around_the_accumulator_switch(self, t):
+        # All-minus has the largest meet and join with itself, 4t = 2^15 at
+        # t = 2^13, one past int16.
+        negative = Tope.negative(t)
+        assert negpart_meet_join_cards(negative, negative) == (t, t)
+        assert negpart_meet_join_cards(negative, Tope.positive(t)) == (0, t)

@@ -3,11 +3,12 @@
 Each test plants a fault in one production kernel, as the sweep module sees
 it, and checks that the sweep names exactly the pairs, topes, subsets or
 path steps it affects.  At t = 8 the 256 x 256 pair grid spans several row
-blocks, and at t = 13 the 8192 tope or subset rows span two; the planted
-pair, tope or subset sits in the first or in the last block.
-spectrum-updates runs its 20 paths as one stack, so its faults sit on the
-first or the last path; the oracle sweep reads the oracle's table, so its
-faults sit in one table entry.
+blocks (negpart-cardinalities: several bands of square tiles), and at
+t = 13 the 8192 tope or subset rows span two; the planted pair, tope or
+subset sits in the first or in the last block.  spectrum-updates runs all
+16 steps of its 20 paths as one stack, so its faults sit on the first or
+the last path; the oracle sweep reads the oracle's table, so its faults sit
+in one table entry.
 """
 
 import random
@@ -234,14 +235,14 @@ def test_sweep_boundary_classes_reports_the_cells_a_wrong_size_moves(monkeypatch
 @pytest.mark.parametrize("path", [0, 19])
 @pytest.mark.parametrize("step", [0, 7, 15])
 def test_sweep_spectrum_updates_names_the_planted_path_step(monkeypatch, path, step):
-    # The 16 steps run on the stack of all 20 paths, one kernel call a step.
+    # The 16 steps of all 20 paths run as one (step, path) stack, in one
+    # kernel call.
     real = verification._spectrum_update
     calls = []
 
     def wrong(coords, signs, inside):
         out = real(coords, signs, inside)
-        if len(calls) == step:
-            out[path, 0] += 2
+        out[step, path, 0] += 2
         calls.append(out.shape)
         return out
 
@@ -250,18 +251,16 @@ def test_sweep_spectrum_updates_names_the_planted_path_step(monkeypatch, path, s
     assert verification.sweep_spectrum_updates(T) == [
         f"path {path} step {step}: update diverged from recomputation"
     ]
-    assert calls == [(20, T)] * 16
+    assert calls == [(16, 20, T)]
 
 
 def test_sweep_spectrum_updates_reports_every_diverging_path_in_order(monkeypatch):
     real = verification._spectrum_update
-    steps = iter(range(16))
 
     def wrong(coords, signs, inside):
         out = real(coords, signs, inside)
-        s = next(steps)
-        if s in (3, 9):
-            out[[12, 5] if s == 3 else [5, 2], 1] += 2
+        out[3, [12, 5], 1] += 2
+        out[9, [5, 2], 1] += 2
         return out
 
     monkeypatch.setattr(verification, "_spectrum_update", wrong)
@@ -304,12 +303,12 @@ def test_sweep_oracle_raises_the_searchs_error_for_a_broken_entry(monkeypatch):
 
 
 def _recorded_path_steps(monkeypatch, t):
-    """(signs, inside) of every _spectrum_update call of a passing sweep."""
+    """(signs, inside) of every step of the _spectrum_update stack of a passing sweep."""
     real = verification._spectrum_update
     seen = []
 
     def recording(coords, signs, inside):
-        seen.append((signs.copy(), inside.copy()))
+        seen.extend(zip(signs.copy(), inside.copy()))
         return real(coords, signs, inside)
 
     monkeypatch.setattr(verification, "_spectrum_update", recording)
