@@ -5,6 +5,10 @@ deterministic for a fixed invocation, except for the wall times that bench
 prints and the per-sweep "seconds" of verify --format json.  JSON records use
 the fixed field names x, terms, size, j, l, count_formula, count_enum.
 
+verify counts each sweep's mismatches and builds a message for the first five
+only, in block, then case, then check order; its cases are the rows or pairs
+of rows each sweep compared.
+
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage error.
 """
 
@@ -201,20 +205,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Render run_report: one line per sweep in name order, or with --format
     json one object whose "sweeps" hold each sweep's status, mismatch count,
-    first five mismatches, cases checked, seconds and cap.  Text never shows
-    timing.
+    first mismatches, cases compared, seconds and cap.  The mismatches are
+    counted; only the first five of each sweep, in block, then case, then
+    check order, get a message.  The cases are the rows or pairs of rows the
+    sweep compared.  Text never shows timing.
     """
     from .verification import run_report
 
     sweeps = {
-        name: {
-            "status": sweep["status"],
-            "mismatches": len(sweep["issues"]),
-            "first_mismatches": sweep["issues"][:5],
-            "cases": sweep["cases"],
-            "seconds": round(sweep["seconds"], 6),
-            "cap": sweep["cap"],
-        }
+        name: dict(sweep, seconds=round(sweep["seconds"], 6))
         for name, sweep in sorted(run_report(args.t).items())
     }
     bad = any(sweep["status"] == "FAIL" for sweep in sweeps.values())

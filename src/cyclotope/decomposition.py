@@ -157,8 +157,12 @@ def spectrum_dense(T: Tope) -> Spectrum:
 
 
 def _spectrum_dense(signs: np.ndarray) -> np.ndarray:
-    # The dense product along the last axis of an int8 sign array.
-    doubled = signs.astype(np.int64) @ _inverse_entries(signs.shape[-1])
+    # The dense product along the last axis of an int8 sign array, in its
+    # layout.  einsum forms the exact int64 product; matmul has no fast int64
+    # loop and walks the t x t matrix by columns, several times slower.
+    doubled = np.empty_like(signs, dtype=np.int64)
+    np.einsum("...k,kj->...j", signs.astype(np.int64), _inverse_entries(signs.shape[-1]),
+              out=doubled)
     if np.any(doubled & 1):
         raise InvalidSpectrum("matrix product produced a non-integer coordinate")
     return (doubled >> 1).astype(np.int8)
@@ -198,21 +202,21 @@ def spectrum_intervals(T: Tope) -> Spectrum:
 
 def _spectrum_intervals(inside: np.ndarray) -> np.ndarray:
     # The interval route along the last axis of a bool array of negative
-    # parts.  Position i_k - 1 starts interval k and position j_k is just
-    # past it; runs are at least one non-member apart, so no two of the
-    # positions set below coincide.
+    # parts, in its layout.  Position i_k - 1 starts interval k and position
+    # j_k is just past it; runs are at least one non-member apart, so no two
+    # of the positions set below coincide, but for coordinate 1.
     *rows, bounds = _run_bounds(inside)
     t = inside.shape[-1]
-    coords = np.zeros(inside.shape[:-1] + (t + 1,), dtype=np.int8)
+    coords = np.zeros_like(inside, dtype=np.int8)
     # -1 at i_k and +1 at j_k + 1 for each interval; the +1 of an interval
-    # ending at t lands in the extra position t + 1, which is cut off.
+    # ending at t wraps round to coordinate 1, which is set last.
     coords[(*(r[0::2] for r in rows), bounds[0::2])] = -1
-    coords[(*(r[1::2] for r in rows), bounds[1::2])] = 1
+    coords[(*(r[1::2] for r in rows), bounds[1::2] % t)] = 1
     # Coordinate 1 by boundary case: +1 when A avoids both boundaries (the
     # empty A included), the first interval's -1 kept when A contains both,
     # and that -1 dropped when A contains 1 but not t.
     coords[..., 0] = 1 - np.add(inside[..., 0], inside[..., -1], dtype=np.int8)
-    return coords[..., :t]
+    return coords
 
 
 def decomposition_set(T: Tope) -> Decomposition:
@@ -317,7 +321,8 @@ def _boundary_case_display(inside: np.ndarray) -> np.ndarray:
     heads[1::2, -1] = -1
     heads[2:, 1] = 1
     heads[3, 0] = -1
-    out = np.take(heads, 2 * inside[..., 0] + inside[..., -1], axis=0)
+    out = np.empty_like(inside, dtype=np.int8)  # in the layout of inside
+    np.take(heads, 2 * inside[..., 0] + inside[..., -1], axis=0, out=out)
     rest = inside[..., 1:-1]  # the members i with 1 < i < t
     out[..., 1:-1] -= rest
     out[..., 2:] += rest

@@ -3,10 +3,14 @@
 The library evaluates each quantity through one formula.  The sweeps here
 compare it against references that never run on the production path: full
 enumeration, the other printed closed forms, the dense matrix route, direct
-set arithmetic and the brute-force oracle.  Each sweep returns a list of
-human-readable mismatch strings; an empty list means the sweep passed.  The
-CLI `verify` subcommand runs every sweep; the acceptance tests reuse the
-pairwise ones.
+set arithmetic and the brute-force oracle.  The CLI `verify` subcommand runs
+every sweep; the acceptance tests reuse the pairwise ones.
+
+Every sweep runs through one harness, _sweep: block by block, a sweep yields
+its checks as pairs of a bool array over the cases (rows, or pairs of rows)
+and a function naming one case.  The harness counts the mismatches and the
+cases compared, and builds messages only for the first mismatches in block,
+then case, then check order: sweep_*(t) lists them all, run_report five.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
@@ -14,27 +18,29 @@ kernels on stacks of rows.  They build the 2^t sign and membership rows
 once from the masks 0..2^t-1 and compare the kernels' results with plain
 mask arithmetic: sizes from popcounts of adjacent sign changes, meets and
 joins from popcounts of m1 & m2 and m1 | m2, interval counts from popcounts
-of run starts, vertex sums as x @ M.  Every stack is coordinate-major: each
-coordinate's entries lie contiguous across the rows (a Fortran-ordered
-(2^t, t) array), and the kernels built from ufuncs and reductions keep
-that layout, so each runs one long loop per coordinate instead of one
-loop of length t per row.  The per-tope sweeps run on row blocks of the
-tope rows, flip-spectra on row blocks of the subset rows, equinumerosity
-and size-difference on row blocks of the 4^t pair grid by broadcasting,
-negpart-cardinalities on square tiles of it, and spectrum-updates on one
-(step, path) stack of its random paths, all drawn from one block of random
-bytes.  A Tope or GroundSubset is built only to name a failing row, from a
-copy of it.  The unit-flip and boundary-case displays are two kernels of
-their own, each checked against the dense route rather than against the
-other.  run_report caps every sweep of _SWEEPS, the oracle at ORACLE_CAP,
-at a dimension that keeps `verify` at desk scale and reports a capped
-sweep as skipped; above every cap it raises CapExceeded.
+of run starts, vertex sums as x @ M.  Every stack is coordinate-major (a
+Fortran-ordered (2^t, t) array), and the kernels keep that layout, so each
+runs one long loop per coordinate instead of one loop of length t per row.
+The per-tope sweeps run on row blocks of the tope rows, flip-spectra on row
+blocks of the subset rows, equinumerosity and size-difference on row blocks
+of the 4^t pair grid by broadcasting, negpart-cardinalities on square tiles
+of it, and spectrum-updates on one (step, path) stack of its random paths,
+all drawn from one block of random bytes.  An object is built only to name
+a mismatch, from a copy of its row.  The unit-flip and boundary-case
+displays are two kernels of their own, each checked against the dense
+route rather than against the other.  run_report caps every sweep of
+_SWEEPS, the oracle at ORACLE_CAP, at a dimension that keeps `verify` at
+desk scale and reports a capped sweep as skipped; above every cap it
+raises CapExceeded.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -81,6 +87,47 @@ from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
 from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks, reorient, separation_set
 
 
+class _Mismatches(list):
+    """The messages naming a sweep's first mismatches, and the sweep's totals."""
+    mismatches = cases = 0
+    seconds = 0.0
+
+
+def _sweep(blocks):
+    """The sweep over the blocks (cases, checks) that blocks(t) yields.
+
+    cases counts the cases a block compared, and each check is a pair of a
+    bool array failed, one entry per case (0-d for a whole object), and
+    message(*index), which names the case at index from the block's state:
+    the harness calls it before it draws the next block.  sweep(t, first=n)
+    returns a _Mismatches naming the first n mismatches, sweep(t) every one.
+    """
+
+    @functools.wraps(blocks)
+    def sweep(t, *, first=sys.maxsize):
+        start = time.perf_counter()
+        found = _Mismatches()
+        for cases, checks in blocks(t):
+            failed = [np.asarray(f) for f, _ in checks]
+            count = sum(int(np.count_nonzero(f)) for f in failed)
+            found.cases += cases
+            found.mismatches += count
+            if count and len(found) < first:
+                named = (message(*index)
+                         for index in map(tuple, np.argwhere(np.logical_or.reduce(failed)))
+                         for f, (_, message) in zip(failed, checks) if f[index])
+                found += itertools.islice(named, first - len(found))
+        found.seconds = time.perf_counter() - start
+        return found
+
+    return sweep
+
+
+def _namer(cls, rows):
+    # Row i of a coordinate-major stack is a strided view, so it is copied.
+    return lambda i: cls._wrap(rows[i].copy())
+
+
 def _mask_rows(t):
     """(masks, signs, members, sizes) for every t-bit mask, in mask order.
 
@@ -98,74 +145,59 @@ def _mask_rows(t):
     return masks, signs, members, sizes
 
 
-def _report(bad, rows, checks, cls=Tope):
-    """Append the messages of the failing checks, row by row, in check order.
-
-    checks holds (failed, message) pairs: failed is a bool vector over the
-    rows, sign rows of topes or, with cls GroundSubset, membership rows of
-    subsets, and message(T, i) the text for the object T of row i.
-    """
-    failing = np.logical_or.reduce([failed for failed, _ in checks])
-    for i in np.flatnonzero(failing):
-        T = cls._wrap(rows[i].copy())
-        bad += [message(T, i) for failed, message in checks if failed[i]]
-
-
-def sweep_cycle_structure(t: int) -> list:
+@_sweep
+def sweep_cycle_structure(t: int):
     """Cycle construction: adjacency, distinctness, antipodality."""
-    bad = []
     cycle = build_cycle(t)
     n = 2 * t
-    if len(cycle) != n:
-        bad.append(f"t={t}: cycle has {len(cycle)} vertices, expected {n}")
     vertices = cycle.vertices
-    if vertices[0] != Tope.positive(t):
-        bad.append(f"t={t}: cycle does not start at the all-plus tope")
-    seen = set()
-    for k, v in enumerate(vertices):
-        seen.add(str(v))
-        if len(separation_set(v, vertices[(k + 1) % n])) != 1:
-            bad.append(f"t={t}: vertices {k} and {(k + 1) % n} are not adjacent")
-        if k < t and vertices[k + t] != -v:
-            bad.append(f"t={t}: vertex {k + t} is not the antipode of vertex {k}")
-        if 1 <= k < t:
-            expected = reorient(Tope.positive(t), GroundSubset(t, range(1, k + 1)))
-            if v != expected:
-                bad.append(f"t={t}: vertex {k} does not flip the first {k} coordinates")
-    if len(seen) != n:
-        bad.append(f"t={t}: cycle vertices are not distinct ({len(seen)} of {n})")
-    return bad
+    after = vertices[1:] + vertices[:1]
+    yield 0, [
+        (len(cycle) != n, lambda: f"t={t}: cycle has {len(cycle)} vertices, expected {n}"),
+        (vertices[0] != Tope.positive(t),
+         lambda: f"t={t}: cycle does not start at the all-plus tope"),
+    ]
+    yield n, [
+        (np.array([len(separation_set(v, w)) != 1 for v, w in zip(vertices, after)]),
+         lambda k: f"t={t}: vertices {k} and {(k + 1) % n} are not adjacent"),
+        (np.array([k < t and vertices[k + t] != -v for k, v in enumerate(vertices)]),
+         lambda k: f"t={t}: vertex {k + t} is not the antipode of vertex {k}"),
+        (np.array([1 <= k < t and v != reorient(Tope.positive(t), GroundSubset(t, range(1, k + 1)))
+                   for k, v in enumerate(vertices)]),
+         lambda k: f"t={t}: vertex {k} does not flip the first {k} coordinates"),
+    ]
+    seen = len(set(map(str, vertices)))
+    yield 0, [(seen != n, lambda: f"t={t}: cycle vertices are not distinct ({seen} of {n})")]
 
 
-def sweep_matrix_identities(t: int) -> list:
+@_sweep
+def sweep_matrix_identities(t: int):
     """Exact matrix identities; inverse Gram values against the inverse rows' product."""
-    bad = []
-    m = tope_matrix(t)
-    inv = inverse_rows(t)
+    m, inv = tope_matrix(t), inverse_rows(t)
     ident = 2 * np.eye(t, dtype=np.int64)
-    if not np.array_equal(m.entries @ inv.entries, ident):
-        bad.append(f"t={t}: M * (2 M^-1) != 2I")
-    if not np.array_equal(inv.entries @ m.entries, ident):
-        bad.append(f"t={t}: (2 M^-1) * M != 2I")
-    gram_direct = m.entries @ m.entries.T
     product = inv.entries @ inv.entries.T
     ig = inverse_gram_matrix(t)
-    if ig.denom != 4:
-        bad.append(f"t={t}: inverse Gram denominator is {ig.denom}")
-    if not np.array_equal(ig.entries, ig.entries.T):
-        bad.append(f"t={t}: inverse Gram matrix is not symmetric")
-    if not np.array_equal(ig.entries, product):
-        bad.append(f"t={t}: inverse Gram matrix != (2 M^-1)(2 M^-1)^T")
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            if gram_entry(t, i, j) != int(gram_direct[i - 1, j - 1]):
-                bad.append(f"t={t}: gram_entry({i},{j}) != direct inner product")
-            if inverse_gram_entry(t, i, j) != int(product[i - 1, j - 1]):
-                bad.append(f"t={t}: inverse_gram_entry({i},{j}) != row product")
-    return bad
+    yield 0, [
+        (not np.array_equal(m.entries @ inv.entries, ident), lambda: f"t={t}: M * (2 M^-1) != 2I"),
+        (not np.array_equal(inv.entries @ m.entries, ident), lambda: f"t={t}: (2 M^-1) * M != 2I"),
+        (ig.denom != 4, lambda: f"t={t}: inverse Gram denominator is {ig.denom}"),
+        (not np.array_equal(ig.entries, ig.entries.T),
+         lambda: f"t={t}: inverse Gram matrix is not symmetric"),
+        (not np.array_equal(ig.entries, product),
+         lambda: f"t={t}: inverse Gram matrix != (2 M^-1)(2 M^-1)^T"),
+    ]
+    index = range(1, t + 1)
+    gram = m.entries @ m.entries.T
+    yield t * t, [
+        (np.array([[gram_entry(t, i, j) for j in index] for i in index]) != gram,
+         lambda i, j: f"t={t}: gram_entry({i + 1},{j + 1}) != direct inner product"),
+        (np.array([[inverse_gram_entry(t, i, j) for j in index] for i in index]) != product,
+         lambda i, j: f"t={t}: inverse_gram_entry({i + 1},{j + 1}) != row product"),
+    ]
 
 
-def sweep_spectrum_methods(t: int) -> list:
+@_sweep
+def sweep_spectrum_methods(t: int):
     """All 2^t topes: route agreement plus every per-tope spectrum law.
 
     The dense, telescoping and interval kernels run on row blocks of the
@@ -174,7 +206,6 @@ def sweep_spectrum_methods(t: int) -> list:
     rows, x @ M, the prefix-sum map and, for the interval law, popcounts of
     the run starts of the masks.
     """
-    bad = []
     masks, signs, members, _ = _mask_rows(t)
     m_entries = tope_matrix(t).entries
     rho = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
@@ -194,30 +225,31 @@ def sweep_spectrum_methods(t: int) -> list:
         prefix[agree] = (_tope_signs(x[agree]) != s[agree]).any(axis=-1)
         law = interval_law[rows]
         empty = masks[rows] == 0
-        _report(bad, s, [
-            (~agree, lambda T, i: f"{T}: routes disagree: {Spectrum._wrap(dense[i])} / "
-                                  f"{Spectrum._wrap(fast[i])} / {Spectrum._wrap(ivls[i])}"),
-            (agree & (support % 2 != 1), lambda T, i: f"{T}: even support {support[i]}"),
+        T = _namer(Tope, s)
+        yield len(s), [
+            (~agree, lambda i: f"{T(i)}: routes disagree: "
+             + " / ".join(str(_namer(Spectrum, route)(i)) for route in (dense, fast, ivls))),
+            (agree & (support % 2 != 1), lambda i: f"{T(i)}: even support {support[i]}"),
             (agree & (total != s[:, -1]),
-             lambda T, i: f"{T}: coordinate sum {total[i]} != last entry {s[i, -1]}"),
+             lambda i: f"{T(i)}: coordinate sum {total[i]} != last entry {s[i, -1]}"),
             (agree & ((x != 0) & (x != s)).any(axis=-1),
-             lambda T, i: f"{T}: a nonzero coordinate disagrees with the tope entry"),
+             lambda i: f"{T(i)}: a nonzero coordinate disagrees with the tope entry"),
             (agree & (back != s).any(axis=-1),
-             lambda T, i: f"{T}: x * M does not reconstruct the tope"),
+             lambda i: f"{T(i)}: x * M does not reconstruct the tope"),
             (agree & (np.vecdot(back, back) != t),
-             lambda T, i: f"{T}: reconstructed vector has squared norm != t"),
-            (agree & prefix, lambda T, i: f"{T}: prefix-sum reconstruction failed"),
+             lambda i: f"{T(i)}: reconstructed vector has squared norm != t"),
+            (agree & prefix, lambda i: f"{T(i)}: prefix-sum reconstruction failed"),
             (agree & (_telescope(-s) != -x).any(axis=-1),
-             lambda T, i: f"{T}: antipodal law failed"),
+             lambda i: f"{T(i)}: antipodal law failed"),
             (agree & ~empty & (support != law),
-             lambda T, i: f"{T}: size {support[i]} != interval law {law[i]}"),
+             lambda i: f"{T(i)}: size {support[i]} != interval law {law[i]}"),
             (agree & empty & (support != 1),
-             lambda T, i: f"{T}: all-plus tope must have size 1"),
-        ])
-    return bad
+             lambda i: f"{T(i)}: all-plus tope must have size 1"),
+        ]
 
 
-def sweep_decompositions(t: int) -> list:
+@_sweep
+def sweep_decompositions(t: int):
     """All 2^t topes: term structure and entrywise vertex-sum reconstruction.
 
     On row blocks, the terms (the telescoping rows that decomposition_set
@@ -225,7 +257,6 @@ def sweep_decompositions(t: int) -> list:
     the tope and with the prefix-sum map behind Decomposition.vertex_sum;
     the size is compared with the popcount size of the tope's mask.
     """
-    bad = []
     masks, signs, _, sizes = _mask_rows(t)
     m_entries = tope_matrix(t).entries
     for rows in _row_blocks(masks.shape[0], t):
@@ -236,16 +267,16 @@ def sweep_decompositions(t: int) -> list:
         # Read through the module, as Decomposition.vertex_sum reads it.
         prefix = decomposition._vertex_sum(coords)
         want = sizes[rows]
-        _report(bad, s, [
-            (size % 2 != 1, lambda T, i: f"{T}: even term count {size[i]}"),
+        T = _namer(Tope, s)
+        yield len(s), [
+            (size % 2 != 1, lambda i: f"{T(i)}: even term count {size[i]}"),
             ((summed != s).any(axis=-1),
-             lambda T, i: f"{T}: signed vertex sum does not reproduce the tope"),
+             lambda i: f"{T(i)}: signed vertex sum does not reproduce the tope"),
             ((prefix != summed).any(axis=-1),
-             lambda T, i: f"{T}: prefix-sum vertex sum != sum of the cycle-vertex rows"),
+             lambda i: f"{T(i)}: prefix-sum vertex sum != sum of the cycle-vertex rows"),
             (size != want,
-             lambda T, i: f"{T}: term count differs from the sign-change size {want[i]}"),
-        ])
-    return bad
+             lambda i: f"{T(i)}: term count differs from the sign-change size {want[i]}"),
+        ]
 
 
 # spectrum-updates runs _PATHS random paths of _STEPS reorientations each,
@@ -253,13 +284,15 @@ def sweep_decompositions(t: int) -> list:
 _PATHS, _STEPS, _SEED = 20, 16, 7
 
 
-def sweep_spectrum_updates(t: int) -> list:
+@_sweep
+def sweep_spectrum_updates(t: int):
     """Random reorientation paths: incremental updates match recomputation.
 
     The start topes and flip sets are drawn by _path_draws.  A running xor
     of the flips gives the signs around every step, and one update call runs
     all steps from the recomputed spectra; up to each path's first diverging
     step, which is reported, chained updates would give those same spectra.
+    The cases are the (path, step) cells, path by path.
     """
     signs, flips = _path_draws(t)
     flipped = np.zeros((_STEPS + 1, _PATHS, t), dtype=bool, order="F")
@@ -267,11 +300,9 @@ def sweep_spectrum_updates(t: int) -> list:
     walk = np.where(flipped, -signs, signs)  # reorient
     x = _telescope(walk)
     diverged = (_spectrum_update(x[:-1], walk[:-1], flips) != x[1:]).any(axis=-1)
-    first = np.where(diverged.any(axis=0), np.argmax(diverged, axis=0), -1)
-    return [
-        f"path {p} step {step}: update diverged from recomputation"
-        for p, step in enumerate(first.tolist())
-        if step >= 0
+    first = diverged & (np.cumsum(diverged, axis=0) == 1)
+    yield first.size, [
+        (first.T, lambda p, step: f"path {p} step {step}: update diverged from recomputation"),
     ]
 
 
@@ -325,59 +356,57 @@ def _closed_form_values(t: int, j: int, l: int) -> tuple:
     return by_compositions, by_binomials, by_shifted, mirrored
 
 
-def sweep_counting(t: int) -> list:
+@_sweep
+def sweep_counting(t: int):
     """Enumerated (j, l) statistics against every closed form.
 
     Each cell is compared with the production table formula_table, with the
     scalar count count_by_negpart_and_size and with each of the four printed
-    forms from _closed_form_values.
+    forms from _closed_form_values.  The cases are the 2^t enumerated topes.
     """
-    bad = []
     table = enumerate_statistics(t)
-    if table.total() != 1 << t:
-        bad.append(f"t={t}: table total {table.total()} != 2^{t}")
+    total = table.total()
+    yield 1 << t, [(total != 1 << t, lambda: f"t={t}: table total {total} != 2^{t}")]
     built = formula_table(t)
-    if built.rows != table.rows:
-        mine = {(j, l): c for j, l, c in built}
-        tally = {(j, l): c for j, l, c in table}
-        bad += [
-            f"t={t}, j={j}, l={l}: formula table {mine.get((j, l), 0)} "
-            f"!= enumerated {tally.get((j, l), 0)}"
-            for l, j in sorted((l, j) for j, l in mine.keys() | tally.keys())
-            if mine.get((j, l), 0) != tally.get((j, l), 0)
-        ] or [f"t={t}: formula table rows are not the enumerated rows in (l, j) order"]
-    for l in range(1, t + 1, 2):
-        col = sum(c for j_, l_, c in table if l_ == l)
-        if col != count_topes_by_size(t, l):
-            bad.append(f"t={t}, l={l}: column sum {col} != 2*C(t,l)")
-    for j in range(t + 1):
-        if table.count(j, 1) != count_cycle_topes_by_negpart(t, j):
-            bad.append(f"t={t}, j={j}: l=1 count mismatch")
+    mine, tally = ({(l, j): c for j, l, c in rows} for rows in (built, table))
+    cells = sorted(mine.keys() | tally.keys())
+    differs = np.array([mine.get(cell, 0) != tally.get(cell, 0) for cell in cells])
+    yield 0, [(differs, lambda k: f"t={t}, j={cells[k][1]}, l={cells[k][0]}: formula table "
+               f"{mine.get(cells[k], 0)} != enumerated {tally.get(cells[k], 0)}")]
+    yield 0, [(built.rows != table.rows and not differs.any(),
+               lambda: f"t={t}: formula table rows are not the enumerated rows in (l, j) order")]
+    odd, negparts = range(1, t + 1, 2), range(t + 1)
+    columns = [sum(c for _, l_, c in table if l_ == l) for l in odd]
+    yield 0, [(np.not_equal(columns, [count_topes_by_size(t, l) for l in odd]),
+               lambda k: f"t={t}, l={odd[k]}: column sum {columns[k]} != 2*C(t,l)")]
+    yield 0, [(np.not_equal([table.count(j, 1) for j in negparts],
+                            [count_cycle_topes_by_negpart(t, j) for j in negparts]),
+               lambda j: f"t={t}, j={j}: l=1 count mismatch")]
     for l in range(3, t + 1, 2):
-        for j in range(t + 1):
-            got = table.count(j, l)
-            want = count_by_negpart_and_size(t, j, l)
-            if got != want:
-                bad.append(f"t={t}, j={j}, l={l}: enumerated {got} != formula {want}")
-            values = _closed_form_values(t, j, l)
-            if any(v != got for v in values):
-                bad.append(f"t={t}, j={j}, l={l}: closed forms {values} != enumerated {got}")
+        got = [table.count(j, l) for j in negparts]
+        want = [count_by_negpart_and_size(t, j, l) for j in negparts]
+        forms = [_closed_form_values(t, j, l) for j in negparts]
+        yield 0, [
+            (np.not_equal(got, want),
+             lambda j: f"t={t}, j={j}, l={l}: enumerated {got[j]} != formula {want[j]}"),
+            (np.array([any(v != g for v in values) for g, values in zip(got, forms)]),
+             lambda j: f"t={t}, j={j}, l={l}: closed forms {forms[j]} != enumerated {got[j]}"),
+        ]
         if l == 3:
-            for j in range(1, t):
-                if table.count(j, 3) != 2 * j * (t - j) - t:
-                    bad.append(f"t={t}, j={j}: l=3 count != 2j(t-j)-t")
-    return bad
+            yield 0, [(np.array([got[j] != 2 * j * (t - j) - t for j in range(1, t)]),
+                       lambda k: f"t={t}, j={k + 1}: l=3 count != 2j(t-j)-t")]
 
 
-def sweep_boundary_classes(t: int) -> list:
+@_sweep
+def sweep_boundary_classes(t: int):
     """Counts refined by boundary class and j, against direct enumeration.
 
     Every tope with a nonempty negative part is tallied by its boundary
     class, j and decomposition size l (from the telescoping kernel on row
     blocks), and its negative part by boundary overlap and interval count;
-    j, the class and the run starts are read off the masks.
+    j, the class and the run starts are read off the masks.  The cases are
+    the 2^t topes; each class total is checked just before its j = 0 cell.
     """
-    bad = []
     masks, signs, _, _ = _mask_rows(t)
     sizes = np.concatenate([
         np.count_nonzero(_telescope(signs[rows]), axis=-1)
@@ -391,55 +420,52 @@ def sweep_boundary_classes(t: int) -> list:
     # Mask 0, the empty negative part, is left out of both tallies.
     w = t + 1
     tallies = np.bincount(((case * w + negatives) * w + sizes)[1:], minlength=4 * w * w)
-    tallies = tallies.reshape(4, w, w)
     subset_tallies = np.bincount(((left + right) * w + runs)[1:], minlength=3 * w).reshape(3, w)
-    for l in range(3, t + 1, 2):
-        for c, cls in enumerate(_CLASSES):
-            total = int(tallies[c, :, l].sum())
-            if total != count_by_boundary_class(t, l, cls):
-                bad.append(f"t={t}, l={l}, {cls}: total {total} != closed form")
-            for j in range(t + 1):
-                got = int(tallies[c, j, l])
-                want = count_by_boundary_class(t, l, cls, j)
-                if got != want:
-                    bad.append(f"t={t}, l={l}, j={j}, {cls}: {got} != {want}")
-    for rho in range(1, t + 1):
-        for boundary in (0, 1, 2):
-            got = int(subset_tallies[boundary, rho])
-            want = count_subsets_by_boundary(t, rho, boundary)
-            if got != want:
-                bad.append(f"t={t}, rho={rho}, boundary={boundary}: {got} != {want}")
-    return bad
+    ls = range(3, t + 1, 2)
+    got = tallies.reshape(4, w, w)[:, :, 3::2].transpose(2, 0, 1)  # (l, class, j) cells
+    want = np.array([[[count_by_boundary_class(t, l, cls, j) for j in range(w)]
+                      for cls in _CLASSES] for l in ls])
+    totals = np.array([[count_by_boundary_class(t, l, cls) for cls in _CLASSES] for l in ls])
+    yield masks.size, [
+        ((got.sum(axis=-1) != totals)[..., None] & (np.arange(w) == 0),
+         lambda a, c, j: f"t={t}, l={ls[a]}, {_CLASSES[c]}: total {got[a, c].sum()} "
+         "!= closed form"),
+        (got != want, lambda a, c, j: f"t={t}, l={ls[a]}, j={j}, {_CLASSES[c]}: "
+         f"{got[a, c, j]} != {want[a, c, j]}"),
+    ]
+    by_runs = subset_tallies[:, 1:].T  # (rho, boundary) cells
+    runs_want = np.array([[count_subsets_by_boundary(t, rho, boundary) for boundary in (0, 1, 2)]
+                          for rho in range(1, t + 1)])
+    yield 0, [(by_runs != runs_want, lambda r, b: f"t={t}, rho={r + 1}, boundary={b}: "
+               f"{by_runs[r, b]} != {runs_want[r, b]}")]
 
 
-def sweep_equinumerosity(t: int) -> list:
+@_sweep
+def sweep_equinumerosity(t: int):
     """Criterion, indicator and interval rule against popcount sizes, all pairs.
 
     The criterion runs on every subset A, the full set included: there it
     reads 0 = 0, and T and its antipode have equal sizes.
     """
-    bad = []
     masks, signs, members, sizes = _mask_rows(t)
     n = masks.shape[0]
+    T, A = _namer(Tope, signs), _namer(GroundSubset, members)
     for rows in _row_blocks(n, n * t):
         lhs, rhs = _boundary_sum(signs[rows, None], members[None])
         equal = lhs == rhs
         direct = sizes[rows, None] == sizes[masks[rows, None] ^ masks]
-        for i, a in np.argwhere(equal != direct):
-            T, A = Tope._wrap(signs[rows.start + i].copy()), GroundSubset._wrap(members[a].copy())
-            bad.append(f"{T}, A={A}: criterion {equal[i, a]} != direct {direct[i, a]}")
+        yield equal.size, [(equal != direct, lambda i, a: f"{T(rows.start + i)}, A={A(a)}: "
+                            f"criterion {equal[i, a]} != direct {direct[i, a]}")]
     for rows in _row_blocks(n, n * t):
         lhs, rhs = _boundary_sum(signs[rows, None], signs[rows, None] != signs[None])
         ind = rhs - lhs
-        wrong = (ind == 0) != (sizes[rows, None] == sizes)
-        differs = ind != _size_difference(signs[rows, None], signs[None])
-        for i, j in np.argwhere(wrong | differs):
-            a = rows.start + i
-            T1, T2 = Tope._wrap(signs[a].copy()), Tope._wrap(signs[j].copy())
-            if wrong[i, j]:
-                bad.append(f"{T1}, {T2}: indicator {ind[i, j]} vs sizes {sizes[a]}, {sizes[j]}")
-            if differs[i, j]:
-                bad.append(f"{T1}, {T2}: indicator != size difference")
+        yield ind.size, [
+            ((ind == 0) != (sizes[rows, None] == sizes),
+             lambda i, j: f"{T(rows.start + i)}, {T(j)}: indicator {ind[i, j]} vs sizes "
+                          f"{sizes[rows.start + i]}, {sizes[j]}"),
+            (ind != _size_difference(signs[rows, None], signs[None]),
+             lambda i, j: f"{T(rows.start + i)}, {T(j)}: indicator != size difference"),
+        ]
     # Nonempty A and B, as reorientations of all-plus: mask m's tope.  The
     # interval count is the number of run starts, set bits whose lower
     # neighbour is clear.
@@ -448,42 +474,38 @@ def sweep_equinumerosity(t: int) -> list:
     touch = nonempty & (1 | 1 << (t - 1)) != 0
     for rows in _row_blocks(n - 1, (n - 1) * t):
         same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
-        for i, j in np.argwhere(same != (sizes[1:][rows, None] == sizes[1:])):
-            A = GroundSubset._wrap(members[rows.start + i + 1].copy())
-            B = GroundSubset._wrap(members[j + 1].copy())
-            bad.append(f"A={A}, B={B}: interval rule != direct comparison")
-    return bad
+        yield same.size, [(same != (sizes[1:][rows, None] == sizes[1:]),
+                           lambda i, j: f"A={A(rows.start + i + 1)}, B={A(j + 1)}: "
+                                        "interval rule != direct comparison")]
 
 
-def sweep_size_difference(t: int) -> list:
+@_sweep
+def sweep_size_difference(t: int):
     """Inner-product size difference against popcount sizes, all pairs."""
-    bad = []
     masks, signs, _, sizes = _mask_rows(t)
     n = masks.shape[0]
+    T = _namer(Tope, signs)
     for rows in _row_blocks(n, n * t):
         diff = _size_difference(signs[rows, None], signs[None])
-        for i, j in np.argwhere(diff != sizes[rows, None] - sizes):
-            T1, T2 = Tope._wrap(signs[rows.start + i].copy()), Tope._wrap(signs[j].copy())
-            bad.append(f"{T1}, {T2}: size difference mismatch")
-    return bad
+        yield diff.size, [(diff != sizes[rows, None] - sizes, lambda i, j:
+                           f"{T(rows.start + i)}, {T(j)}: size difference mismatch")]
 
 
-def sweep_negpart_cardinalities(t: int) -> list:
+@_sweep
+def sweep_negpart_cardinalities(t: int):
     """Negative-part size and meet/join cardinalities against mask popcounts.
 
     The pair grid runs in square tiles of at most _BLOCK cells: the spectral
     kernel takes each spectrum's prefix sums, its vertex sum, which row
     blocks of the whole grid would redo for all 2^t spectra in every block.
     """
-    bad = []
     masks, signs, _, _ = _mask_rows(t)
     n = masks.shape[0]
     spectra = _telescope(signs)
     negatives = np.bitwise_count(masks)
-    _report(bad, signs, [
-        (_negpart_size(spectra) != negatives,
-         lambda T, i: f"{T}: negative-part size from spectrum != {negatives[i]}"),
-    ])
+    T = _namer(Tope, signs)
+    yield n, [(_negpart_size(spectra) != negatives,
+               lambda i: f"{T(i)}: negative-part size from spectrum != {negatives[i]}")]
     tile = math.isqrt(topes._BLOCK // t) * t
     for rows in _row_blocks(n, tile):
         meet = np.bitwise_count(masks[rows, None] & masks)
@@ -492,20 +514,18 @@ def sweep_negpart_cardinalities(t: int) -> list:
                   _meet_join_cards(signs[rows, None], signs[None, cols]))
                  for cols in _row_blocks(n, tile)]
         spectral, cards = (np.concatenate(part, axis=-1) for part in zip(*parts))
-        wrong_spectra = (spectral[0] != meet) | (spectral[1] != join)
-        wrong_cards = (cards[0] != meet) | (cards[1] != join)
-        for i, j in np.argwhere(wrong_spectra | wrong_cards):
-            T1, T2 = Tope._wrap(signs[rows.start + i].copy()), Tope._wrap(signs[j].copy())
-            want = (int(meet[i, j]), int(join[i, j]))
-            if wrong_spectra[i, j]:
-                got = (int(spectral[0][i, j]), int(spectral[1][i, j]))
-                bad.append(f"{T1}, {T2}: meet/join {got} != {want}")
-            if wrong_cards[i, j]:
-                bad.append(f"{T1}, {T2}: inner-product meet/join != direct")
-    return bad
+        yield meet.size, [
+            ((spectral[0] != meet) | (spectral[1] != join),
+             lambda i, j: f"{T(rows.start + i)}, {T(j)}: meet/join "
+                          f"{(int(spectral[0][i, j]), int(spectral[1][i, j]))} != "
+                          f"{(int(meet[i, j]), int(join[i, j]))}"),
+            ((cards[0] != meet) | (cards[1] != join),
+             lambda i, j: f"{T(rows.start + i)}, {T(j)}: inner-product meet/join != direct"),
+        ]
 
 
-def sweep_unit_flip_spectra(t: int) -> list:
+@_sweep
+def sweep_unit_flip_spectra(t: int):
     """Unit-flip sums and the boundary-case display against the dense route.
 
     Both displays and the dense kernel run on row blocks of the membership
@@ -523,17 +543,17 @@ def sweep_unit_flip_spectra(t: int) -> list:
         flips[rows] = _unit_flip_sum(members[rows])
         wrong_flips[rows] = (flips[rows] != want).any(axis=-1)
         wrong_cases[rows] = (_boundary_case_display(members[rows]) != want).any(axis=-1)
-    bad = []
-    _report(bad, members, [
-        (wrong_flips, lambda A, i: f"A={A}: unit-flip sum != dense spectrum"),
-        (wrong_cases, lambda A, i: f"A={A}: boundary-case display != dense spectrum"),
+    A = _namer(GroundSubset, members)
+    yield n, [
+        (wrong_flips, lambda i: f"A={A(i)}: unit-flip sum != dense spectrum"),
+        (wrong_cases, lambda i: f"A={A(i)}: boundary-case display != dense spectrum"),
         ((flips != -flips[::-1]).any(axis=-1),
-         lambda A, i: f"A={A}: complement negation law failed"),
-    ], GroundSubset)
-    return bad
+         lambda i: f"A={A(i)}: complement negation law failed"),
+    ]
 
 
-def sweep_oracle(t: int) -> list:
+@_sweep
+def sweep_oracle(t: int):
     """Brute-force minimal decompositions equal the spectral ones, uniquely.
 
     The oracle's table holds the subset search of every tope; its minimal
@@ -550,15 +570,14 @@ def sweep_oracle(t: int) -> list:
     coords = _telescope(signs)
     weights = 1 << np.arange(t, dtype=np.int64)
     spectral = (coords > 0) @ weights + (coords < 0) @ (weights << t)
-    bad = []
-    _report(bad, signs, [
-        (ties != 1, lambda T, i: f"{T}: minimal decomposition is not unique"),
-        (minimal != spectral, lambda T, i: f"{T}: oracle set "
+    T = _namer(Tope, signs)
+    yield len(signs), [
+        (ties != 1, lambda i: f"{T(i)}: minimal decomposition is not unique"),
+        (minimal != spectral, lambda i: f"{T(i)}: oracle set "
          f"{[b for b in range(2 * t) if minimal[i] >> b & 1]} != spectral set"),
         (np.bitwise_count(minimal) != np.count_nonzero(coords, axis=-1),
-         lambda T, i: f"{T}: oracle cardinality != squared spectrum norm"),
-    ])
-    return bad
+         lambda i: f"{T(i)}: oracle cardinality != squared spectrum norm"),
+    ]
 
 
 # Caps keep every sweep inside desk scale when verify is run at larger t; a
@@ -581,40 +600,26 @@ _SWEEPS = (
     ("oracle", sweep_oracle, ORACLE_CAP),
 )
 
-# The cases each sweep checks at dimension t: the objects or pairs it
-# compares (for equinumerosity, the (T, A) pairs, the tope pairs and the
-# pairs of nonempty subsets).
-_CASES = {
-    "cycle-structure": lambda t: 2 * t,
-    "matrix-identities": lambda t: t * t,
-    "spectrum-updates": lambda t: _PATHS * _STEPS,
-    "equinumerosity": lambda t: 2 * 4**t + (2**t - 1) ** 2,
-    "size-difference": lambda t: 4**t,
-    "negpart-cardinalities": lambda t: 2**t + 4**t,
-}
+_FIRST = 5
 
 
 def run_report(t: int) -> dict:
     """Run every sweep of _SWEEPS at dimension t, skipping those whose cap is below t.
 
-    Returns {sweep name: {"status", "issues", "cap", "cases", "seconds"}}:
-    "ok", "FAIL" or "skipped", the list of mismatches, the cap, the cases
-    checked (2^t topes or subsets unless _CASES says otherwise) and the
-    sweep's wall time.  A skipped sweep has no issues, 0 cases and 0
-    seconds.  Above every cap it raises CapExceeded before any sweep runs.
+    Returns {sweep name: {"status", "mismatches", "first_mismatches",
+    "cases", "seconds", "cap"}}: "ok", "FAIL" or "skipped", the count of
+    mismatches and the messages of the first _FIRST (those verify prints),
+    the cases compared, the wall time and the cap; a skipped sweep has 0 of
+    each.  Above every cap it raises CapExceeded before any sweep runs.
     """
     top = max(cap for _, _, cap in _SWEEPS)
     if t > top:
         raise CapExceeded(f"verify at t = {t} is above every sweep's cap (the largest is {top})")
     report = {}
     for name, sweep, cap in _SWEEPS:
-        status, issues, cases, seconds = "skipped", [], 0, 0.0
-        if t <= cap:
-            start = time.perf_counter()
-            issues = sweep(t)
-            seconds = time.perf_counter() - start
-            status = "FAIL" if issues else "ok"
-            cases = _CASES.get(name, lambda t: 1 << t)(t)
-        report[name] = {"status": status, "issues": issues, "cap": cap, "cases": cases,
-                        "seconds": seconds}
+        found = sweep(t, first=_FIRST) if t <= cap else _Mismatches()
+        status = "skipped" if t > cap else "FAIL" if found.mismatches else "ok"
+        report[name] = {"status": status, "mismatches": found.mismatches,
+                        "first_mismatches": list(found), "cases": found.cases,
+                        "seconds": found.seconds, "cap": cap}
     return report

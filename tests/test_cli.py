@@ -13,7 +13,7 @@ import pytest
 
 from cyclotope import (
     ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
-    enumerate_statistics, formula_table,
+    Tope, enumerate_statistics, formula_table,
 )
 from cyclotope.decomposition import DENSE_CAP
 from cyclotope.verification import _SWEEPS
@@ -363,18 +363,26 @@ _PEAK_PROBE = (
 )
 
 
-def _run_under_budget(argv, mib, stdin=None):
+def _run_under_budget(argv, mib, stdin=None, plant=None):
     """Run the CLI on argv, with the text stdin as its standard input, in a
     fresh process whose address space may grow mib MiB past the peak of a
-    process that only imported the CLI."""
+    process that only imported the CLI.
+
+    With plant, a string of Python code, that code runs in the same process
+    first and stdout is kept; otherwise stdout is discarded.
+    """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     probe = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
                            env=env, check=True)
     limit = int(probe.stdout) * 1024 + (mib << 20)
+    command = ["-m", "cyclotope", *argv]
+    if plant is not None:
+        command = ["-c", f"import sys\nfrom cyclotope import cli\n{plant}\n"
+                         f"sys.exit(cli.main({argv!r}))"]
     return subprocess.run(
-        [sys.executable, "-m", "cyclotope", *argv],
+        [sys.executable, *command],
         input=stdin,
-        stdout=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL if plant is None else subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env=env,
@@ -444,6 +452,61 @@ def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
     # (4^10, 10) table of their sums alone would take 20 MiB.
     proc = _run_under_budget(["verify", "--t", str(ORACLE_CAP)], 32)
     assert proc.returncode == 0, proc.stderr
+
+
+# Faults planted in a kernel, as the sweeps see it, so that the sweep fails
+# on millions of pairs at t = 11.
+_PLANTED_SIZE_DIFFERENCE = """
+from cyclotope import verification
+real = verification._size_difference
+verification._size_difference = lambda a, b: real(a, b) + 1
+"""
+_PLANTED_BOUNDARY_SUM = """
+from cyclotope import verification
+real = verification._boundary_sum
+def wrong(signs, split):
+    lhs, rhs = real(signs, split)
+    return lhs + 1, rhs
+verification._boundary_sum = wrong
+"""
+
+
+def _failing_sweep(out, name):
+    """The FAIL line of sweep name and the lines after it, up to the next sweep."""
+    lines = out.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(f"{name}: "))
+    end = next(k for k in range(start + 1, len(lines)) if not lines[k].startswith("  "))
+    return lines[start:end]
+
+
+@needs_proc_status
+def test_a_sweep_failing_on_every_pair_is_counted_within_64_mib_above_the_import_peak():
+    # Every one of the 4^11 pairs fails; the count is exact, five messages
+    # are built, and verify exits 1, the code of a mismatch.
+    proc = _run_under_budget(["verify", "--t", "11"], 64, plant=_PLANTED_SIZE_DIFFERENCE)
+    assert proc.returncode == 1, proc.stderr
+    first = Tope.from_bitmask(0, 11)
+    assert _failing_sweep(proc.stdout, "size-difference") == [
+        "size-difference: FAIL (4194304 mismatches)",
+        *(f"  {first}, {Tope.from_bitmask(m, 11)}: size difference mismatch" for m in range(5)),
+    ]
+    assert proc.stdout.endswith("verify t=11: FAIL\n")
+
+
+@needs_proc_status
+def test_a_wrong_boundary_sum_is_counted_within_64_mib_above_the_import_peak():
+    # The criterion, the indicator and its size-difference check all read
+    # the boundary sum; 7016032 is the count of those of its 2 * 4^11 + 4^11
+    # checks that fail, each of which sweep_equinumerosity would list.
+    proc = _run_under_budget(["verify", "--t", "11"], 64, plant=_PLANTED_BOUNDARY_SUM)
+    assert proc.returncode == 1, proc.stderr
+    first = Tope.from_bitmask(0, 11)
+    assert _failing_sweep(proc.stdout, "equinumerosity") == [
+        "equinumerosity: FAIL (7016032 mismatches)",
+        *(f"  {first}, A={A}: criterion False != direct True"
+          for A in ("none", "1", "1,2", "1,2,3", "1,2,3,4")),
+    ]
+    assert proc.stdout.endswith("verify t=11: FAIL\n")
 
 
 class TestParserReuse:
@@ -543,6 +606,15 @@ class TestVerifyCommand:
             proc = run_cli("verify", "--t", str(t))
             assert proc.returncode == 0
             assert f"oracle: {status}\n" in proc.stdout
+
+    @pytest.mark.parametrize("t", sorted({t for _, _, cap in _SWEEPS for t in (cap, cap + 1)
+                                          if t <= DENSE_CAP}))
+    def test_each_sweep_runs_up_to_its_cap_and_is_skipped_above_it(self, t):
+        proc = run_cli("verify", "--t", str(t))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        statuses, last = _text_statuses(proc.stdout)
+        assert last == f"verify t={t}: ok"
+        assert statuses == {name: "ok" if t <= cap else "skipped" for name, _, cap in _SWEEPS}
 
     def test_above_every_cap_is_a_usage_error(self):
         top = max(cap for _, _, cap in _SWEEPS)

@@ -267,6 +267,10 @@ def test_each_kernel_gives_the_same_values_in_c_order_fortran_order_and_row_by_r
             r = np.array(r)
             assert c.dtype == f.dtype == r.dtype, name
             assert c.tolist() == f.tolist() == r.tolist(), name
+    # The routes the sweeps compare with coordinate-major rows return rows
+    # in their input's layout.
+    for name in ("_spectrum_dense", "_spectrum_intervals", "_boundary_case_display"):
+        assert c_order[name].flags.c_contiguous and f_order[name].flags.f_contiguous, name
 
 
 @relaxed

@@ -426,3 +426,81 @@ def test_sweep_matrix_identities_checks_the_inverse_gram_entries_against_the_row
     assert verification.sweep_matrix_identities(6) == [
         "t=6: inverse_gram_entry(2,5) != row product"
     ]
+
+
+def test_the_harness_counts_every_mismatch_and_names_the_first_in_order():
+    # Three blocks of a 2 x 4 grid: check "x" fails on every case, "y" on
+    # case (1, 1); a last block holds one failing check of a whole object.
+    built = []
+
+    def named(*key):
+        built.append(key)
+        return "".join(map(str, key))
+
+    def blocks(t):
+        for b in range(3):
+            everywhere = np.ones((2, 4), dtype=bool)
+            one = np.zeros((2, 4), dtype=bool)
+            one[1, 1] = True
+            yield everywhere.size, [(everywhere, lambda i, j: named(b, i, j, "x")),
+                                    (one, lambda i, j: named(b, i, j, "y"))]
+        yield 0, [(True, lambda: named("whole"))]
+
+    sweep = verification._sweep(blocks)
+    first = sweep(0, first=5)
+    assert first == ["000x", "001x", "002x", "003x", "010x"] and len(built) == 5
+    assert (first.mismatches, first.cases) == (3 * 9 + 1, 3 * 8)
+    listed = sweep(0)
+    block = [f"{i}{j}x" for i, j in np.ndindex(2, 4)]
+    block.insert(block.index("11x") + 1, "11y")
+    assert listed == [f"{b}{case}" for b in range(3) for case in block] + ["whole"]
+    assert (listed.mismatches, listed.cases) == (len(listed), 3 * 8)
+
+
+@pytest.mark.parametrize("kernel", [
+    "_boundary_sum", "_interval_count_rule", "_size_difference", "_meet_join_from_spectra",
+    "_meet_join_cards", "_unit_flip_sum", "_spectrum_dense", "_spectrum_intervals",
+    "_boundary_case_display", "_negpart_size", "_spectrum_update",
+])
+def test_the_report_counts_what_each_sweep_lists_and_names_its_first_five(monkeypatch, kernel):
+    # A kernel off by one everywhere; run_report counts each sweep's
+    # mismatches and names five, the sweep itself lists every one.
+    real = getattr(verification, kernel)
+
+    def wrong(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            return (out[0] + 1,) + out[1:]
+        return ~out if out.dtype == bool else out + 2
+
+    monkeypatch.setattr(verification, kernel, wrong)
+    t = 5
+    report = verification.run_report(t)
+    for name, sweep, _ in verification._SWEEPS:
+        listed = sweep(t)
+        assert report[name]["mismatches"] == listed.mismatches == len(listed), name
+        assert report[name]["first_mismatches"] == listed[:5], name
+        assert report[name]["status"] == ("FAIL" if listed else "ok"), name
+    assert max(sweep["mismatches"] for sweep in report.values()) > 5
+
+
+# The cases each sweep compares at dimension t: the 2^t topes or subsets,
+# or else the objects or pairs named here (for equinumerosity the (T, A)
+# pairs, the tope pairs and the pairs of nonempty subsets).
+_CASES = {
+    "cycle-structure": lambda t: 2 * t,
+    "matrix-identities": lambda t: t * t,
+    "spectrum-updates": lambda t: 20 * 16,
+    "equinumerosity": lambda t: 2 * 4**t + (2**t - 1) ** 2,
+    "size-difference": lambda t: 4**t,
+    "negpart-cardinalities": lambda t: 2**t + 4**t,
+}
+
+
+@pytest.mark.parametrize("t", range(3, 12))
+def test_the_counted_cases_are_the_rows_or_pairs_each_sweep_compares(t):
+    report = verification.run_report(t)
+    assert {name: sweep["cases"] for name, sweep in report.items()} == {
+        name: _CASES.get(name, lambda t: 1 << t)(t) if t <= cap else 0
+        for name, _, cap in verification._SWEEPS
+    }
