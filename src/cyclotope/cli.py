@@ -5,8 +5,11 @@ deterministic for a fixed invocation, except for the wall times that bench
 prints and the per-sweep "seconds" of verify --format json.  JSON records use
 the fixed field names x, terms, size, j, l, count_formula, count_enum.
 
-verify counts each sweep's mismatches and builds a message for the first five
-only, in block, then case, then check order; its cases are the rows or pairs
+verify runs every sweep under the one contract of verification._sweep: a
+sweep counts all its mismatches and names the first five only, in block,
+then case, then check order.  A ValueError or CyclotopeError raised inside a
+sweep, a kernel's guard refusing a broken route, is one more mismatch, so a
+broken route exits 1 with the full report.  The cases are the rows or pairs
 of rows each sweep compared.
 
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage error.

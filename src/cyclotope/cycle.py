@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
-from .topes import Tope, _check_dimension, _int_array, _integer
+from .topes import Tope, _check_dimension, _coordinate, _int_array, _integer
 
 # Largest t for the dense t x t matrices: one int64 matrix takes 128 MiB at
 # t = 4096 and grows quadratically.
@@ -179,9 +179,8 @@ def gram_entry(t: int, i: int, j: int) -> int:
 
     The matrix is symmetric Toeplitz with value t - 2|j - i|.
     """
-    t, i, j = _check_dimension(t), _integer(i), _integer(j)
-    if not (1 <= i <= t and 1 <= j <= t):
-        raise IndexError(f"indices ({i}, {j}) out of range [1, {t}]")
+    t = _check_dimension(t)
+    i, j = _coordinate(i, t), _coordinate(j, t)
     return t - 2 * abs(j - i)
 
 
@@ -191,9 +190,8 @@ def inverse_gram_entry(t: int, i: int, j: int) -> int:
     Transcribed: 2 on the diagonal, -1 for |i - j| = 1, +1 on the (1, t)
     corner pair, else 0; verify checks it against the inverse rows' product.
     """
-    t, i, j = _check_dimension(t), _integer(i), _integer(j)
-    if not (1 <= i <= t and 1 <= j <= t):
-        raise IndexError(f"indices ({i}, {j}) out of range [1, {t}]")
+    t = _check_dimension(t)
+    i, j = _coordinate(i, t), _coordinate(j, t)
     if i == j:
         return 2
     if abs(i - j) == 1:

@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .cycle import DENSE_CAP, _inverse_entries
-from .errors import CapExceeded, InvalidSpectrum
+from .cycle import _check_dense, _inverse_entries
+from .errors import InvalidSpectrum
 from .topes import (
     GroundSubset,
     Tope,
@@ -148,11 +148,7 @@ def spectrum_dense(T: Tope) -> Spectrum:
     by 2), built for the call, and halves, checking exactness.  Quadratic in
     t, so it raises CapExceeded above DENSE_CAP before building the matrix.
     """
-    if T.t > DENSE_CAP:
-        raise CapExceeded(
-            f"the dense route builds a {T.t} x {T.t} matrix; it is capped at t = {DENSE_CAP}, "
-            "use the fast or intervals route"
-        )
+    _check_dense(T.t)
     return Spectrum._wrap(_spectrum_dense(T.signs))
 
 

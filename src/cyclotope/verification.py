@@ -6,11 +6,14 @@ enumeration, the other printed closed forms, the dense matrix route, direct
 set arithmetic and the brute-force oracle.  The CLI `verify` subcommand runs
 every sweep; the acceptance tests reuse the pairwise ones.
 
-Every sweep runs through one harness, _sweep: block by block, a sweep yields
-its checks as pairs of a bool array over the cases (rows, or pairs of rows)
-and a function naming one case.  The harness counts the mismatches and the
-cases compared, and builds messages only for the first mismatches in block,
-then case, then check order: sweep_*(t) lists them all, run_report five.
+Every sweep runs through one harness, _sweep, the one place a verdict is
+formed: block by block, a sweep yields its checks as pairs of a bool array
+over the cases (rows, or pairs of rows) and a function naming one case.
+Every sweep_*(t) call, from run_report or directly, counts all mismatches
+and the cases compared, and names only the first _FIRST in block, then case,
+then check order.  A ValueError or CyclotopeError raised while a sweep runs,
+a kernel's exactness guard refusing what a broken route gave it, is one
+more mismatch and ends that sweep; CapExceeded and BudgetExceeded propagate.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
@@ -40,7 +43,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 import time
 
 import numpy as np
@@ -82,7 +84,7 @@ from .decomposition import (
     _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
-from .errors import CapExceeded
+from .errors import BudgetExceeded, CapExceeded, CyclotopeError
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
 from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks, reorient, separation_set
 
@@ -99,24 +101,34 @@ def _sweep(blocks):
     cases counts the cases a block compared, and each check is a pair of a
     bool array failed, one entry per case (0-d for a whole object), and
     message(*index), which names the case at index from the block's state:
-    the harness calls it before it draws the next block.  sweep(t, first=n)
-    returns a _Mismatches naming the first n mismatches, sweep(t) every one.
+    the harness calls it before it draws the next block.  sweep(t) returns a
+    _Mismatches counting every mismatch and naming the first _FIRST.  A
+    ValueError or CyclotopeError raised inside the sweep is one mismatch,
+    named "t=N: <type>: <message>", and stops it.
     """
 
     @functools.wraps(blocks)
-    def sweep(t, *, first=sys.maxsize):
+    def sweep(t):
         start = time.perf_counter()
         found = _Mismatches()
-        for cases, checks in blocks(t):
-            failed = [np.asarray(f) for f, _ in checks]
-            count = sum(int(np.count_nonzero(f)) for f in failed)
-            found.cases += cases
-            found.mismatches += count
-            if count and len(found) < first:
-                named = (message(*index)
-                         for index in map(tuple, np.argwhere(np.logical_or.reduce(failed)))
-                         for f, (_, message) in zip(failed, checks) if f[index])
-                found += itertools.islice(named, first - len(found))
+        try:
+            for cases, checks in blocks(t):
+                failed = [np.asarray(f) for f, _ in checks]
+                count = sum(int(np.count_nonzero(f)) for f in failed)
+                found.cases += cases
+                found.mismatches += count
+                if count and len(found) < _FIRST:
+                    named = (message(*index)
+                             for index in map(tuple, np.argwhere(np.logical_or.reduce(failed)))
+                             for f, (_, message) in zip(failed, checks) if f[index])
+                    found += itertools.islice(named, _FIRST - len(found))
+        except (CapExceeded, BudgetExceeded):
+            raise
+        except (ValueError, CyclotopeError) as exc:
+            # A guard refused what a broken route fed it: a mismatch, not a usage error.
+            found.mismatches += 1
+            if len(found) < _FIRST:
+                found.append(f"t={t}: {type(exc).__name__}: {exc}")
         found.seconds = time.perf_counter() - start
         return found
 
@@ -162,7 +174,8 @@ def sweep_cycle_structure(t: int):
          lambda k: f"t={t}: vertices {k} and {(k + 1) % n} are not adjacent"),
         (np.array([k < t and vertices[k + t] != -v for k, v in enumerate(vertices)]),
          lambda k: f"t={t}: vertex {k + t} is not the antipode of vertex {k}"),
-        (np.array([1 <= k < t and v != reorient(Tope.positive(t), GroundSubset(t, range(1, k + 1)))
+        (np.array([1 <= k < t
+                   and v != reorient(Tope.positive(t), GroundSubset(t, np.arange(1, k + 1)))
                    for k, v in enumerate(vertices)]),
          lambda k: f"t={t}: vertex {k} does not flip the first {k} coordinates"),
     ]
@@ -617,7 +630,7 @@ def run_report(t: int) -> dict:
         raise CapExceeded(f"verify at t = {t} is above every sweep's cap (the largest is {top})")
     report = {}
     for name, sweep, cap in _SWEEPS:
-        found = sweep(t, first=_FIRST) if t <= cap else _Mismatches()
+        found = sweep(t) if t <= cap else _Mismatches()
         status = "skipped" if t > cap else "FAIL" if found.mismatches else "ok"
         report[name] = {"status": status, "mismatches": found.mismatches,
                         "first_mismatches": list(found), "cases": found.cases,

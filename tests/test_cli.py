@@ -15,7 +15,7 @@ from cyclotope import (
     ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
     Tope, enumerate_statistics, formula_table,
 )
-from cyclotope.decomposition import DENSE_CAP
+from cyclotope.cycle import DENSE_CAP
 from cyclotope.verification import _SWEEPS
 
 

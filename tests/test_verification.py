@@ -29,7 +29,7 @@ from cyclotope import (
     reorient,
     spectrum_fast,
 )
-from cyclotope import decomposition, oracle, verification
+from cyclotope import cli, counting, decomposition, oracle, verification
 
 T = 8
 SECOND = 0b00000101
@@ -85,9 +85,19 @@ def test_sweep_equinumerosity_checks_the_interval_rule_on_every_pair(monkeypatch
     real = verification._interval_count_rule
     monkeypatch.setattr(verification, "_interval_count_rule", lambda *args: ~real(*args))
     reports = verification.sweep_equinumerosity(5)
-    assert len(reports) == 31 * 31
-    assert reports[0] == "A=1, B=1: interval rule != direct comparison"
-    assert reports[-1] == "A=1,2,3,4,5, B=1,2,3,4,5: interval rule != direct comparison"
+    assert reports.mismatches == 31 * 31
+    assert reports == [f"A=1, B={B}: interval rule != direct comparison"
+                       for B in ("1", "2", "1,2", "3", "1,3")]
+    # The 31 x 31 pairs are one block at t = 5; its last cell is the last pair.
+    def last_pair_wrong(*args):
+        out = real(*args)
+        out[-1, -1] = ~out[-1, -1]
+        return out
+
+    monkeypatch.setattr(verification, "_interval_count_rule", last_pair_wrong)
+    reports = verification.sweep_equinumerosity(5)
+    assert reports.mismatches == 1
+    assert reports == ["A=1,2,3,4,5, B=1,2,3,4,5: interval rule != direct comparison"]
 
 
 @in_first_or_last_block
@@ -299,7 +309,13 @@ def test_sweep_oracle_raises_the_searchs_error_for_a_broken_entry(monkeypatch):
     monkeypatch.setattr(verification, "_search_table", oracle._search_table)
     message = f"minimal solution for {Tope.from_bitmask(mask, t)} has even size 4"
     with pytest.raises(CyclotopeError, match=re.escape(message)):
-        verification.sweep_oracle(t)
+        oracle.bruteforce_minimal_decomposition(Tope.from_bitmask(mask, t))
+    # The sweep counts the search's error as one mismatch and stops.
+    found = verification.sweep_oracle(t)
+    assert found == [f"t={t}: CyclotopeError: {message}"]
+    assert (found.mismatches, found.cases) == (1, 0)
+    oracle_row = verification.run_report(t)["oracle"]
+    assert (oracle_row["status"], oracle_row["first_mismatches"]) == ("FAIL", found)
 
 
 def _recorded_path_steps(monkeypatch, t):
@@ -446,15 +462,9 @@ def test_the_harness_counts_every_mismatch_and_names_the_first_in_order():
                                     (one, lambda i, j: named(b, i, j, "y"))]
         yield 0, [(True, lambda: named("whole"))]
 
-    sweep = verification._sweep(blocks)
-    first = sweep(0, first=5)
+    first = verification._sweep(blocks)(0)
     assert first == ["000x", "001x", "002x", "003x", "010x"] and len(built) == 5
     assert (first.mismatches, first.cases) == (3 * 9 + 1, 3 * 8)
-    listed = sweep(0)
-    block = [f"{i}{j}x" for i, j in np.ndindex(2, 4)]
-    block.insert(block.index("11x") + 1, "11y")
-    assert listed == [f"{b}{case}" for b in range(3) for case in block] + ["whole"]
-    assert (listed.mismatches, listed.cases) == (len(listed), 3 * 8)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -463,8 +473,8 @@ def test_the_harness_counts_every_mismatch_and_names_the_first_in_order():
     "_boundary_case_display", "_negpart_size", "_spectrum_update",
 ])
 def test_the_report_counts_what_each_sweep_lists_and_names_its_first_five(monkeypatch, kernel):
-    # A kernel off by one everywhere; run_report counts each sweep's
-    # mismatches and names five, the sweep itself lists every one.
+    # A kernel off by one everywhere; run_report holds what each direct
+    # sweep call counts and names.
     real = getattr(verification, kernel)
 
     def wrong(*args):
@@ -477,11 +487,72 @@ def test_the_report_counts_what_each_sweep_lists_and_names_its_first_five(monkey
     t = 5
     report = verification.run_report(t)
     for name, sweep, _ in verification._SWEEPS:
-        listed = sweep(t)
-        assert report[name]["mismatches"] == listed.mismatches == len(listed), name
-        assert report[name]["first_mismatches"] == listed[:5], name
-        assert report[name]["status"] == ("FAIL" if listed else "ok"), name
+        found = sweep(t)
+        assert report[name]["mismatches"] == found.mismatches, name
+        assert report[name]["first_mismatches"] == found, name
+        assert len(found) == min(found.mismatches, 5), name
+        assert report[name]["cases"] == found.cases, name
+        assert report[name]["status"] == ("FAIL" if found.mismatches else "ok"), name
     assert max(sweep["mismatches"] for sweep in report.values()) > 5
+
+
+def test_a_direct_sweep_call_counts_every_mismatch_and_names_five(monkeypatch):
+    # Every one of the 4^10 pairs fails; only five messages are built.
+    real = verification._size_difference
+    monkeypatch.setattr(verification, "_size_difference", lambda a, b: real(a, b) + 1)
+    found = verification.sweep_size_difference(10)
+    first = Tope.from_bitmask(0, 10)
+    assert found == [f"{first}, {Tope.from_bitmask(m, 10)}: size difference mismatch"
+                     for m in range(5)]
+    assert found.mismatches == found.cases == 1048576
+
+
+def _offset(module, name, k):
+    def plant(monkeypatch):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: real(*args) + k)
+
+    return plant
+
+
+def _lose_a_tally(monkeypatch):
+    # The lost tally of test_lost_tally_is_a_mismatch_with_exit_code_1.
+    real = counting.np.bincount
+    monkeypatch.setattr(counting.np, "bincount",
+                        lambda keys, minlength: real(keys[1:], minlength=minlength))
+
+
+@pytest.mark.parametrize("plant, lines", [
+    (_offset(decomposition, "_half_inverse_transform", 1),
+     ["decompositions: FAIL (1 mismatches)",
+      "  t=5: ValueError: sign entries must be exactly +1 or -1"]),
+    (_offset(decomposition, "_vertex_sum", 2),
+     ["spectrum-methods: FAIL (1 mismatches)",
+      "  t=5: InvalidSpectrum: vector is not the spectrum of any tope"]),
+    # The 32 negative-part sizes fail first and are the five named; the
+    # meet/join kernel's refusal in the next block is the 33rd mismatch.
+    (_offset(verification, "_telescope", 1),
+     ["negpart-cardinalities: FAIL (33 mismatches)",
+      *(f"  {Tope.from_bitmask(m, 5)}: negative-part size from spectrum != {m.bit_count()}"
+        for m in range(5))]),
+    (_lose_a_tally,
+     ["counting: FAIL (1 mismatches)",
+      "  t=5: VerificationMismatch: tally lost topes: 31 != 2^5"]),
+], ids=["half-inverse-transform", "vertex-sum", "telescope", "lost-tally"])
+def test_a_kernel_guards_refusal_is_a_counted_mismatch_in_a_full_report(
+    monkeypatch, capsys, plant, lines
+):
+    plant(monkeypatch)
+    assert cli.main(["verify", "--t", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    text = out.splitlines()
+    assert [line.split(": ")[0] for line in text[:-1] if not line.startswith("  ")] == sorted(
+        name for name, _, _ in verification._SWEEPS
+    )
+    assert text[-1] == "verify t=5: FAIL"
+    start = text.index(lines[0])
+    assert text[start:start + len(lines)] == lines
 
 
 # The cases each sweep compares at dimension t: the 2^t topes or subsets,
