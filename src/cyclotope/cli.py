@@ -12,6 +12,9 @@ sweep, a kernel's guard refusing a broken route, is one more mismatch, so a
 broken route exits 1 with the full report.  The cases are the rows or pairs
 of rows each sweep compared.
 
+decompose and stats write their records a block at a time, so a failure
+partway through leaves a truncated record on stdout and exits 2.
+
 Exit codes: 0 success, 1 mismatch or verification failure, 2 usage error.
 """
 
@@ -32,7 +35,7 @@ from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import spectrum_fast
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError, VerificationMismatch
-from .topes import GroundSubset, Tope, _check_dimension
+from .topes import GroundSubset, Tope, _check_dimension, _row_blocks
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,56 +110,57 @@ def _read_tope(args: argparse.Namespace) -> Tope:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    sys.stdout.writelines(_decompose_parts(spectrum_fast(_read_tope(args)).coords))
+    _emit(_decompose_parts(spectrum_fast(_read_tope(args)).coords), None)
     return 0
 
 
-# Cells of the bulk JSON renderers.  A NUL byte pads a cell to its fixed
-# width and is deleted from the list's bytes; the last cell's ", " is cut.
-_X_CELLS = np.frombuffer(b"-1, \x000, \x001, ", dtype=np.uint32)
-_TERM_HEAD = b'{"sign": \x001, "index": '
-_TERM_SIGN = _TERM_HEAD.index(b"\x00")
+# A term row is _TERM_HEAD, the index's placeholder digits and "}, ".
+_TERM_HEAD = b'{"sign": 0, "index": '
 
 
-def _joined(cells: np.ndarray) -> bytes:
-    return cells.reshape(-1)[:-2].tobytes()
+def _rows(row: bytes, signs: np.ndarray, index=None, last=False) -> str:
+    """One copy of row per sign, as text, the last one without its ", ".
+
+    A sign goes over the row's first "0" as ord("0") + sign, so a -1 reads
+    "/" until one replace expands it to "-1" ("/" occurs nowhere else in a
+    record); the index, if given, goes over the row's placeholder digits.
+    """
+    buf = bytearray(row) * signs.shape[0]
+    cells = np.frombuffer(buf, dtype=np.uint8).reshape(signs.shape[0], len(row))
+    np.add(signs, ord("0"), out=cells[:, row.index(b"0")], casting="unsafe")
+    if index is not None:
+        rest = index.astype(np.min_scalar_type(index[-1]))
+        for col in range(len(row) - 4, len(_TERM_HEAD) - 1, -1):
+            quot = rest // 10
+            cells[:, col] += (rest - quot * 10).astype(np.uint8)
+            rest = quot
+    out = buf.replace(b"/", b"-1")
+    return (out[:-2] if last else out).decode("ascii")
 
 
-def _decompose_parts(coords: np.ndarray) -> list:
-    """The decompose record as strings that concatenate to the json.dumps of
-    its dict form and a newline.
+def _decompose_parts(coords: np.ndarray):
+    """Yield the decompose record as strings that concatenate to the
+    json.dumps of its dict form and a newline.
 
     That dict is {"x": coords, "terms": [{"sign": s, "index": i}, ...],
     "size": number of terms}, with the terms at the nonzero coordinates in
-    ascending index order.  Each list is rendered as one uint8 array of
-    fixed-width cells, without a Python object per element.  About half or
-    more of the x cells hold a pad, a density at which bytes.translate
-    deletes them faster than bytes.replace; a term cell holds a few pads in
-    31 or more bytes, where replace is the faster.
+    ascending index order.  Each list is rendered by _rows a block of at
+    most _BLOCK bytes at a time, a rendered row being at most one byte
+    longer than its placeholder row.  The indices of d digits are one run,
+    whose term rows all have the same width, so no row carries a pad.
     """
-    x = _joined(np.take(_X_CELLS, coords + 1).view(np.uint8))
-    x = x.translate(None, b"\x00").decode("ascii")
+    yield '{"x": ['
+    for s in _row_blocks(len(coords), len(b"-1, ")):
+        yield _rows(b"0, ", coords[s], last=s.stop == len(coords))
+    yield '], "terms": ['
     nz = (coords != 0).nonzero()[0]
-    digits = len(str(coords.shape[0] - 1))
-    head = len(_TERM_HEAD)
-    terms = np.empty((nz.shape[0], head + digits + 3), dtype=np.uint8)
-    terms[:] = np.frombuffer(_TERM_HEAD + b"\x00" * digits + b"}, ", dtype=np.uint8)
-    terms[coords[nz] < 0, _TERM_SIGN] = ord("-")
-    # The index in decimal, right-aligned; the ascending indices below 10^p
-    # are a prefix of the rows, and their digit of 10^p is a leading zero.
-    rest = nz.astype(np.uint32 if digits < 10 else np.uint64)
-    digit = np.empty_like(rest)
-    for p in range(digits):
-        np.divmod(rest, 10, out=(rest, digit))
-        column = terms[:, head + digits - 1 - p]
-        np.add(digit, ord("0"), out=column, casting="unsafe")
-        if p:
-            column[: np.searchsorted(nz, 10**p)] = 0
-    return [
-        '{"x": [', x,
-        '], "terms": [', _joined(terms).replace(b"\x00", b"").decode("ascii"),
-        '], "size": %d}\n' % nz.shape[0],
-    ]
+    runs = np.split(nz, np.searchsorted(nz, [10**d for d in range(1, len(str(len(coords) - 1)))]))
+    for digits, run in enumerate(runs, 1):
+        row = _TERM_HEAD + b"0" * digits + b"}, "
+        for s in _row_blocks(run.shape[0], len(row) + 1):
+            index = run[s]
+            yield _rows(row, coords[index], index, last=index[-1] == nz[-1])
+    yield '], "size": %d}\n' % nz.shape[0]
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

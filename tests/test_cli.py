@@ -9,13 +9,15 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cyclotope import (
     ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
-    Tope, enumerate_statistics, formula_table,
+    Tope, enumerate_statistics, formula_table, spectrum_fast,
 )
 from cyclotope.cycle import DENSE_CAP
+from cyclotope.topes import _BLOCK
 from cyclotope.verification import _SWEEPS
 
 
@@ -154,7 +156,11 @@ def _decompose_record(tope):
     reference shares no code with the library.
     """
     s = [1 if c == "+" else -1 for c in tope]
-    x = [(s[0] + s[-1]) // 2] + [(b - a) // 2 for a, b in zip(s, s[1:])]
+    return _decompose_record_of([(s[0] + s[-1]) // 2] + [(b - a) // 2 for a, b in zip(s, s[1:])])
+
+
+def _decompose_record_of(x):
+    """json.dumps of the dict record of the coordinate list x, and a newline."""
     record = {
         "x": x,
         "terms": [{"sign": c, "index": i} for i, c in enumerate(x) if c],
@@ -177,12 +183,26 @@ def _topes(t):
         yield "".join(chars)
 
 
+# The record is rendered in blocks of at most _BLOCK bytes.  An x block holds
+# _BLOCK // 4 coordinates, one "-1, " each at the widest; a block of the
+# terms with five-digit indices holds _BLOCK // 30 of them, and an
+# alternating tope of t = 10^4 + k has k such terms.
+_X_BLOCK = _BLOCK // len("-1, ")
+_TERM_BLOCK = 10**4 + _BLOCK // len('{"sign": -1, "index": 10000}, ')
+
+
 class TestDecomposeRecordBytes:
     """In-process decompose stdout equals json.dumps of the dict record, for
     the tope given in argv and read from stdin."""
 
-    # 10, 100 and 1000 add an index digit, and with it a leading-zero prefix.
-    @pytest.mark.parametrize("t", [3, 4, 5, 10, 11, 17, 100, 101, 1000, 1001, 1500, 65536])
+    # 10, 100 and 1000 add an index digit, and with it a new run of term rows;
+    # the rest sit one below, at and one above a block boundary.
+    @pytest.mark.parametrize("t", [
+        3, 4, 5, 10, 11, 17, 100, 101, 1000, 1001, 1500, 65536,
+        _X_BLOCK - 1, _X_BLOCK, _X_BLOCK + 1, 2 * _X_BLOCK, 2 * _X_BLOCK + 1,
+        _BLOCK // 3 - 1, _BLOCK // 3, _BLOCK // 3 + 1,
+        _TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1,
+    ])
     @pytest.mark.parametrize("source", ["argv", "stdin"])
     def test_stdout_is_the_json_dumps_of_the_record(self, capsys, monkeypatch, t, source):
         for tope in _topes(t):
@@ -193,6 +213,40 @@ class TestDecomposeRecordBytes:
             out, err = capsys.readouterr()
             assert (rc, err) == (0, "")
             assert out == _decompose_record(tope)
+
+
+class TestDecomposeStreaming:
+    """decompose yields its record a row block at a time, so no piece is
+    longer than _BLOCK bytes, and writes each piece as it comes."""
+
+    @pytest.mark.parametrize("t", [3, 1001, _TERM_BLOCK, 65536, 10**6])
+    def test_no_piece_is_longer_than_a_block(self, t):
+        alternating = spectrum_fast(Tope.from_string(("+-" * t)[:t])).coords
+        # Not a spectrum, but every x cell and term is at its widest.
+        minus = np.full(t, -1, dtype=np.int8)
+        for coords in alternating, minus:
+            pieces = list(cli._decompose_parts(coords))
+            assert max(map(len, pieces)) <= _BLOCK
+            assert json.loads("".join(pieces))["x"] == coords.tolist()
+        assert "".join(pieces) == _decompose_record_of([-1] * t)
+
+    def test_a_failure_mid_record_leaves_its_prefix_and_exits_2(self, capsys, monkeypatch):
+        rows, calls = cli._rows, []
+
+        def fail_on_the_third_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError
+            return rows(*args, **kwargs)
+
+        t = 3 * _X_BLOCK
+        tope = ("+-" * t)[:t]
+        monkeypatch.setattr(cli, "_rows", fail_on_the_third_block)
+        assert cli.main(["decompose", "--t", str(t), "--tope=" + tope]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: MemoryError\n"
+        assert len(out) > 2 * _X_BLOCK * len("0, ")
+        assert _decompose_record(tope).startswith(out)
 
 
 class TestStatsCommand:
@@ -432,6 +486,17 @@ def test_decompose_of_a_dense_tope_fits_in_64_mib_above_the_import_peak():
     rng = random.Random(16)
     tope = "".join(rng.choice("+-") for _ in range(t))
     proc = _run_under_budget(["decompose", "--t", str(t), "--tope", "-"], 64, stdin=tope)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_proc_status
+def test_decompose_of_a_dense_tope_fits_in_16_mib_above_the_import_peak():
+    # The record is written a row block at a time; a renderer that held the
+    # 18 MB record, or one array of all its term cells, would not fit.
+    t = 10**6
+    rng = random.Random(16)
+    tope = "".join(rng.choice("+-") for _ in range(t))
+    proc = _run_under_budget(["decompose", "--t", str(t), "--tope", "-"], 16, stdin=tope)
     assert proc.returncode == 0, proc.stderr
 
 
