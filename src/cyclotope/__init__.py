@@ -4,7 +4,7 @@ A tope is a vertex of the discrete hypercube {1, -1}^t.  The distinguished
 symmetric cycle visits 2t of them; every tope is a signed sum of an odd,
 inclusion-minimal subset of the cycle's vertices, and that subset is unique.
 This package computes the decomposition by three independent routes, counts
-topes by decomposition size in closed form and by enumeration, and decides
+topes by decomposition size in closed form and by an exact tally, and decides
 when two reorientations have equally many terms without computing either
 decomposition.
 

@@ -7,10 +7,10 @@ the fixed field names x, terms, size, j, l, count_formula, count_enum.
 
 verify runs every sweep under the one contract of verification._sweep: a
 sweep counts all its mismatches and names the first five only, in block,
-then case, then check order.  A ValueError or CyclotopeError raised inside a
-sweep, a kernel's guard refusing a broken route, is one more mismatch, so a
-broken route exits 1 with the full report.  The cases are the rows or pairs
-of rows each sweep compared.
+then case, then check order.  Any other exception raised inside a sweep than
+CapExceeded, BudgetExceeded and MemoryError, a broken route failing or a
+kernel's guard refusing it, is one more mismatch, so a broken route exits 1
+with the full report.  The cases are the rows or pairs of rows each sweep compared.
 
 decompose and stats write their records a block at a time, so a failure
 partway through leaves a truncated record on stdout and exits 2.
@@ -56,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="counts of topes by negative-part size and term count")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--enumerate", dest="enumerate_counts", action="store_true",
-                   help=f"cross-check formulas by full enumeration (t <= {ENUMERATION_CAP})")
+                   help="cross-check the formulas against an exact tally of all 2^t topes, "
+                        f"each half enumerated (t <= {ENUMERATION_CAP})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write the table to this path instead of stdout")
 

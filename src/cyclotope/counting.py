@@ -1,9 +1,10 @@
-"""Counting formulas for decomposition sizes, with an enumeration cross-check.
+"""Counting formulas for decomposition sizes, with an exact tally as a cross-check.
 
 The central table counts topes by (j, l) where j is the size of the negative
 part and l the size of the minimal decomposition.  Closed forms exist for
-every cell; enumerate_statistics tallies all 2^t topes with numpy as an
-independent check.  Counts are exact arbitrary-precision integers throughout.
+every cell; enumerate_statistics tallies all 2^t topes exactly, each half of
+the coordinates enumerated, as an independent check.  Counts are exact
+arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import bisect
 import math
 from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import CapExceeded, VerificationMismatch
-from .topes import _check_dimension, _integer, _row_blocks
+from .topes import _check_dimension, _integer
 
 ENUMERATION_CAP = 20
 
@@ -204,19 +206,22 @@ def _table_columns(t: int):
     column at a time.  half holds the cells j = j0..t//2 of column l, and
     _mirror(half, t) the whole column, j = j0..t-j0.
 
-    This is the batch form of count_by_negpart_and_size.  col[n] = C(n, h)
-    for n = 0..t, and column h follows from column h-1 by one running sum,
-    C(n, h) = sum over m < n of C(m, h-1).  With rev[n] = C(t-n, h), the cell
-    (j, 2h+1) is col[j-1] rev[j] + rev[j+1] col[j].  Column l = 1 holds the
-    2t cycle vertices: one each at j = 0 and j = t, two at every other j.
+    This is the batch form of count_by_negpart_and_size.  With h = (l-1)/2
+    and u_j = C(j-1, h) C(t-j, h), the cell (j, l) is u_j + u_{j+1}: the
+    second product of the scalar form, C(j, h) C(t-j-1, h), is u_{j+1}.  So a
+    column takes one product per cell, u_j for j = h..t//2+1, and sums
+    adjacent pairs.  The products read C(n, h) only for n in [h-1, t-h], so
+    col holds that window, and column h follows from column h-1 by one running
+    sum, C(n, h) = C(n-1, h) + C(n-1, h-1), which drops one entry at each end.
+    With col[k] = C(h-1+k, h), u_{h+k} = col[k] col[-1-k].  Column l = 1 holds
+    the 2t cycle vertices: one each at j = 0 and j = t, two at every other j.
     """
     yield 1, 0, [1] + [2] * (t // 2)
-    col = [1] * (t + 1)
+    col = [0] + [1] * (t + 1)  # C(n, 0) for n = -1..t
     for h in range(1, (t - 1) // 2 + 1):
-        col = [0, *accumulate(col[:-1])]
-        rev = col[::-1]
-        yield 2 * h + 1, h, [a * b + c * d for a, b, c, d in
-                             zip(col[h - 1 : t // 2], rev[h:], rev[h + 1 :], col[h : t // 2 + 1])]
+        col = [0, *accumulate(col[1 : t - 2 * h + 2])]
+        u = list(map(mul, col[: t // 2 - h + 2], reversed(col)))
+        yield 2 * h + 1, h, list(map(add, u, u[1:]))
 
 
 def _table_rows(t: int):
@@ -237,9 +242,18 @@ def enumerate_statistics(t: int) -> CountTable:
 
     Bit e-1 of a mask set means coordinate e is -1, so j is the popcount and
     l the number of adjacent sign changes plus one when the first and last
-    coordinates agree.  With t <= ENUMERATION_CAP the masks fit in uint32 and
-    the keys j*(t+1)+l in uint16.  Raises CapExceeded above the cap; use the
-    formula path beyond it.
+    coordinates agree.  The tally runs by halves, the two-block form of the
+    transfer-matrix method: a mask is one pair of its low a = t//2 bits
+    (coordinates 1..a) and its high t-a bits, so every mask of each half is
+    enumerated and tallied with one bincount keyed by (first bit, last bit,
+    popcount, internal sign changes).  Over a pair, j = j_lo + j_hi and
+    l = c_lo + c_hi + [last_lo != first_hi] + [first_lo == last_hi], the seam
+    and the corner terms.  A class is a polynomial with one term
+    x^(j(t+1) + c) per mask of its half, so a low class times a high class,
+    times x for each of the seam and corner terms that is 1, has one term
+    x^(j(t+1) + l) per pair: the table is a sum of products of classes, int64
+    convolutions that are exact, since no count exceeds 2^t.  Raises
+    CapExceeded above ENUMERATION_CAP; use the formula path beyond it.
     """
     _check_dimension(t)
     if t > ENUMERATION_CAP:
@@ -247,22 +261,31 @@ def enumerate_statistics(t: int) -> CountTable:
             f"enumeration over 2^{t} topes exceeds the cap of 2^{ENUMERATION_CAP}; "
             "use formula_table instead"
         )
-    span = 1 << t
+    a = t // 2
     width = t + 1
-    low = (1 << (t - 1)) - 1
-    counts = np.zeros(width * width, dtype=np.int64)
-    for rows in _row_blocks(span, 1):
-        m = np.arange(rows.start, rows.stop, dtype=np.uint32)
-        l = np.bitwise_count((m >> 1 ^ m) & low) + ((m >> (t - 1) ^ m) & 1 == 0)
-        keys = np.bitwise_count(m).astype(np.uint16) * width + l
-        counts += np.bincount(keys, minlength=width * width)
-    if int(counts.sum()) != span:
-        raise VerificationMismatch(f"tally lost topes: {int(counts.sum())} != 2^{t}")
-    counts = counts.reshape(width, width)
-    rows = tuple(
-        (j, l, int(counts[j, l]))
-        for l in range(width)
-        for j in range(width)
-        if counts[j, l]
-    )
+    size = (t - a + 1) * width  # one class: popcount * width + changes, popcount <= t-a
+    m = np.arange(1 << (t - a))
+    # popcount(m ^ m >> 1) counts a half's internal sign changes plus its last
+    # bit, the change to the zero above it; (size - 1) * last takes that back.
+    # bitwise_count gives uint8, so popcount * width is taken in int64.
+    key = ((m & 1) * (2 * size) + np.bitwise_count(m).astype(np.int64) * width
+           + np.bitwise_count(m >> 1 ^ m))
+    lo, hi = (np.bincount(key[: 1 << bits] + (m[: 1 << bits] >> (bits - 1)) * (size - 1),
+                          minlength=4 * size).reshape(2, 2, size) for bits in (a, t - a))
+    # lo and hi are indexed [first bit, last bit].  seam[ll, lh] is hi summed
+    # over its first bit fh, times x where ll != fh; fold[fl, ll] is seam
+    # summed over lh, times x where fl == lh; so lo[fl, ll] pairs with
+    # fold[fl, ll].  Times x is a shift by one entry, which stays inside its
+    # popcount block, as c + 2 <= t-a+1 < width.
+    seam = hi.copy()
+    seam[..., 1:] += hi[::-1, :, :-1]
+    seam = seam.transpose(1, 0, 2)
+    fold = seam[::-1].copy()
+    fold[..., 1:] += seam[..., :-1]
+    counts = sum(map(np.convolve, lo.reshape(4, size), fold.reshape(4, size)))
+    columns = counts[: width * width].reshape(width, width).T.tolist()
+    total = sum(map(sum, columns))
+    if total != 1 << t:
+        raise VerificationMismatch(f"tally lost topes: {total} != 2^{t}")
+    rows = tuple((j, l, c) for l, column in enumerate(columns) for j, c in enumerate(column) if c)
     return CountTable._wrap(t, rows)

@@ -11,9 +11,10 @@ formed: block by block, a sweep yields its checks as pairs of a bool array
 over the cases (rows, or pairs of rows) and a function naming one case.
 Every sweep_*(t) call, from run_report or directly, counts all mismatches
 and the cases compared, and names only the first _FIRST in block, then case,
-then check order.  A ValueError or CyclotopeError raised while a sweep runs,
-a kernel's exactness guard refusing what a broken route gave it, is one
-more mismatch and ends that sweep; CapExceeded and BudgetExceeded propagate.
+then check order.  The inputs of a sweep are generated, so any exception
+raised while it runs (a kernel's exactness guard refusing what a broken
+route gave it, or a broken route failing outright) is one more mismatch and
+ends that sweep; CapExceeded, BudgetExceeded and MemoryError propagate.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
@@ -84,7 +85,7 @@ from .decomposition import (
     _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
-from .errors import BudgetExceeded, CapExceeded, CyclotopeError
+from .errors import BudgetExceeded, CapExceeded
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
 from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks, reorient, separation_set
 
@@ -102,9 +103,10 @@ def _sweep(blocks):
     bool array failed, one entry per case (0-d for a whole object), and
     message(*index), which names the case at index from the block's state:
     the harness calls it before it draws the next block.  sweep(t) returns a
-    _Mismatches counting every mismatch and naming the first _FIRST.  A
-    ValueError or CyclotopeError raised inside the sweep is one mismatch,
-    named "t=N: <type>: <message>", and stops it.
+    _Mismatches counting every mismatch and naming the first _FIRST.  Any
+    other exception raised inside the sweep is one mismatch, named
+    "t=N: <type>: <message>", and stops it; CapExceeded, BudgetExceeded and
+    MemoryError propagate.
     """
 
     @functools.wraps(blocks)
@@ -122,10 +124,11 @@ def _sweep(blocks):
                              for index in map(tuple, np.argwhere(np.logical_or.reduce(failed)))
                              for f, (_, message) in zip(failed, checks) if f[index])
                     found += itertools.islice(named, _FIRST - len(found))
-        except (CapExceeded, BudgetExceeded):
+        except (CapExceeded, BudgetExceeded, MemoryError):
             raise
-        except (ValueError, CyclotopeError) as exc:
-            # A guard refused what a broken route fed it: a mismatch, not a usage error.
+        except Exception as exc:
+            # A broken route failed, or a guard refused what it fed it: a
+            # mismatch, not a usage error or a traceback.
             found.mismatches += 1
             if len(found) < _FIRST:
                 found.append(f"t={t}: {type(exc).__name__}: {exc}")
@@ -371,11 +374,13 @@ def _closed_form_values(t: int, j: int, l: int) -> tuple:
 
 @_sweep
 def sweep_counting(t: int):
-    """Enumerated (j, l) statistics against every closed form.
+    """The exact (j, l) tally of all 2^t topes against every closed form.
 
-    Each cell is compared with the production table formula_table, with the
-    scalar count count_by_negpart_and_size and with each of the four printed
-    forms from _closed_form_values.  The cases are the 2^t enumerated topes.
+    enumerate_statistics counts each tope once, as a pair of a low and a high
+    half whose masks are all enumerated.  Each cell of that tally is compared
+    with the production table formula_table, with the scalar count
+    count_by_negpart_and_size and with each of the four printed forms from
+    _closed_form_values.  The cases are the 2^t tallied topes.
     """
     table = enumerate_statistics(t)
     total = table.total()

@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 from cyclotope import (
+    BudgetExceeded,
+    CapExceeded,
     CyclotopeError,
     GroundSubset,
     ScaledIntMatrix,
@@ -29,7 +31,7 @@ from cyclotope import (
     reorient,
     spectrum_fast,
 )
-from cyclotope import cli, counting, decomposition, oracle, verification
+from cyclotope import cli, counting, decomposition, oracle, topes, verification
 
 T = 8
 SECOND = 0b00000101
@@ -516,10 +518,23 @@ def _offset(module, name, k):
 
 
 def _lose_a_tally(monkeypatch):
-    # The lost tally of test_lost_tally_is_a_mismatch_with_exit_code_1.
+    # The lost tally of test_lost_tally_is_a_mismatch_with_exit_code_1: each
+    # half's bincount, of 2 and 3 bits at t = 5, drops its mask 0.
     real = counting.np.bincount
     monkeypatch.setattr(counting.np, "bincount",
                         lambda keys, minlength: real(keys[1:], minlength=minlength))
+
+
+def _shift_run_bounds(monkeypatch):
+    # The first index array of the run bounds one row too far, in every
+    # module that binds the kernel: an IndexError, not a guard's refusal.
+    def planted(inside):
+        rows, *rest = real(inside)
+        return (rows + 1, *rest)
+
+    real = topes._run_bounds
+    monkeypatch.setattr(topes, "_run_bounds", planted)
+    monkeypatch.setattr(decomposition, "_run_bounds", planted)
 
 
 @pytest.mark.parametrize("plant, lines", [
@@ -537,8 +552,11 @@ def _lose_a_tally(monkeypatch):
         for m in range(5))]),
     (_lose_a_tally,
      ["counting: FAIL (1 mismatches)",
-      "  t=5: VerificationMismatch: tally lost topes: 31 != 2^5"]),
-], ids=["half-inverse-transform", "vertex-sum", "telescope", "lost-tally"])
+      f"  t=5: VerificationMismatch: tally lost topes: {(2**2 - 1) * (2**3 - 1)} != 2^5"]),
+    (_shift_run_bounds,
+     ["spectrum-methods: FAIL (1 mismatches)",
+      "  t=5: IndexError: index 32 is out of bounds for axis 0 with size 32"]),
+], ids=["half-inverse-transform", "vertex-sum", "telescope", "lost-tally", "run-bounds"])
 def test_a_kernel_guards_refusal_is_a_counted_mismatch_in_a_full_report(
     monkeypatch, capsys, plant, lines
 ):
@@ -553,6 +571,22 @@ def test_a_kernel_guards_refusal_is_a_counted_mismatch_in_a_full_report(
     assert text[-1] == "verify t=5: FAIL"
     start = text.index(lines[0])
     assert text[start:start + len(lines)] == lines
+
+
+@pytest.mark.parametrize("error", [
+    CapExceeded("a cap"), BudgetExceeded("a budget"), MemoryError(), RuntimeError("a fault"),
+])
+def test_a_sweep_propagates_only_the_three_resource_refusals(monkeypatch, error):
+    def fail(t):
+        raise error
+
+    monkeypatch.setattr(verification, "enumerate_statistics", fail)
+    if isinstance(error, RuntimeError):
+        found = verification.sweep_counting(5)
+        assert (found, found.mismatches) == (["t=5: RuntimeError: a fault"], 1)
+    else:
+        with pytest.raises(type(error)):
+            verification.sweep_counting(5)
 
 
 # The cases each sweep compares at dimension t: the 2^t topes or subsets,
