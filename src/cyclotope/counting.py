@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapExceeded, VerificationMismatch
 from .topes import _check_dimension, _integer
 
-ENUMERATION_CAP = 20
+ENUMERATION_CAP = 32
 
 _CLASSES = ("left-only", "right-only", "both-ends", "neither")
 

@@ -18,24 +18,26 @@ ends that sweep; CapExceeded, BudgetExceeded and MemoryError propagate.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
-kernels on stacks of rows.  They build the 2^t sign and membership rows
-once from the masks 0..2^t-1 and compare the kernels' results with plain
-mask arithmetic: sizes from popcounts of adjacent sign changes, meets and
-joins from popcounts of m1 & m2 and m1 | m2, interval counts from popcounts
-of run starts, vertex sums as x @ M.  Every stack is coordinate-major (a
-Fortran-ordered (2^t, t) array), and the kernels keep that layout, so each
-runs one long loop per coordinate instead of one loop of length t per row.
-The per-tope sweeps run on row blocks of the tope rows, flip-spectra on row
-blocks of the subset rows, equinumerosity and size-difference on row blocks
-of the 4^t pair grid by broadcasting, negpart-cardinalities on square tiles
-of it, and spectrum-updates on one (step, path) stack of its random paths,
-all drawn from one block of random bytes.  An object is built only to name
-a mismatch, from a copy of its row.  The unit-flip and boundary-case
-displays are two kernels of their own, each checked against the dense
-route rather than against the other.  run_report caps every sweep of
-_SWEEPS, the oracle at ORACLE_CAP, at a dimension that keeps `verify` at
-desk scale and reports a capped sweep as skipped; above every cap it
-raises CapExceeded.
+kernels on stacks of rows.  The 2^t sign and membership rows are built once
+per report from the masks 0..2^t-1 (_mask_rows keeps the rows of the last
+t), read-only and shared by the report's sweeps, which compare the
+kernels' results with plain mask arithmetic: sizes from popcounts of
+adjacent sign changes, meets and joins from popcounts of m1 & m2 and
+m1 | m2, interval counts from popcounts of run starts, vertex sums as
+x @ M.  Every stack is coordinate-major (a Fortran-ordered (2^t, t) array),
+and the kernels keep that layout, so each runs one long loop per
+coordinate instead of one loop of length t per row.  The per-tope sweeps
+run on row blocks of the tope rows, flip-spectra on row blocks of the
+subset rows, equinumerosity and size-difference on row blocks of the 4^t
+pair grid by broadcasting, negpart-cardinalities on square tiles of it,
+spectrum-updates on one (step, path) stack of its random paths, all drawn
+from one block of random bytes, and cycle-structure on row blocks of the
+cycle's vertex rows.  An object is built only to name a mismatch, from a
+copy of its row.  The unit-flip and boundary-case displays are two kernels
+of their own, each checked against the dense route rather than against
+the other.  run_report caps every sweep of _SWEEPS, the oracle at
+ORACLE_CAP, at a dimension that keeps `verify` at desk scale and reports a
+capped sweep as skipped; above every cap it raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from .decomposition import (
 from .equinumerosity import _boundary_sum, _interval_count_rule
 from .errors import BudgetExceeded, CapExceeded
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
-from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks, reorient, separation_set
+from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks
 
 
 class _Mismatches(list):
@@ -143,6 +145,7 @@ def _namer(cls, rows):
     return lambda i: cls._wrap(rows[i].copy())
 
 
+@functools.lru_cache(maxsize=1)
 def _mask_rows(t):
     """(masks, signs, members, sizes) for every t-bit mask, in mask order.
 
@@ -151,39 +154,62 @@ def _mask_rows(t):
     rows, coordinate-major: Fortran-ordered, each coordinate's entries
     contiguous across the rows.  The size of the minimal decomposition is
     read off the mask: the adjacent sign changes plus one when T(1) = T(t).
+    The rows of the last t asked for are kept, so the sweeps of one report
+    share one build; all four arrays are read-only.
     """
     masks = np.arange(1 << t, dtype=np.int64)
     members = ((masks >> np.arange(t)[:, None]) & 1 == 1).T
     signs = 1 - 2 * members.view(np.int8)
     changes = np.bitwise_count((masks ^ (masks >> 1)) & ((1 << (t - 1)) - 1))
     sizes = changes.astype(np.int64) + ((masks ^ (masks >> (t - 1))) & 1 == 0)
-    return masks, signs, members, sizes
+    rows = masks, signs, members, sizes
+    for arr in rows:
+        arr.flags.writeable = False
+    return rows
 
 
 @_sweep
 def sweep_cycle_structure(t: int):
-    """Cycle construction: adjacency, distinctness, antipodality."""
+    """Cycle construction: adjacency, antipodality, prefix flips, distinctness.
+
+    On row blocks of k < t, the vertices k and k + t are read from
+    cycle.vertex as two stacks of rows, each with the vertex after its last
+    row.  The block checks with array operations that vertex k differs from
+    the next in exactly one entry, that vertex k + t is -(vertex k) and
+    that vertex k flips the first k coordinates (a row of a lower-triangular
+    int8 reference).  The adjacency of the vertices k + t is held for one
+    last block, so the mismatches are named in the order of k, as over one
+    stack of all 2t vertices.  Distinctness counts the distinct bytes of the
+    rows.
+    """
     cycle = build_cycle(t)
     n = 2 * t
-    vertices = cycle.vertices
-    after = vertices[1:] + vertices[:1]
     yield 0, [
         (len(cycle) != n, lambda: f"t={t}: cycle has {len(cycle)} vertices, expected {n}"),
-        (vertices[0] != Tope.positive(t),
+        (cycle.vertex(0) != Tope.positive(t),
          lambda: f"t={t}: cycle does not start at the all-plus tope"),
     ]
-    yield n, [
-        (np.array([len(separation_set(v, w)) != 1 for v, w in zip(vertices, after)]),
-         lambda k: f"t={t}: vertices {k} and {(k + 1) % n} are not adjacent"),
-        (np.array([k < t and vertices[k + t] != -v for k, v in enumerate(vertices)]),
-         lambda k: f"t={t}: vertex {k + t} is not the antipode of vertex {k}"),
-        (np.array([1 <= k < t
-                   and v != reorient(Tope.positive(t), GroundSubset(t, np.arange(1, k + 1)))
-                   for k, v in enumerate(vertices)]),
-         lambda k: f"t={t}: vertex {k} does not flip the first {k} coordinates"),
-    ]
-    seen = len(set(map(str, vertices)))
-    yield 0, [(seen != n, lambda: f"t={t}: cycle vertices are not distinct ({seen} of {n})")]
+    seen = set()
+    late = np.empty(t, dtype=bool)
+    for rows in _row_blocks(t, n):
+        span = range(rows.start, rows.stop + 1)
+        low, high = (np.array([cycle.vertex((k + shift) % n).signs for k in span])
+                     for shift in (0, t))
+        apart, late[rows] = (np.count_nonzero(v[1:] != v[:-1], axis=-1) != 1 for v in (low, high))
+        low, high = low[:-1], high[:-1]
+        seen.update(map(bytes, low), map(bytes, high))
+        ks = np.arange(rows.start, rows.stop)
+        flipped = np.where(np.arange(t) < ks[:, None], np.int8(-1), np.int8(1))
+        yield len(ks), [
+            (apart, lambda i: f"t={t}: vertices {ks[i]} and {ks[i] + 1} are not adjacent"),
+            ((high != -low).any(axis=-1),
+             lambda i: f"t={t}: vertex {ks[i] + t} is not the antipode of vertex {ks[i]}"),
+            ((ks >= 1) & (low != flipped).any(axis=-1),
+             lambda i: f"t={t}: vertex {ks[i]} does not flip the first {ks[i]} coordinates"),
+        ]
+    yield t, [(late, lambda k: f"t={t}: vertices {k + t} and {(k + t + 1) % n} are not adjacent")]
+    yield 0, [(len(seen) != n,
+               lambda: f"t={t}: cycle vertices are not distinct ({len(seen)} of {n})")]
 
 
 @_sweep
@@ -356,20 +382,23 @@ def _path_draws(t):
     return signs, flips
 
 
-def _closed_form_values(t: int, j: int, l: int) -> tuple:
-    """All printed closed forms for the (j, l) count, in display order.
+def _closed_form_column(t: int, l: int) -> list:
+    """All printed closed forms for the (j, l) counts, in display order, for j = 0..t.
 
-    Only the cross-checks call this: sweep_counting and the tests.  Every
-    form vanishes outside the j-window.
+    Only the cross-checks call this: sweep_counting and the tests.  The
+    composition counts c(p, n) and c(h, n), n = 0..t+1, and the binomials
+    C(n, h), n = -1..t, are each evaluated once for the column and read by
+    every form.  Every form vanishes outside the j-window.
     """
     h = (l - 1) // 2
     p = (l + 1) // 2
-    c = composition_count
-    by_compositions = 2 * c(p, j) * c(p, t - j) + c(p, j) * c(h, t - j) + c(h, j) * c(p, t - j)
-    by_binomials = _binom0(j - 1, h) * _binom0(t - j, h) + _binom0(t - j - 1, h) * _binom0(j, h)
-    by_shifted = c(p, j) * c(p, t - j + 1) + c(p, t - j) * c(p, j + 1)
-    mirrored = 2 * c(p, t - j) * c(p, j) + c(p, t - j) * c(h, j) + c(h, t - j) * c(p, j)
-    return by_compositions, by_binomials, by_shifted, mirrored
+    cp, ch = ([composition_count(m, n) for n in range(t + 2)] for m in (p, h))
+    b = [_binom0(n, h) for n in range(-1, t + 1)]  # b[n + 1] = C(n, h)
+    return [(2 * cp[j] * cp[t - j] + cp[j] * ch[t - j] + ch[j] * cp[t - j],
+             b[j] * b[t - j + 1] + b[t - j] * b[j + 1],
+             cp[j] * cp[t - j + 1] + cp[t - j] * cp[j + 1],
+             2 * cp[t - j] * cp[j] + cp[t - j] * ch[j] + ch[t - j] * cp[j])
+            for j in range(t + 1)]
 
 
 @_sweep
@@ -380,7 +409,8 @@ def sweep_counting(t: int):
     half whose masks are all enumerated.  Each cell of that tally is compared
     with the production table formula_table, with the scalar count
     count_by_negpart_and_size and with each of the four printed forms from
-    _closed_form_values.  The cases are the 2^t tallied topes.
+    _closed_form_column, built once per l.  The cases are the 2^t tallied
+    topes.
     """
     table = enumerate_statistics(t)
     total = table.total()
@@ -403,7 +433,7 @@ def sweep_counting(t: int):
     for l in range(3, t + 1, 2):
         got = [table.count(j, l) for j in negparts]
         want = [count_by_negpart_and_size(t, j, l) for j in negparts]
-        forms = [_closed_form_values(t, j, l) for j in negparts]
+        forms = _closed_form_column(t, l)
         yield 0, [
             (np.not_equal(got, want),
              lambda j: f"t={t}, j={j}, l={l}: enumerated {got[j]} != formula {want[j]}"),

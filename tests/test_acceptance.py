@@ -24,7 +24,7 @@ from cyclotope import (
     spectrum_intervals,
 )
 from cyclotope.bench import compare_spectrum_routes, time_fast_spectrum
-from cyclotope.verification import _closed_form_values
+from cyclotope.verification import _closed_form_column
 from cyclotope.verification import (
     sweep_equinumerosity,
     sweep_negpart_cardinalities,
@@ -109,12 +109,13 @@ def test_criterion_05_count_closed_forms(capsys):
             table = enumerate_statistics(t)
             for l in range(3, t + 1, 2):
                 h = (l - 1) // 2
+                forms = _closed_form_column(t, l)
                 for j in range(t + 1):
                     enumerated = table.count(j, l)
                     if j < h or j > t - h:
                         assert enumerated == 0, f"zero region violated at {(t, j, l)}"
                         continue
-                    values = _closed_form_values(t, j, l)
+                    values = forms[j]
                     assert len(set(values)) == 1, f"expressions split at {(t, j, l)}"
                     assert enumerated == values[0], f"count mismatch at {(t, j, l)}"
             for j in range(1, t):

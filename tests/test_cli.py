@@ -519,6 +519,15 @@ def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
     assert proc.returncode == 0, proc.stderr
 
 
+@needs_proc_status
+def test_verify_at_the_top_cap_fits_in_64_mib_above_the_import_peak():
+    # cycle-structure reads the 2t vertices in row blocks and keeps only
+    # their bytes for the distinctness count, 32 MiB at t = 4096; all 8192
+    # vertex topes and the strings of their signs would take twice that.
+    proc = _run_under_budget(["verify", "--t", str(DENSE_CAP)], 64)
+    assert proc.returncode == 0, proc.stderr
+
+
 # Faults planted in a kernel, as the sweeps see it, so that the sweep fails
 # on millions of pairs at t = 11.
 _PLANTED_SIZE_DIFFERENCE = """

@@ -27,7 +27,7 @@ from cyclotope import (
 from cyclotope import cli, counting, verification
 from cyclotope.cli import main
 from cyclotope.topes import _row_blocks
-from cyclotope.verification import _closed_form_values
+from cyclotope.verification import _closed_form_column
 
 
 class TestCompositionCount:
@@ -128,20 +128,20 @@ class TestCountByNegpartAndSize:
 def test_closed_forms_agree_past_the_enumeration_cap(t):
     cases = ("left-only", "right-only", "both-ends", "neither")
     for l in range(3, t + 1, 2):
+        forms = _closed_form_column(t, l)
         for j in range(t + 1):
             count = count_by_negpart_and_size(t, j, l)
-            assert all(v == count for v in _closed_form_values(t, j, l)), (t, j, l)
+            assert all(v == count for v in forms[j]), (t, j, l)
             assert sum(count_by_boundary_class(t, l, case, j) for case in cases) == count
 
 
 def test_sweep_counting_reports_a_disagreeing_closed_form(monkeypatch):
-    def skewed(t, j, l):
-        values = real(t, j, l)
-        return values[:3] + (values[3] + 1,)
+    def skewed(t, l):
+        return [values[:3] + (values[3] + 1,) for values in real(t, l)]
 
-    real = verification._closed_form_values
+    real = verification._closed_form_column
     assert verification.sweep_counting(6) == []
-    monkeypatch.setattr(verification, "_closed_form_values", skewed)
+    monkeypatch.setattr(verification, "_closed_form_column", skewed)
     assert any("closed forms" in issue for issue in verification.sweep_counting(6))
 
 
@@ -312,16 +312,16 @@ def _tally_per_mask(t):
     return CountTable(t, [(j, l, int(counts[j, l])) for l in range(width) for j in range(width) if counts[j, l]])
 
 
-@pytest.mark.parametrize("t", range(3, ENUMERATION_CAP + 1))
+@pytest.mark.parametrize("t", range(3, 21))
 def test_the_tally_by_halves_equals_the_per_mask_tally(t):
     assert enumerate_statistics(t) == _tally_per_mask(t)
 
 
-@pytest.mark.parametrize("t", [23, 24, 26])
+@pytest.mark.parametrize("t", [34, 36])
 def test_the_tally_by_halves_holds_past_the_cap(monkeypatch, t):
     # Its keys must not wrap where a raised cap would take it: a popcount
     # times t + 1 passes 255 from t = 23 on.
-    monkeypatch.setattr(counting, "ENUMERATION_CAP", 26)
+    monkeypatch.setattr(counting, "ENUMERATION_CAP", 36)
     assert enumerate_statistics(t) == formula_table(t)
 
 
@@ -338,14 +338,14 @@ class TestEnumerateStatistics:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_statistics(21)
+            enumerate_statistics(33)
 
     def test_matches_formulas(self):
         for t in range(3, 13):
             assert enumerate_statistics(t).rows == formula_table(t).rows
 
     def test_matches_formulas_at_cap(self):
-        # the largest halves, 10 bits each
+        # the largest halves, 16 bits each
         table = enumerate_statistics(ENUMERATION_CAP)
         assert table.total() == 1 << ENUMERATION_CAP
         assert table == formula_table(ENUMERATION_CAP)

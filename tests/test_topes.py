@@ -550,6 +550,7 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     A = GroundSubset(3, [1, 3])
     decomposition.spectrum_from_unit_flips(A), decomposition.spectrum_from_boundary_cases(A)
     decomposition.unit_flip_spectrum(2, 3), -x, A.complement()
+    reorient(T, A), separation_set(T, -T)
     Tope.negative(3), Tope.from_string("+-+"), Tope.from_bitmask(5, 3), Spectrum.unit(1, 3)
     GroundSubset.empty(3), GroundSubset.full(3)
     tope_matrix(3) @ inverse_rows(3)

@@ -31,7 +31,7 @@ from cyclotope import (
     reorient,
     spectrum_fast,
 )
-from cyclotope import cli, counting, decomposition, oracle, topes, verification
+from cyclotope import cli, counting, cycle, decomposition, oracle, topes, verification
 
 T = 8
 SECOND = 0b00000101
@@ -609,3 +609,117 @@ def test_the_counted_cases_are_the_rows_or_pairs_each_sweep_compares(t):
         name: _CASES.get(name, lambda t: 1 << t)(t) if t <= cap else 0
         for name, _, cap in verification._SWEEPS
     }
+
+
+@pytest.fixture
+def cleared_caches():
+    """The oracle's tables and the mask-row memo, cleared before and after."""
+    for cached in (oracle._search_table, verification._mask_rows):
+        cached.cache_clear()
+    yield
+    for cached in (oracle._search_table, verification._mask_rows):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("t", range(4, 17))
+def test_a_report_builds_the_mask_rows_once_and_shares_them_read_only(cleared_caches, t):
+    verification.run_report(t)
+    assert verification._mask_rows.cache_info().misses == 1
+    for arr in verification._mask_rows(t):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def _walk(t, flips):
+    """The 2t vertices of the closed walk from all-plus flipping coordinate flips[k] at step k."""
+    steps = np.zeros((2 * t, t), dtype=bool)
+    steps[np.arange(1, 2 * t), np.asarray(flips[:-1]) - 1] = True
+    return np.where(np.logical_xor.accumulate(steps), np.int8(-1), np.int8(1))
+
+
+def _cycle_plant(t, law):
+    """The vertex rows of a walk that breaks the law, and the messages the sweep gives."""
+    n = 2 * t
+    run = list(range(1, t + 1))
+    if law == "adjacency":
+        # Vertex 0 and its antipode moved off the cycle: the start and the
+        # four adjacencies through them break, nothing else.
+        rows = _walk(t, run + run)
+        rows[0, 1] = -1
+        rows[t] = -rows[0]
+        return rows, [f"t={t}: cycle does not start at the all-plus tope",
+                      f"t={t}: vertices 0 and 1 are not adjacent",
+                      f"t={t}: vertices {t - 1} and {t} are not adjacent",
+                      f"t={t}: vertices {t} and {t + 1} are not adjacent",
+                      f"t={t}: vertices {n - 1} and 0 are not adjacent"]
+    if law == "antipode":
+        # The first half kept, the second a detour back: flip 2, t, 1, 3, ..., t.
+        rows = _walk(t, run[:-1] + [2, t, 1] + run[2:])
+        return rows, [f"t={t}: vertex {t} is not the antipode of vertex 0",
+                      f"t={t}: vertex {t + 1} is not the antipode of vertex 1"]
+    if law == "prefix":
+        # A symmetric walk whose first step flips coordinate 2.
+        half = [2, 1] + run[2:]
+        return _walk(t, half + half), [f"t={t}: vertex 1 does not flip the first 1 coordinates"]
+    # distinct: the last vertex repeats the one before it, which the laws
+    # around it also see.
+    rows = _walk(t, run + run)
+    rows[n - 1] = rows[n - 2]
+    return rows, [f"t={t}: vertex {n - 1} is not the antipode of vertex {t - 1}",
+                  f"t={t}: vertices {n - 2} and {n - 1} are not adjacent",
+                  f"t={t}: vertices {n - 1} and 0 are not adjacent",
+                  f"t={t}: cycle vertices are not distinct ({n - 1} of {n})"]
+
+
+@pytest.mark.parametrize("t", [5, 64, 256])
+@pytest.mark.parametrize("law", ["adjacency", "antipode", "prefix", "distinct"])
+def test_sweep_cycle_structure_names_each_broken_law(monkeypatch, t, law):
+    # At t = 256 the k < t rows span two blocks; the names still come in
+    # the order of k over all 2t vertices.
+    rows, want = _cycle_plant(t, law)
+    assert verification.sweep_cycle_structure(t) == []
+    monkeypatch.setattr(cycle, "cycle_vertex", lambda t, k: rows[k].copy())
+    found = verification.sweep_cycle_structure(t)
+    assert found == want
+    assert (found.mismatches, found.cases) == (len(want), 2 * t)
+
+
+_PACKAGE_MODULES = (cli, counting, cycle, decomposition, oracle, topes, verification)
+
+
+def _binding_modules(name):
+    """Every module of the package that binds the package function name."""
+    real = getattr(next(m for m in _PACKAGE_MODULES if hasattr(m, name)), name)
+    return [m for m in _PACKAGE_MODULES if getattr(m, name, None) is real]
+
+
+@pytest.mark.parametrize("kernels, failing", [
+    (["cycle_vertex"], {"cycle-structure", "oracle"}),
+    (["composition_count", "_binom0"], {"boundary-classes", "counting"}),
+    (["count_by_negpart_and_size", "count_topes_by_size", "count_cycle_topes_by_negpart"],
+     {"counting"}),
+    (["count_by_boundary_class", "count_subsets_by_boundary"], {"boundary-classes"}),
+    (["gram_entry", "inverse_gram_entry"], {"matrix-identities"}),
+], ids=["cycle", "compositions", "cell-counts", "boundary-counts", "gram"])
+def test_a_kernel_planted_off_by_one_fails_exactly_the_sweeps_that_check_it(
+    monkeypatch, capsys, cleared_caches, kernels, failing
+):
+    # The oracle's table is built from cycle_vertex, so it is cleared before
+    # each plant, and once more by the fixture after the last.
+    names = sorted(name for name, _, _ in verification._SWEEPS)
+    for kernel in kernels:
+        oracle._search_table.cache_clear()
+        verification._mask_rows.cache_clear()
+        with monkeypatch.context() as patch:
+            modules = _binding_modules(kernel)
+            real = getattr(modules[0], kernel)
+            for module in modules:
+                patch.setattr(module, kernel, lambda *args, real=real: real(*args) + 1)
+            report = verification.run_report(5)
+            assert {name for name in names if report[name]["status"] == "FAIL"} == failing, kernel
+            assert cli.main(["verify", "--t", "5"]) == 1
+            text = capsys.readouterr().out.splitlines()
+            assert [line.split(": ")[0] for line in text[:-1]
+                    if not line.startswith("  ")] == names, kernel
+            assert text[-1] == "verify t=5: FAIL"
