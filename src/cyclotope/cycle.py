@@ -27,9 +27,11 @@ DENSE_CAP = 4096
 class ScaledIntMatrix:
     """An exact rational matrix stored as integer entries over a fixed denominator.
 
-    The entries follow the rules of the vector constructors: bool, float and
-    object data raise TypeError (an ndarray is judged by its dtype, nested
-    lists entry by entry), and an entry outside int64 raises ValueError.
+    The entries follow the rules of the vector constructors.  An ndarray is
+    judged by its dtype: bool, float and object data raise TypeError.
+    Nested lists are read entry by entry through operator.index, as a scalar
+    argument is: a bool or any entry operator.index refuses raises
+    TypeError, and an entry outside int64 raises ValueError.
     """
 
     __slots__ = ("_entries", "_denom")

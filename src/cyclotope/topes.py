@@ -9,6 +9,7 @@ coordinates).
 from __future__ import annotations
 
 import operator
+import struct
 from typing import Iterable
 
 import numpy as np
@@ -56,45 +57,79 @@ def _integer(value) -> int:
 def _int_array(values, what: str, lo: int, hi: int, error=ValueError) -> np.ndarray:
     """values as a 1-d integer array with entries in [lo, hi]; error if out of range.
 
-    Bool, float and object data raise TypeError.  An ndarray is judged by its
-    dtype; in other input a bool anywhere raises (numpy reads [1, True] as
-    [1, 1]), and an integer too large for int64 is out of range.
+    An ndarray is judged by its dtype: bool, float and object data raise
+    TypeError.  Other input follows the rule of _integer entry by entry, at
+    every length: each entry is read through operator.index, a bool raises
+    TypeError (numpy would read [1, True] as [1, 1]), and an integer too
+    large for int64 is out of range.  Except for up to _SHORT plain ints,
+    a list is read in one C pass by struct, which calls operator.index on
+    every entry; the array it gives is read-only.
     """
     if isinstance(values, np.ndarray):
-        arr, types = values, set()
+        arr, scan = values, False
+        if arr.ndim != 1:
+            raise ValueError(f"a {what} is a one-dimensional vector")
+        if arr.dtype.kind not in "iu":
+            raise TypeError(f"{what} entries must be integers, got dtype {arr.dtype}")
     else:
         if not isinstance(values, (list, tuple)):
             values = list(values)
-        types = set(map(type, values))
+        n = len(values)
+        types = set(map(type, values)) if n <= _SHORT else None
         if types == {int}:
-            # Plain ints skip numpy's dtype discovery.  Up to _SHORT of them
-            # are range-checked by Python's min and max, which cost less
-            # there than two numpy reductions, before they are converted.
-            if len(values) <= _SHORT:
-                if lo <= min(values) and max(values) <= hi:
-                    return np.fromiter(values, np.int64, len(values))
-                raise _out_of_range(what, lo, hi, error)
-            try:
-                arr = np.fromiter(values, np.int64, len(values))
-            except OverflowError:
-                raise _out_of_range(what, lo, hi, error) from None
-        elif types & _BOOLS:
-            raise TypeError(f"{what} entries must be integers, got a bool")
-        else:
-            arr = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"a {what} is a one-dimensional vector")
-    if arr.dtype.kind in "iu":
+            if lo <= min(values) and max(values) <= hi:
+                return np.fromiter(values, np.int64, n)
+            raise _out_of_range(what, lo, hi, error)
+        if types and types & _BOOLS:
+            raise _bool_entry(what)
+        try:
+            arr = np.frombuffer(struct.pack(f"{n}q", *values), np.int64)
+        except (struct.error, TypeError):
+            raise _refusal(values, what, lo, hi, error) from None
+        # Only a longer list has not been scanned for bools yet.
+        scan = types is None
+    if arr.size:
+        low = arr.min()
+        # struct reads a bool as 0 or 1, so only a minimum <= 1 can hide one.
+        if scan and low <= 1 and not _BOOLS.isdisjoint(map(type, values)):
+            raise _bool_entry(what)
         # Compare in the original dtype: an int8 cast would wrap 257 to 1.
-        if not arr.size or (lo <= arr.min() and arr.max() <= hi):
-            return arr
-    elif not types or not all(issubclass(ty, (int, np.integer)) for ty in types):
-        raise TypeError(f"{what} entries must be integers, got dtype {arr.dtype}")
-    raise _out_of_range(what, lo, hi, error)
+        if not (lo <= low and arr.max() <= hi):
+            raise _out_of_range(what, lo, hi, error)
+    return arr
 
 
-# Lists of plain ints up to this length are range-checked in Python.
+# Lists up to this length are scanned for their entry types first; plain
+# ints among them are range-checked by Python's min and max, which cost
+# less there than two numpy reductions, and the whole route costs half
+# the struct read or less up to 16 entries and breaks even near 64.  A
+# longer list goes straight to struct, and is scanned for bools only when
+# its minimum is <= 1, as about a fifth of reorient-queries' long member
+# lists are; scanning every long list costs a third more there.
 _SHORT = 64
+
+
+def _refusal(values, what, lo, hi, error):
+    # The error for a list that struct refused: a bool anywhere, else the
+    # first entry that operator.index refuses, named by the dtype numpy
+    # gives the list (or by itself where numpy reads it as an integer, as
+    # it does a 0-d bool array), else an integer beyond int64.
+    if not _BOOLS.isdisjoint(map(type, values)):
+        return _bool_entry(what)
+    for value in values:
+        try:
+            operator.index(value)
+        except TypeError:
+            arr = np.asarray(values)
+            if arr.ndim != 1:
+                return ValueError(f"a {what} is a one-dimensional vector")
+            got = repr(value) if arr.dtype.kind in "iu" else f"dtype {arr.dtype}"
+            return TypeError(f"{what} entries must be integers, got {got}")
+    return _out_of_range(what, lo, hi, error)
+
+
+def _bool_entry(what):
+    return TypeError(f"{what} entries must be integers, got a bool")
 
 
 def _out_of_range(what, lo, hi, error):

@@ -179,8 +179,8 @@ def sweep_cycle_structure(t: int):
     that vertex k flips the first k coordinates (a row of a lower-triangular
     int8 reference).  The adjacency of the vertices k + t is held for one
     last block, so the mismatches are named in the order of k, as over one
-    stack of all 2t vertices.  Distinctness counts the distinct bytes of the
-    rows.
+    stack of all 2t vertices.  Distinctness counts the distinct rows by the
+    bytes of their packed negative parts, t / 8 bytes a row.
     """
     cycle = build_cycle(t)
     n = 2 * t
@@ -197,7 +197,7 @@ def sweep_cycle_structure(t: int):
                      for shift in (0, t))
         apart, late[rows] = (np.count_nonzero(v[1:] != v[:-1], axis=-1) != 1 for v in (low, high))
         low, high = low[:-1], high[:-1]
-        seen.update(map(bytes, low), map(bytes, high))
+        seen.update(*(map(bytes, np.packbits(v < 0, axis=-1)) for v in (low, high)))
         ks = np.arange(rows.start, rows.stop)
         flipped = np.where(np.arange(t) < ks[:, None], np.int8(-1), np.int8(1))
         yield len(ks), [

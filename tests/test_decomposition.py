@@ -187,6 +187,8 @@ class TestDecompositionSet:
              "terms must be in strictly ascending index order"),
             (4, [("+", 0)], ValueError, "invalid literal for int() with base 10: '+'"),
             (4, [(1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+            # A reading through zip(*terms) would drop the middle term's third entry.
+            (4, [(1, 0), (-1, 1, 9), (1, 3)], ValueError, "too many values to unpack (expected 2)"),
             (4, [(1, None)], TypeError, "int() argument must be a string, a bytes-like object "
                                         "or a real number, not 'NoneType'"),
             # Entries go through operator.index: nothing is truncated or parsed.
@@ -200,6 +202,35 @@ class TestDecompositionSet:
     def test_constructor_rejections_and_messages(self, t, terms, error, message):
         with pytest.raises(error) as info:
             Decomposition(t, terms)
+        assert str(info.value) == message
+
+    # Each fault planted in the term (s, i) at position k of 201 valid terms
+    # at t = 1000, where j is the index of the term before it (of the last
+    # term for k = 0), with the error the term-by-term checks give.
+    @pytest.mark.parametrize("fault, error, message", [
+        (lambda s, i, j: (0, i), ValueError, "term sign must be +-1, got 0"),
+        (lambda s, i, j: (2, i), ValueError, "term sign must be +-1, got 2"),
+        (lambda s, i, j: (s, 1000), ValueError, "term index 1000 out of range [0, 1000)"),
+        (lambda s, i, j: (s, -1), ValueError, "term index -1 out of range [0, 1000)"),
+        (lambda s, i, j: (s, 2**70), ValueError,
+         f"term index {2**70} out of range [0, 1000)"),
+        (lambda s, i, j: (s, j), ValueError,
+         "terms must be in strictly ascending index order"),
+        (lambda s, i, j: (float(s), i), TypeError,
+         "'float' object cannot be interpreted as an integer"),
+        (lambda s, i, j: (s, True), TypeError, "expected an integer, got a bool: True"),
+        (lambda s, i, j: (s, i, 0), ValueError, "too many values to unpack (expected 2)"),
+        (lambda s, i, j: (s,), ValueError, "not enough values to unpack (expected 2, got 1)"),
+    ])
+    @pytest.mark.parametrize("k", [0, 100, 200])
+    def test_a_fault_in_a_long_term_list_keeps_its_message(self, fault, error, message, k):
+        rng = np.random.default_rng(k)
+        indices = np.sort(rng.choice(1000, size=201, replace=False)).tolist()
+        terms = [(int(s), i) for s, i in zip(rng.choice([-1, 1], size=201), indices)]
+        assert Decomposition(1000, terms).terms == tuple(terms)
+        terms[k] = fault(*terms[k], terms[k - 1][1])
+        with pytest.raises(error) as info:
+            Decomposition(1000, terms)
         assert str(info.value) == message
 
     def test_constructor_matches_decomposition_set(self):

@@ -7,6 +7,9 @@ arithmetic that shares no code with the library.
 
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from cyclotope import (
     spectrum_fast,
     spectrum_update,
 )
+from cyclotope import topes
 from cyclotope.cli import _decompose_parts
 from cyclotope.decomposition import (
     _boundary_case_display,
@@ -46,7 +50,7 @@ from cyclotope.decomposition import (
     _vertex_sum,
 )
 from cyclotope.equinumerosity import _boundary_sum, _interval_count_rule
-from cyclotope.topes import _meet_join_cards
+from cyclotope.topes import _SHORT, _meet_join_cards
 
 MAX_T = 512
 
@@ -337,6 +341,34 @@ def test_constructors_reject_invalid_entries(case):
             Spectrum(entries)
         else:
             GroundSubset(t, entries)
+
+
+# Entries that no member list may hold, each refused on either route.
+_BAD_MEMBERS = [0.5, np.float64(2), "x", None, Decimal(2), Fraction(1, 2), True, False,
+                np.True_, np.False_, np.array(True), 2**70, -(2**70), np.uint64(2**63), 0]
+
+
+@relaxed
+@given(st.data())
+def test_a_member_list_reads_the_same_on_both_sides_of_short(data):
+    # A list of up to _SHORT entries is scanned for its types first, a
+    # longer one is read by struct.  _SHORT is moved below and then above
+    # the list's length, so the same list takes each route.
+    t = data.draw(st.integers(3, 4 * _SHORT))
+    members = data.draw(st.permutations(range(1, t + 1)))[:data.draw(st.integers(0, t))]
+    want = GroundSubset(t, np.array(members, dtype=np.int64))
+    for short in (-1, len(members)):
+        with patch.object(topes, "_SHORT", short):
+            A = GroundSubset(t, members)
+        assert A == want and A.members == tuple(sorted(members))
+    bad = data.draw(st.sampled_from(_BAD_MEMBERS + [t + 1] + members[:1]))
+    members.insert(data.draw(st.integers(0, len(members))), bad)
+    errors = []
+    for short in (-1, len(members)):
+        with patch.object(topes, "_SHORT", short), pytest.raises((TypeError, ValueError)) as info:
+            GroundSubset(t, members)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 @st.composite

@@ -1,6 +1,8 @@
 import ast
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from cyclotope import (
     EmptySetError,
     GroundSubset,
     IntervalPartition,
+    InvalidSpectrum,
     ScaledIntMatrix,
     Spectrum,
     Tope,
@@ -27,6 +30,7 @@ from cyclotope import (
     tope_matrix,
 )
 from cyclotope import bench, verification
+from cyclotope.topes import _SHORT, _integer
 
 
 def _all_subsets(t):
@@ -262,6 +266,79 @@ _INTEGER_ARGUMENTS = {
 def test_integer_arguments_refuse_bools_and_floats(call, value):
     with pytest.raises(TypeError):
         call(value)
+
+
+# The list constructors, each with a valid list of n entries and how it
+# names its entries: (build, valid entries, what, lo, hi, range error).
+_INT64 = np.iinfo(np.int64)
+_LIST_CONSTRUCTORS = {
+    "Tope": (Tope, lambda n: [1, -1] * (n // 2) + [1] * (n % 2), "tope", -1, 1, ValueError),
+    "Spectrum": (Spectrum, lambda n: [1] + [0] * (n - 1), "spectrum", -1, 1, InvalidSpectrum),
+    "GroundSubset": (lambda v: GroundSubset(len(v), v), lambda n: list(range(1, n + 1)),
+                     "subset", 1, None, ValueError),
+    "ScaledIntMatrix": (lambda v: ScaledIntMatrix([v]), lambda n: [7] * n,
+                        "matrix", _INT64.min, _INT64.max, ValueError),
+}
+
+# A bad entry, and the end of the error it gives in any list: the type and
+# the message after "<what> entries must ".
+_BAD_ENTRIES = {
+    "float": (0.5, TypeError, "be integers, got dtype float64"),
+    "np.float64": (np.float64(1), TypeError, "be integers, got dtype float64"),
+    "str": ("x", TypeError, "be integers, got dtype <U21"),
+    "None": (None, TypeError, "be integers, got dtype object"),
+    "Decimal": (Decimal(1), TypeError, "be integers, got dtype object"),
+    "Fraction": (Fraction(1), TypeError, "be integers, got dtype object"),
+    "True": (True, TypeError, "be integers, got a bool"),
+    "np.True_": (np.True_, TypeError, "be integers, got a bool"),
+    "2**70": (2**70, None, "lie in"),
+    "np.uint64(2**63)": (np.uint64(2**63), None, "lie in"),
+    # operator.index refuses it; numpy would read it as the integer 1.
+    "0-d bool array": (np.array(True), TypeError, "be integers, got array(True)"),
+}
+
+
+@pytest.mark.parametrize("n", [3, _SHORT, _SHORT + 1, 5000])
+@pytest.mark.parametrize("bad", _BAD_ENTRIES, ids=_BAD_ENTRIES.keys())
+@pytest.mark.parametrize("name", _LIST_CONSTRUCTORS)
+def test_a_bad_list_entry_raises_the_same_error_at_every_length_and_position(name, bad, n):
+    # Lists up to _SHORT entries are scanned for their types first; longer
+    # ones are read by struct, so both routes must give these errors.
+    build, valid, what, lo, hi, range_error = _LIST_CONSTRUCTORS[name]
+    value, error, tail = _BAD_ENTRIES[bad]
+    if tail == "lie in":
+        error, tail = range_error, f"lie in [{lo}, {n if hi is None else hi}]"
+    for k in (0, n // 2, n - 1):
+        entries = valid(n)
+        entries[k] = value
+        for given in (entries, tuple(entries)):
+            with pytest.raises(error) as info:
+                build(given)
+            assert type(info.value) is error
+            assert str(info.value) == f"{what} entries must {tail}"
+
+
+class _Index:
+    """An integer by __index__ only, as operator.index reads one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("n", [3, _SHORT, _SHORT + 1, 5000])
+def test_an_index_only_entry_is_read_by_operator_index_at_every_length(n):
+    assert _integer(_Index(-3)) == -3
+    for name, (build, valid, *_) in _LIST_CONSTRUCTORS.items():
+        entries = valid(n)
+        built = build([_Index(v) for v in entries])
+        want = build(entries)
+        if name == "ScaledIntMatrix":
+            assert np.array_equal(built.entries, want.entries)
+        else:
+            assert built == want
 
 
 class TestTrustedAndValidatedSubsetsAgree:
