@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the spectrum routes")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--reps", type=int, default=9, help="odd repetition count; median is reported")
 
     return parser
 
@@ -265,7 +264,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    card = run_bench(args.t, reps=args.reps)
+    card = run_bench(args.t)
     print(json.dumps(card, indent=2))
     return 0
 

@@ -352,33 +352,34 @@ def _path_draws(t):
     """(start signs, flip sets) of the random paths, read off one block of bytes.
 
     random.Random(_SEED).randbytes gives the block, read little-endian as
-    - _STEPS x _PATHS x t 64-bit sort keys, one per coordinate of each step
-      of each path;
-    - _STEPS x _PATHS pairs of 32-bit words (w_k, w_size);
+    - _STEPS // 2 x _PATHS x t 64-bit sort keys, one per coordinate of each
+      odd step of each path;
+    - _STEPS x _PATHS 32-bit words w, one per step of each path;
     - _PATHS x t bits, lowest bit of each byte first: bit p * t + e set makes
       entry e + 1 of the start tope of path p negative.
     A word w picks one of m values as (w * m) >> 32, biased by less than
-    m / 2^32: k = 1 + (w_k * t >> 32) and the size is 1 + (w_size * m >> 32)
-    with m = min(t, max(2, t // 4) + 1).  Even steps flip {k}; odd steps
-    flip the size coordinates of least sort key, a uniform sample.  The
-    signs are (_PATHS, t) int8 and the flip sets a (_STEPS, _PATHS, t) bool
-    stack, both coordinate-major.
+    m / 2^32.  Even steps flip {k}, k = 1 + (w * t >> 32); odd steps flip the
+    size coordinates of least sort key, a uniform sample, with size
+    1 + (w * m >> 32) and m = min(t, max(2, t // 4) + 1).  The signs are
+    (_PATHS, t) int8 and the flip sets a (_STEPS, _PATHS, t) bool stack,
+    both coordinate-major.
     """
     cells = _STEPS * _PATHS
-    block = random.Random(_SEED).randbytes(8 * cells * (t + 1) + (_PATHS * t + 7) // 8)
-    keys = np.frombuffer(block, "<u8", cells * t).reshape(_STEPS, _PATHS, t)
-    words = np.frombuffer(block, "<u4", 2 * cells, 8 * cells * t).reshape(_STEPS, _PATHS, 2)
-    bits = np.frombuffer(block, np.uint8, offset=8 * cells * (t + 1))
+    keyed = 8 * (cells // 2) * t
+    block = random.Random(_SEED).randbytes(keyed + 4 * cells + (_PATHS * t + 7) // 8)
+    keys = np.frombuffer(block, "<u8", (cells // 2) * t).reshape(_STEPS // 2, _PATHS, t)
+    words = np.frombuffer(block, "<u4", cells, keyed).reshape(_STEPS, _PATHS)
+    bits = np.frombuffer(block, np.uint8, offset=keyed + 4 * cells)
     negative = np.unpackbits(bits, count=_PATHS * t, bitorder="little").reshape(_PATHS, t)
     signs = np.asfortranarray(np.where(negative == 1, -1, 1), dtype=np.int8)
     top = min(t, max(2, t // 4) + 1)
-    picks = (words.astype(np.uint64) * np.array([t, top], dtype=np.uint64)) >> 32
-    k, size = picks.astype(np.int64).transpose(2, 0, 1) + 1
+    scale = np.tile(np.array([t, top], dtype=np.uint64), _STEPS // 2)[:, None]
+    picks = ((words.astype(np.uint64) * scale) >> 32).astype(np.int64) + 1
     coords = np.arange(1, t + 1)
     flips = np.empty((_STEPS, _PATHS, t), dtype=bool, order="F")
-    flips[0::2] = coords == k[0::2, :, None]
-    ranked = np.argsort(keys[1::2], axis=-1, kind="stable")
-    np.put_along_axis(flips[1::2], ranked, np.arange(t) < size[1::2, :, None], axis=-1)
+    flips[0::2] = coords == picks[0::2, :, None]
+    ranked = np.argsort(keys, axis=-1, kind="stable")
+    np.put_along_axis(flips[1::2], ranked, np.arange(t) < picks[1::2, :, None], axis=-1)
     return signs, flips
 
 

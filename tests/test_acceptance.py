@@ -23,7 +23,7 @@ from cyclotope import (
     spectrum_fast,
     spectrum_intervals,
 )
-from cyclotope.bench import compare_spectrum_routes, time_fast_spectrum
+from cyclotope.bench import run_bench
 from cyclotope.verification import _closed_form_column
 from cyclotope.verification import (
     sweep_equinumerosity,
@@ -204,9 +204,9 @@ def test_criterion_09_size_difference_all_pairs(capsys):
 def test_criterion_10_performance(capsys):
     ok = False
     try:
-        large = time_fast_spectrum(10**6, reps=9)
+        large = run_bench(10**6)
         assert large["fast_seconds"] < 0.050, f"median {large['fast_seconds']*1000:.2f} ms"
-        routes = compare_spectrum_routes(2048, reps=9)
+        routes = run_bench(2048)
         assert routes["speedup"] >= 10.0, f"speedup only {routes['speedup']:.1f}x"
         ok = True
     finally:

@@ -467,7 +467,7 @@ def test_streamed_output_fits_in_64_mib_above_the_import_peak(argv):
 @needs_proc_status
 @pytest.mark.parametrize("argv", [
     ["cycle", "--t", str(10**9)],
-    ["bench", "--t", str(10**9), "--reps", "1"],
+    ["bench", "--t", str(10**9)],
 ])
 def test_running_out_of_memory_is_one_error_line_and_exit_2(argv):
     # One cycle vertex, or bench's random tope at one byte per entry, needs
@@ -523,7 +523,7 @@ def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
 def test_verify_at_the_top_cap_fits_in_32_mib_above_the_import_peak():
     # cycle-structure reads the 2t vertices in row blocks and keeps only
     # their packed negative parts for the distinctness count, 4 MiB at
-    # t = 4096; the run passes at 26 MiB.  Keeping the rows' int8 bytes
+    # t = 4096; the run passes at 17 MiB.  Keeping the rows' int8 bytes
     # instead, 32 MiB, does not fit.
     proc = _run_under_budget(["verify", "--t", str(DENSE_CAP)], 32)
     assert proc.returncode == 0, proc.stderr
@@ -787,12 +787,25 @@ class TestVerifyJson:
 
 class TestBenchCommand:
     def test_reports_median_timings(self):
-        proc = run_cli("bench", "--t", "64", "--reps", "3")
+        proc = run_cli("bench", "--t", "64")
         assert proc.returncode == 0
         card = json.loads(proc.stdout)
-        assert card["t"] == 64
-        assert card["routes"]["dense_seconds"] > 0
-        assert card["routes"]["fast_seconds"] > 0
+        assert card["t"] == 64 and card["reps"] == 9
+        assert card["dense_seconds"] > 0
+        assert card["fast_seconds"] > 0
+        assert card["speedup"] == card["dense_seconds"] / card["fast_seconds"]
+
+    def test_the_dense_route_is_timed_up_to_its_cap_and_left_out_above_it(self):
+        at_cap = json.loads(run_cli("bench", "--t", str(DENSE_CAP)).stdout)
+        assert set(at_cap) == {"t", "reps", "fast_seconds", "dense_seconds", "speedup"}
+        above = json.loads(run_cli("bench", "--t", str(DENSE_CAP + 1)).stdout)
+        assert set(above) == {"t", "reps", "fast_seconds"}
+        assert above["t"] == DENSE_CAP + 1 and above["fast_seconds"] > 0
+
+    def test_reps_is_a_usage_error(self):
+        proc = run_cli("bench", "--t", "64", "--reps", "3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--reps" in proc.stderr
 
 
 def test_missing_subcommand_is_usage_error():

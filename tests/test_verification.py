@@ -31,7 +31,9 @@ from cyclotope import (
     reorient,
     spectrum_fast,
 )
-from cyclotope import cli, counting, cycle, decomposition, oracle, topes, verification
+from cyclotope import (
+    cli, counting, cycle, decomposition, equinumerosity, oracle, topes, verification,
+)
 
 T = 8
 SECOND = 0b00000101
@@ -336,17 +338,19 @@ def _recorded_path_steps(monkeypatch, t):
 
 @pytest.mark.parametrize("t", [3, 8, 21])
 def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
-    # The draws written out from the one block of bytes: per step and path t
-    # 64-bit sort keys, then per step and path the 32-bit words for k and
-    # the size, then one bit per start-tope entry.  Even steps flip {k},
-    # odd steps the size coordinates of least key (ties by coordinate).
+    # The draws written out from the one block of bytes: per odd step and
+    # path t 64-bit sort keys, then per step and path one 32-bit word, read
+    # as k on even steps and as the size on odd steps, then one bit per
+    # start-tope entry.  Even steps flip {k}, odd steps the size coordinates
+    # of least key (ties by coordinate).
     paths, steps, cells = 20, 16, 20 * 16
-    block = random.Random(7).randbytes(8 * cells * t + 8 * cells + (paths * t + 7) // 8)
+    keyed = 8 * (cells // 2) * t
+    block = random.Random(7).randbytes(keyed + 4 * cells + (paths * t + 7) // 8)
 
     def word(offset, width):
         return int.from_bytes(block[offset:offset + width], "little")
 
-    bits = 8 * cells * (t + 1)
+    bits = keyed + 4 * cells
     starts = [
         [-1 if block[bits + (p * t + e) // 8] >> ((p * t + e) % 8) & 1 else 1 for e in range(t)]
         for p in range(paths)
@@ -356,12 +360,13 @@ def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
     for step in range(steps):
         rows = []
         for p in range(paths):
-            cell = step * paths + p
-            k = 1 + (word(8 * cells * t + 8 * cell, 4) * t >> 32)
-            size = 1 + (word(8 * cells * t + 8 * cell + 4, 4) * top >> 32)
-            keys = [word(8 * (cell * t + e), 8) for e in range(t)]
-            sample = sorted(range(t), key=lambda e: (keys[e], e))[:size]
-            members = [e + 1 for e in sample] if step % 2 else [k]
+            w = word(keyed + 4 * (step * paths + p), 4)
+            if step % 2:
+                keys = [word(8 * (((step // 2) * paths + p) * t + e), 8) for e in range(t)]
+                sample = sorted(range(t), key=lambda e: (keys[e], e))[:1 + (w * top >> 32)]
+                members = [e + 1 for e in sample]
+            else:
+                members = [1 + (w * t >> 32)]
             rows.append([e in members for e in range(1, t + 1)])
         flips.append(rows)
     seen = _recorded_path_steps(monkeypatch, t)
@@ -685,7 +690,9 @@ def test_sweep_cycle_structure_names_each_broken_law(monkeypatch, t, law):
     assert (found.mismatches, found.cases) == (len(want), 2 * t)
 
 
-_PACKAGE_MODULES = (cli, counting, cycle, decomposition, oracle, topes, verification)
+_PACKAGE_MODULES = (
+    cli, counting, cycle, decomposition, equinumerosity, oracle, topes, verification,
+)
 
 
 def _binding_modules(name):
@@ -694,14 +701,42 @@ def _binding_modules(name):
     return [m for m in _PACKAGE_MODULES if getattr(m, name, None) is real]
 
 
+def _off_by_one(real):
+    """real with 1 added to its result, or to the first element of a tuple."""
+    def planted(*args):
+        result = real(*args)
+        if isinstance(result, tuple):
+            return (result[0] + 1, *result[1:])
+        return result + 1
+    return planted
+
+
 @pytest.mark.parametrize("kernels, failing", [
+    (["_half_inverse_transform"],
+     {"boundary-classes", "decompositions", "equinumerosity", "negpart-cardinalities", "oracle",
+      "size-difference", "spectrum-methods", "spectrum-updates"}),
+    (["_telescope"],
+     {"boundary-classes", "decompositions", "negpart-cardinalities", "oracle", "spectrum-methods"}),
+    (["_vertex_sum"], {"decompositions", "negpart-cardinalities", "spectrum-methods"}),
+    (["_matrix_entries"], {"decompositions", "matrix-identities", "spectrum-methods"}),
+    (["_inverse_entries"], {"flip-spectra", "matrix-identities", "spectrum-methods"}),
+    (["_spectrum_dense"], {"flip-spectra", "spectrum-methods"}),
+    (["_spectrum_intervals", "_tope_signs"], {"spectrum-methods"}),
+    (["_spectrum_update"], {"spectrum-updates"}),
+    (["_unit_flip_sum", "_boundary_case_display"], {"flip-spectra"}),
+    (["_size_difference"], {"equinumerosity", "size-difference"}),
+    (["_negpart_size", "_meet_join_from_spectra", "_meet_join_cards"], {"negpart-cardinalities"}),
+    (["_boundary_sum", "_interval_count_rule"], {"equinumerosity"}),
     (["cycle_vertex"], {"cycle-structure", "oracle"}),
     (["composition_count", "_binom0"], {"boundary-classes", "counting"}),
     (["count_by_negpart_and_size", "count_topes_by_size", "count_cycle_topes_by_negpart"],
      {"counting"}),
     (["count_by_boundary_class", "count_subsets_by_boundary"], {"boundary-classes"}),
     (["gram_entry", "inverse_gram_entry"], {"matrix-identities"}),
-], ids=["cycle", "compositions", "cell-counts", "boundary-counts", "gram"])
+], ids=["half-inverse", "telescope", "vertex-sum", "matrix-entries", "inverse-entries",
+        "spectrum-dense", "intervals-signs", "spectrum-update", "flip-sums", "size-difference",
+        "negpart-meet-join", "boundary-sum-rule",
+        "cycle", "compositions", "cell-counts", "boundary-counts", "gram"])
 def test_a_kernel_planted_off_by_one_fails_exactly_the_sweeps_that_check_it(
     monkeypatch, capsys, cleared_caches, kernels, failing
 ):
@@ -715,7 +750,7 @@ def test_a_kernel_planted_off_by_one_fails_exactly_the_sweeps_that_check_it(
             modules = _binding_modules(kernel)
             real = getattr(modules[0], kernel)
             for module in modules:
-                patch.setattr(module, kernel, lambda *args, real=real: real(*args) + 1)
+                patch.setattr(module, kernel, _off_by_one(real))
             report = verification.run_report(5)
             assert {name for name in names if report[name]["status"] == "FAIL"} == failing, kernel
             assert cli.main(["verify", "--t", "5"]) == 1
