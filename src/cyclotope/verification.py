@@ -330,18 +330,18 @@ _PATHS, _STEPS, _SEED = 20, 16, 7
 def sweep_spectrum_updates(t: int):
     """Random reorientation paths: incremental updates match recomputation.
 
-    The start topes and flip sets are drawn by _path_draws.  A running xor
-    of the flips gives the signs around every step, and one update call runs
-    all steps from the recomputed spectra; up to each path's first diverging
-    step, which is reported, chained updates would give those same spectra.
-    The cases are the (path, step) cells, path by path.
+    _path_draws gives the start topes' negative parts and the flip sets as
+    one stack.  A running xor along it gives the negative parts around
+    every step, and one update call runs all steps from the recomputed
+    spectra; up to each path's first diverging step, which is reported,
+    chained updates would give those same spectra.  The cases are the
+    (path, step) cells, path by path.
     """
-    signs, flips = _path_draws(t)
-    flipped = np.zeros((_STEPS + 1, _PATHS, t), dtype=bool, order="F")
-    np.logical_xor.accumulate(flips, axis=0, out=flipped[1:])
-    walk = np.where(flipped, -signs, signs)  # reorient
+    draws = _path_draws(t)
+    negative = np.logical_xor.accumulate(draws, axis=0, out=np.empty_like(draws))
+    walk = 1 - 2 * negative.view(np.int8)  # reorient
     x = _telescope(walk)
-    diverged = (_spectrum_update(x[:-1], walk[:-1], flips) != x[1:]).any(axis=-1)
+    diverged = (_spectrum_update(x[:-1], walk[:-1], draws[1:]) != x[1:]).any(axis=-1)
     first = diverged & (np.cumsum(diverged, axis=0) == 1)
     yield first.size, [
         (first.T, lambda p, step: f"path {p} step {step}: update diverged from recomputation"),
@@ -349,38 +349,31 @@ def sweep_spectrum_updates(t: int):
 
 
 def _path_draws(t):
-    """(start signs, flip sets) of the random paths, read off one block of bytes.
+    """The random paths as one (1 + _STEPS, _PATHS, t) coordinate-major bool stack.
 
-    random.Random(_SEED).randbytes gives the block, read little-endian as
-    - _STEPS // 2 x _PATHS x t 64-bit sort keys, one per coordinate of each
-      odd step of each path;
+    random.Random(_SEED).randbytes gives one block, read little-endian as
     - _STEPS x _PATHS 32-bit words w, one per step of each path;
+    - _STEPS // 2 x _PATHS x t 16-bit keys, one per coordinate of each odd
+      step of each path;
     - _PATHS x t bits, lowest bit of each byte first: bit p * t + e set makes
       entry e + 1 of the start tope of path p negative.
-    A word w picks one of m values as (w * m) >> 32, biased by less than
-    m / 2^32.  Even steps flip {k}, k = 1 + (w * t >> 32); odd steps flip the
-    size coordinates of least sort key, a uniform sample, with size
-    1 + (w * m >> 32) and m = min(t, max(2, t // 4) + 1).  The signs are
-    (_PATHS, t) int8 and the flip sets a (_STEPS, _PATHS, t) bool stack,
-    both coordinate-major.
+    Layer 0 holds the start topes' negative parts and layer 1 + step the
+    flip set of that step.  An even step flips {1 + (w * t >> 32)}; an odd
+    step flips the coordinates whose key lies below w >> 16, so its size is
+    uniform on 0..t up to the threshold's 2^-16 steps, and the set is
+    uniform given its size.
     """
     cells = _STEPS * _PATHS
-    keyed = 8 * (cells // 2) * t
-    block = random.Random(_SEED).randbytes(keyed + 4 * cells + (_PATHS * t + 7) // 8)
-    keys = np.frombuffer(block, "<u8", (cells // 2) * t).reshape(_STEPS // 2, _PATHS, t)
-    words = np.frombuffer(block, "<u4", cells, keyed).reshape(_STEPS, _PATHS)
-    bits = np.frombuffer(block, np.uint8, offset=keyed + 4 * cells)
-    negative = np.unpackbits(bits, count=_PATHS * t, bitorder="little").reshape(_PATHS, t)
-    signs = np.asfortranarray(np.where(negative == 1, -1, 1), dtype=np.int8)
-    top = min(t, max(2, t // 4) + 1)
-    scale = np.tile(np.array([t, top], dtype=np.uint64), _STEPS // 2)[:, None]
-    picks = ((words.astype(np.uint64) * scale) >> 32).astype(np.int64) + 1
-    coords = np.arange(1, t + 1)
-    flips = np.empty((_STEPS, _PATHS, t), dtype=bool, order="F")
-    flips[0::2] = coords == picks[0::2, :, None]
-    ranked = np.argsort(keys, axis=-1, kind="stable")
-    np.put_along_axis(flips[1::2], ranked, np.arange(t) < picks[1::2, :, None], axis=-1)
-    return signs, flips
+    keyed = 4 * cells + 2 * (cells // 2) * t
+    block = random.Random(_SEED).randbytes(keyed + (_PATHS * t + 7) // 8)
+    words = np.frombuffer(block, "<u4", cells).reshape(_STEPS, _PATHS, 1)
+    keys = np.frombuffer(block, "<u2", (cells // 2) * t, 4 * cells).reshape(_STEPS // 2, _PATHS, t)
+    bits = np.frombuffer(block, np.uint8, offset=keyed)
+    draws = np.empty((1 + _STEPS, _PATHS, t), dtype=bool, order="F")
+    draws[0] = np.unpackbits(bits, count=_PATHS * t, bitorder="little").reshape(_PATHS, t)
+    draws[1::2] = np.arange(1, t + 1) == 1 + (words[0::2].astype(np.uint64) * t >> 32)
+    draws[2::2] = keys < words[1::2] >> 16
+    return draws
 
 
 def _closed_form_column(t: int, l: int) -> list:

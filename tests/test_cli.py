@@ -523,7 +523,7 @@ def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
 def test_verify_at_the_top_cap_fits_in_32_mib_above_the_import_peak():
     # cycle-structure reads the 2t vertices in row blocks and keeps only
     # their packed negative parts for the distinctness count, 4 MiB at
-    # t = 4096; the run passes at 17 MiB.  Keeping the rows' int8 bytes
+    # t = 4096; the run passes at 13-14 MiB.  Keeping the rows' int8 bytes
     # instead, 32 MiB, does not fit.
     proc = _run_under_budget(["verify", "--t", str(DENSE_CAP)], 32)
     assert proc.returncode == 0, proc.stderr

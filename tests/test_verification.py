@@ -13,6 +13,7 @@ in one table entry.
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from cyclotope import (
 from cyclotope import (
     cli, counting, cycle, decomposition, equinumerosity, oracle, topes, verification,
 )
+from cyclotope.cycle import DENSE_CAP
 
 T = 8
 SECOND = 0b00000101
@@ -284,6 +286,24 @@ def test_sweep_spectrum_updates_reports_every_diverging_path_in_order(monkeypatc
     ]
 
 
+@pytest.mark.parametrize("t", [5, 8, 64, 4096])
+def test_sweep_spectrum_updates_catches_a_fault_on_large_flip_sets(monkeypatch, t):
+    # The update is wrong only on the rows that flip more than
+    # max(2, t // 4) + 1 coordinates (t // 4 + 1 from t = 8 on), sizes that
+    # the odd steps reach, and that a sampler capped there never tries.
+    real = verification._spectrum_update
+
+    def wrong(coords, signs, inside):
+        out = real(coords, signs, inside)
+        out[..., 0] += 2 * (inside.sum(axis=-1) > max(2, t // 4) + 1)
+        return out
+
+    monkeypatch.setattr(verification, "_spectrum_update", wrong)
+    found = verification.sweep_spectrum_updates(t)
+    assert found.mismatches > 0
+    assert all(line.endswith("update diverged from recomputation") for line in found)
+
+
 @pytest.mark.parametrize("mask", [0b0000000, 0b0000001, 0b1111111])
 def test_sweep_oracle_names_a_wrong_table_entry(monkeypatch, mask):
     # The oracle table's minimal vertex mask of one tope gains the vertex at
@@ -338,36 +358,32 @@ def _recorded_path_steps(monkeypatch, t):
 
 @pytest.mark.parametrize("t", [3, 8, 21])
 def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
-    # The draws written out from the one block of bytes: per odd step and
-    # path t 64-bit sort keys, then per step and path one 32-bit word, read
-    # as k on even steps and as the size on odd steps, then one bit per
-    # start-tope entry.  Even steps flip {k}, odd steps the size coordinates
-    # of least key (ties by coordinate).
+    # The draws written out from the one block of bytes: per step and path
+    # one 32-bit word, then per odd step and path t 16-bit keys, then one
+    # bit per start-tope entry.  Even steps flip {1 + (w * t >> 32)}, odd
+    # steps the coordinates whose key lies below w >> 16.
     paths, steps, cells = 20, 16, 20 * 16
-    keyed = 8 * (cells // 2) * t
-    block = random.Random(7).randbytes(keyed + 4 * cells + (paths * t + 7) // 8)
+    keyed = 4 * cells + 2 * (cells // 2) * t
+    block = random.Random(7).randbytes(keyed + (paths * t + 7) // 8)
 
     def word(offset, width):
         return int.from_bytes(block[offset:offset + width], "little")
 
-    bits = keyed + 4 * cells
     starts = [
-        [-1 if block[bits + (p * t + e) // 8] >> ((p * t + e) % 8) & 1 else 1 for e in range(t)]
+        [-1 if block[keyed + (p * t + e) // 8] >> ((p * t + e) % 8) & 1 else 1 for e in range(t)]
         for p in range(paths)
     ]
-    top = min(t, max(2, t // 4) + 1)
     flips = []
     for step in range(steps):
         rows = []
         for p in range(paths):
-            w = word(keyed + 4 * (step * paths + p), 4)
+            w = word(4 * (step * paths + p), 4)
             if step % 2:
-                keys = [word(8 * (((step // 2) * paths + p) * t + e), 8) for e in range(t)]
-                sample = sorted(range(t), key=lambda e: (keys[e], e))[:1 + (w * top >> 32)]
-                members = [e + 1 for e in sample]
+                keys = [word(4 * cells + 2 * (((step // 2) * paths + p) * t + e), 2)
+                        for e in range(t)]
+                rows.append([key < w >> 16 for key in keys])
             else:
-                members = [1 + (w * t >> 32)]
-            rows.append([e in members for e in range(1, t + 1)])
+                rows.append([e == 1 + (w * t >> 32) for e in range(1, t + 1)])
         flips.append(rows)
     seen = _recorded_path_steps(monkeypatch, t)
     assert seen[0][0].tolist() == starts
@@ -376,13 +392,25 @@ def test_sweep_spectrum_updates_draws_the_paths_path_by_path(monkeypatch, t):
 
 @pytest.mark.parametrize("t", [3, 8, 21])
 def test_sweep_spectrum_updates_flip_sets_keep_their_sizes(monkeypatch, t):
-    # Even steps flip one coordinate; odd steps flip 1 to
-    # min(t, max(2, t // 4) + 1) of them, and the draws reach both ends.
-    top = min(t, max(2, t // 4) + 1)
+    # Even steps flip one coordinate; odd steps flip 0 to t of them, and the
+    # draws reach both ends.
     sizes = [inside.sum(axis=-1).tolist() for _, inside in _recorded_path_steps(monkeypatch, t)]
     assert all(size == [1] * 20 for size in sizes[0::2])
     odd = {size for row in sizes[1::2] for size in row}
-    assert min(odd) == 1 and max(odd) == top
+    assert min(odd) == 0 and max(odd) == t
+
+
+def test_sweep_spectrum_updates_at_the_top_cap_peaks_within_9_mib():
+    # At t = 4096 the block of draws takes 1.3 MiB and the stack of 17 x 20
+    # rows 1.3 MiB in each of its bool, int8 sign and spectrum forms; the
+    # sweep peaks at 7.8 MiB.
+    tracemalloc.start()
+    try:
+        assert verification.sweep_spectrum_updates(DENSE_CAP) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
 
 
 @in_first_or_last_tope_block
