@@ -27,7 +27,6 @@ from .counting import (
 from .cycle import (
     ScaledIntMatrix,
     SymmetricCycle,
-    build_cycle,
     cycle_vertex,
     gram_entry,
     inverse_gram_entry,
@@ -39,7 +38,6 @@ from .decomposition import (
     Decomposition,
     Spectrum,
     decomposition_set,
-    decomposition_size,
     negpart_meet_join_from_spectra,
     negpart_size_from_spectrum,
     reconstruct_tope,
@@ -59,7 +57,6 @@ from .equinumerosity import (
     equinumerosity_indicator,
 )
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     CyclotopeError,
     DimensionMismatch,
@@ -85,7 +82,6 @@ from .topes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "CapExceeded",
     "CountTable",
     "CriterionReport",
@@ -108,7 +104,6 @@ __all__ = [
     "Tope",
     "VerificationMismatch",
     "bruteforce_minimal_decomposition",
-    "build_cycle",
     "composition_count",
     "count_by_boundary_class",
     "count_by_negpart_and_size",
@@ -117,7 +112,6 @@ __all__ = [
     "count_topes_by_size",
     "cycle_vertex",
     "decomposition_set",
-    "decomposition_size",
     "enumerate_statistics",
     "equal_size_by_interval_count",
     "equal_size_criterion",

@@ -7,10 +7,10 @@ the fixed field names x, terms, size, j, l, count_formula, count_enum.
 
 verify runs every sweep under the one contract of verification._sweep: a
 sweep counts all its mismatches and names the first five only, in block,
-then case, then check order.  Any other exception raised inside a sweep than
-CapExceeded, BudgetExceeded and MemoryError, a broken route failing or a
-kernel's guard refusing it, is one more mismatch, so a broken route exits 1
-with the full report.  The cases are the rows or pairs of rows each sweep compared.
+then case, then check order.  Any exception raised inside a sweep other than
+CapExceeded and MemoryError, a broken route failing or a kernel's guard
+refusing it, is one more mismatch, so a broken route exits 1 with the full
+report.  The cases are the rows or pairs of rows each sweep compared.
 
 decompose and stats write their records a block at a time, so a failure
 partway through leaves a truncated record on stdout and exits 2.
@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .bench import run_bench
 from .counting import ENUMERATION_CAP, _mirror, _table_columns, enumerate_statistics
-from .cycle import build_cycle, inverse_gram_matrix, inverse_rows, tope_matrix
+from .cycle import SymmetricCycle, inverse_gram_matrix, inverse_rows, tope_matrix
 from .decomposition import spectrum_fast
 from .equinumerosity import equal_size_criterion
 from .errors import CyclotopeError, VerificationMismatch
@@ -249,7 +249,7 @@ def _cmd_equinum(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     if args.matrix_kind is None:
-        for vertex in build_cycle(args.t):
+        for vertex in SymmetricCycle(args.t):
             print(vertex)
         return 0
     matrix = {

@@ -109,10 +109,6 @@ class SymmetricCycle:
     def t(self) -> int:
         return self._t
 
-    @property
-    def vertices(self) -> tuple:
-        return tuple(self)
-
     def vertex(self, k: int) -> Tope:
         """Cycle vertex at position k, 0 <= k < 2t."""
         return Tope._wrap(cycle_vertex(self._t, k))
@@ -136,11 +132,6 @@ def cycle_vertex(t: int, k: int) -> np.ndarray:
     signs = np.ones(t, dtype=np.int8)
     signs[: k % t] = -1
     return signs if k < t else -signs
-
-
-def build_cycle(t: int) -> SymmetricCycle:
-    """Construct the distinguished symmetric cycle for dimension t."""
-    return SymmetricCycle(t)
 
 
 def _matrix_entries(t: int) -> np.ndarray:

@@ -220,11 +220,6 @@ def decomposition_set(T: Tope) -> Decomposition:
     return Decomposition._wrap(spectrum_fast(T).coords)
 
 
-def decomposition_size(T: Tope) -> int:
-    """Size of the minimal decomposition (odd), without building the terms."""
-    return spectrum_fast(T).support_size
-
-
 def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
     # v times twice the inverse matrix along the last axis, in O(t): the
     # columns telescope.  Computed in v's dtype and layout; the dtype must

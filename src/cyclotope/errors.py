@@ -22,11 +22,8 @@ class NotProperSubset(CyclotopeError):
 
 
 class CapExceeded(CyclotopeError):
-    """An enumeration or a dense matrix was requested above its size cap."""
-
-
-class BudgetExceeded(CyclotopeError):
-    """The brute-force oracle was asked to search beyond its budget."""
+    """An enumeration, a dense matrix or the oracle's subset search was
+    requested above its size cap."""
 
 
 class InvalidSpectrum(CyclotopeError):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycle import cycle_vertex
-from .errors import BudgetExceeded, CyclotopeError
+from .errors import CapExceeded, CyclotopeError
 from .topes import Tope, _row_blocks
 
 ORACLE_CAP = 10
@@ -46,10 +46,10 @@ def _search_table(t: int) -> tuple:
     (-1 when there is none), how many solutions have it, the first of those
     in ascending subset order, and the first solution of size at most t
     that does not contain it (-1 when every one does).  Above ORACLE_CAP it
-    raises BudgetExceeded before building anything.
+    raises CapExceeded before building anything.
     """
     if t > ORACLE_CAP:
-        raise BudgetExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
+        raise CapExceeded(f"oracle subset space 4^{t} exceeds the cap (t <= {ORACLE_CAP})")
     vertices = np.array([cycle_vertex(t, b) for b in range(2 * t)], dtype=np.int16)
     members = ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.int16)
     low, high = members @ vertices[:t], members @ vertices[t:]

@@ -14,7 +14,7 @@ and the cases compared, and names only the first _FIRST in block, then case,
 then check order.  The inputs of a sweep are generated, so any exception
 raised while it runs (a kernel's exactness guard refusing what a broken
 route gave it, or a broken route failing outright) is one more mismatch and
-ends that sweep; CapExceeded, BudgetExceeded and MemoryError propagate.
+ends that sweep; CapExceeded and MemoryError propagate.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
@@ -65,7 +65,7 @@ from .counting import (
 )
 from .cycle import (
     DENSE_CAP,
-    build_cycle,
+    SymmetricCycle,
     gram_entry,
     inverse_gram_entry,
     inverse_gram_matrix,
@@ -87,7 +87,7 @@ from .decomposition import (
     _unit_flip_sum,
 )
 from .equinumerosity import _boundary_sum, _interval_count_rule
-from .errors import BudgetExceeded, CapExceeded
+from .errors import CapExceeded
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
 from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks
 
@@ -107,8 +107,8 @@ def _sweep(blocks):
     the harness calls it before it draws the next block.  sweep(t) returns a
     _Mismatches counting every mismatch and naming the first _FIRST.  Any
     other exception raised inside the sweep is one mismatch, named
-    "t=N: <type>: <message>", and stops it; CapExceeded, BudgetExceeded and
-    MemoryError propagate.
+    "t=N: <type>: <message>", and stops it; CapExceeded and MemoryError
+    propagate.
     """
 
     @functools.wraps(blocks)
@@ -126,7 +126,7 @@ def _sweep(blocks):
                              for index in map(tuple, np.argwhere(np.logical_or.reduce(failed)))
                              for f, (_, message) in zip(failed, checks) if f[index])
                     found += itertools.islice(named, _FIRST - len(found))
-        except (CapExceeded, BudgetExceeded, MemoryError):
+        except (CapExceeded, MemoryError):
             raise
         except Exception as exc:
             # A broken route failed, or a guard refused what it fed it: a
@@ -182,7 +182,7 @@ def sweep_cycle_structure(t: int):
     stack of all 2t vertices.  Distinctness counts the distinct rows by the
     bytes of their packed negative parts, t / 8 bytes a row.
     """
-    cycle = build_cycle(t)
+    cycle = SymmetricCycle(t)
     n = 2 * t
     yield 0, [
         (len(cycle) != n, lambda: f"t={t}: cycle has {len(cycle)} vertices, expected {n}"),

@@ -506,7 +506,7 @@ def test_a_memory_error_without_a_message_names_its_type(capsys, monkeypatch):
     def refuse(t):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "build_cycle", refuse)
+    monkeypatch.setattr(cli, "SymmetricCycle", refuse)
     assert cli.main(["cycle", "--t", "3"]) == 2
     assert capsys.readouterr() == ("", "error: MemoryError\n")
 

@@ -397,6 +397,23 @@ def test_table_builders_reject_a_non_integer_dimension(t):
         CountTable(t, [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_cycle_topes_by_negpart(5, 6), "negative-part size must lie in [0, 5], got 6"),
+    (lambda: count_cycle_topes_by_negpart(5, -1), "negative-part size must lie in [0, 5], got -1"),
+    (lambda: count_by_negpart_and_size(5, 6, 3), "negative-part size must lie in [0, 5], got 6"),
+    (lambda: count_by_boundary_class(5, 3, "neither", 6),
+     "negative-part size must lie in [0, 5], got 6"),
+    (lambda: count_by_boundary_class(5, 4, "neither"), "this count needs odd l in [3, 5], got 4"),
+    (lambda: count_by_boundary_class(5, 7, "neither"), "this count needs odd l in [3, 5], got 7"),
+    (lambda: count_subsets_by_boundary(5, 1, 3), "boundary overlap must be 0, 1 or 2, got 3"),
+    (lambda: count_subsets_by_boundary(5, -1, 0), "interval count must be nonnegative, got -1"),
+])
+def test_the_closed_forms_reject_an_argument_out_of_range(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 class TestCountTable:
     def test_row_order_enforced(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ from cyclotope import (
     CapExceeded,
     DimensionTooSmall,
     ScaledIntMatrix,
+    SymmetricCycle,
     Tope,
-    build_cycle,
     cycle_vertex,
     gram_entry,
     inverse_gram_entry,
@@ -15,30 +15,30 @@ from cyclotope import (
     separation_set,
     tope_matrix,
 )
-from cyclotope.cycle import DENSE_CAP, SymmetricCycle, _inverse_entries, _matrix_entries
+from cyclotope.cycle import DENSE_CAP, _inverse_entries, _matrix_entries
 
 
 def test_cycle_t3_vertices():
     # the full 6-cycle at t=3, written out by hand
     expected = ["+++", "-++", "--+", "---", "+--", "++-"]
-    cycle = build_cycle(3)
+    cycle = SymmetricCycle(3)
     assert [str(cycle.vertex(k)) for k in range(6)] == expected
 
 
 def test_cycle_adjacency_edge():
-    cycle = build_cycle(3)
+    cycle = SymmetricCycle(3)
     assert len(separation_set(cycle.vertex(2), cycle.vertex(3))) == 1
 
 
 def test_cycle_t4_antipode():
-    cycle = build_cycle(4)
+    cycle = SymmetricCycle(4)
     assert cycle.vertex(5) == -cycle.vertex(1)
     assert str(cycle.vertex(5)) == "+---"
 
 
 def test_cycle_vertex_standalone_agrees():
     for t in (3, 5, 8):
-        cycle = build_cycle(t)
+        cycle = SymmetricCycle(t)
         for k in range(2 * t):
             assert np.array_equal(cycle.vertex(k).signs, cycle_vertex(t, k))
 
@@ -48,21 +48,20 @@ def test_cycle_derives_its_vertices_without_storing_them():
     # would need 2 * 10^12 bytes.
     assert SymmetricCycle.__slots__ == ("_t",)
     t = 10**6
-    cycle = build_cycle(t)
+    cycle = SymmetricCycle(t)
     assert len(cycle) == 2 * t
     for k in (0, t - 1, t, 2 * t - 1):
         assert np.array_equal(cycle.vertex(k).signs, cycle_vertex(t, k))
 
 
 def test_cycle_iteration_and_vertices_walk_the_cycle():
-    cycle = build_cycle(7)
+    cycle = SymmetricCycle(7)
     walk = [cycle.vertex(k) for k in range(14)]
-    assert list(cycle) == list(cycle.vertices) == walk
-    assert list(cycle) == walk  # each iteration starts afresh
+    assert list(cycle) == list(cycle) == walk  # each iteration starts afresh
 
 
 def test_cycle_vertex_index_bounds():
-    cycle = build_cycle(4)
+    cycle = SymmetricCycle(4)
     with pytest.raises(IndexError):
         cycle.vertex(8)
     with pytest.raises(IndexError):
@@ -71,7 +70,7 @@ def test_cycle_vertex_index_bounds():
 
 def test_cycle_is_closed_walk():
     for t in (3, 4, 7):
-        cycle = build_cycle(t)
+        cycle = SymmetricCycle(t)
         n = 2 * t
         for k in range(n):
             step = separation_set(cycle.vertex(k), cycle.vertex((k + 1) % n))
@@ -80,7 +79,7 @@ def test_cycle_is_closed_walk():
 
 def test_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
-        build_cycle(2)
+        SymmetricCycle(2)
     with pytest.raises(DimensionTooSmall):
         tope_matrix(1)
 
@@ -236,6 +235,12 @@ class TestScaledIntMatrix:
     def test_an_entry_beyond_int64_raises_value_error(self, entries):
         with pytest.raises(ValueError, match="must lie in"):
             ScaledIntMatrix(entries)
+
+    @pytest.mark.parametrize("entries", [[1, 2, 3], np.arange(3)])
+    def test_one_dimensional_entries_raise_value_error(self, entries):
+        with pytest.raises(ValueError) as excinfo:
+            ScaledIntMatrix(entries)
+        assert str(excinfo.value) == "entries must be a 2-D array"
 
     def test_entries_are_copied_exactly(self):
         given = np.array([[-(2**63), 2**63 - 1], [0, 1]], dtype=np.int64)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclotope import (
-    BudgetExceeded,
+    CapExceeded,
     CyclotopeError,
     Tope,
     bruteforce_minimal_decomposition,
@@ -40,14 +40,14 @@ def test_matches_spectral_route_exhaustively():
 
 
 def test_budget_cap():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(CapExceeded):
         bruteforce_minimal_decomposition(Tope.positive(11))
 
 
 def test_the_sweep_keeps_the_budget_cap():
     # Above ORACLE_CAP, where verify skips it, the sweep fails as the scalar
     # search does, before the 4^11-row table is built.
-    with pytest.raises(BudgetExceeded, match=r"oracle subset space 4\^11 exceeds the cap"):
+    with pytest.raises(CapExceeded, match=r"oracle subset space 4\^11 exceeds the cap"):
         verification.sweep_oracle(11)
 
 

@@ -88,6 +88,18 @@ class TestTope:
         with pytest.raises(ValueError, match=r"nonempty over '\+'/'-': ''$"):
             Tope.from_string("")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Tope.from_bitmask(32, 5), "mask 32 out of range for t=5"),
+        (lambda: Tope.from_bitmask(-1, 5), "mask -1 out of range for t=5"),
+        (lambda: Tope(np.ones((2, 3), dtype=int)), "a tope is a one-dimensional vector"),
+        (lambda: Tope([[1, -1, 1]]), "a tope is a one-dimensional vector"),
+        (lambda: GroundSubset(4, np.array([[1, 2]])), "a subset is a one-dimensional vector"),
+    ])
+    def test_a_mask_out_of_range_or_a_nested_input_is_refused(self, call, message):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
     def test_bitmask_roundtrip(self):
         for t in (3, 5, 8):
             for mask in range(1 << t):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from cyclotope import (
-    BudgetExceeded,
     CapExceeded,
     CyclotopeError,
     GroundSubset,
@@ -607,9 +606,9 @@ def test_a_kernel_guards_refusal_is_a_counted_mismatch_in_a_full_report(
 
 
 @pytest.mark.parametrize("error", [
-    CapExceeded("a cap"), BudgetExceeded("a budget"), MemoryError(), RuntimeError("a fault"),
+    CapExceeded("a cap"), MemoryError(), RuntimeError("a fault"),
 ])
-def test_a_sweep_propagates_only_the_three_resource_refusals(monkeypatch, error):
+def test_a_sweep_propagates_only_the_two_resource_refusals(monkeypatch, error):
     def fail(t):
         raise error
 
