@@ -15,7 +15,8 @@ report.  The cases are the rows or pairs of rows each sweep compared.
 decompose and stats write their records a block at a time, so a failure
 partway through leaves a truncated record on stdout and exits 2.
 
-Exit codes: 0 success, 1 mismatch or verification failure, 2 usage error.
+Exit codes: 0 success, 1 mismatch or internal fault (a kernel guard refusing
+what the library computed), 2 usage error, verify below t = 3 included.
 """
 
 from __future__ import annotations

@@ -24,13 +24,14 @@ from typing import Iterable
 import numpy as np
 
 from .cycle import _check_dense, _inverse_entries
-from .errors import InvalidSpectrum
+from .errors import InvalidSpectrum, VerificationMismatch
 from .topes import (
     GroundSubset,
     Tope,
     _Vector,
     _check_dimension,
     _coordinate,
+    _exact_shift,
     _int_array,
     _integer,
     _require_same_t,
@@ -159,28 +160,22 @@ def _spectrum_dense(signs: np.ndarray) -> np.ndarray:
     doubled = np.empty_like(signs, dtype=np.int64)
     np.einsum("...k,kj->...j", signs.astype(np.int64), _inverse_entries(signs.shape[-1]),
               out=doubled)
-    if np.any(doubled & 1):
-        raise InvalidSpectrum("matrix product produced a non-integer coordinate")
-    return (doubled >> 1).astype(np.int8)
+    what = "matrix product produced a non-integer coordinate"
+    return _exact_shift(doubled, 1, what).astype(np.int8)
 
 
 def spectrum_fast(T: Tope) -> Spectrum:
     """Coordinate vector via the O(t) telescoping form.
 
     x_1 = (T(1)+T(t))/2 and x_j = (T(j)-T(j-1))/2.  Every numerator of a
-    +-1 vector is even; an odd one means corrupt entries slipped past the
-    trusted constructor and is a hard error.
+    +-1 vector is even; an odd one is a library fault, VerificationMismatch.
     """
     return Spectrum._wrap(_telescope(T.signs))
 
 
 def _telescope(signs: np.ndarray) -> np.ndarray:
     # The telescoping form along the last axis of an int8 sign array, in int8.
-    out = _half_inverse_transform(signs)
-    if np.count_nonzero(out & 1):
-        raise ValueError("sign entries must be exactly +1 or -1")
-    out >>= 1
-    return out
+    return _exact_shift(_half_inverse_transform(signs), 1, "sign entries must be exactly +1 or -1")
 
 
 def spectrum_intervals(T: Tope) -> Spectrum:
@@ -351,7 +346,7 @@ def negpart_size_from_spectrum(x: Spectrum) -> int:
     """
     total = x.total
     if total not in (-1, 1):
-        raise InvalidSpectrum(f"tope spectra have coordinate sum +-1, got {total}")
+        raise VerificationMismatch(f"tope spectra have coordinate sum +-1, got {total}")
     return int(_negpart_size(x.coords))
 
 
@@ -396,7 +391,7 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     v1, v2 = _vertex_sum(x1), _vertex_sum(x2)
     # Integer sums lie in {-1, 1} exactly when their product does.
     if np.count_nonzero(np.abs(v1[..., -1] * v2[..., -1]) != 1):
-        raise InvalidSpectrum("tope spectra have coordinate sum +-1")
+        raise VerificationMismatch("tope spectra have coordinate sum +-1")
     # Integer arithmetic wraps: only the results, in [0, 4t], must fit acc.
     t = x1.shape[-1]
     acc = np.int16 if 4 * t < 1 << 15 else np.int64
@@ -405,10 +400,8 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     # weights 2i - t - 2.
     weights = np.arange(-t, t, 2, dtype=acc)
     meet4 = np.add.reduce((x1 + x2) * weights, axis=-1, dtype=acc) + g + t
-    join4 = meet4 + 2 * (t - g)
-    if np.count_nonzero((meet4 | join4) & 3):
-        raise InvalidSpectrum("cardinality formulas did not divide exactly")
-    return meet4 >> 2, join4 >> 2
+    return tuple(_exact_shift(v, 2, "cardinality formulas did not divide exactly")
+                 for v in (meet4, meet4 + 2 * (t - g)))
 
 
 def _tope_signs(coords: np.ndarray) -> np.ndarray:

@@ -31,4 +31,4 @@ class InvalidSpectrum(CyclotopeError):
 
 
 class VerificationMismatch(CyclotopeError):
-    """An internal cross-check found two computations that disagree."""
+    """An internal check failed: a library fault, never bad input."""

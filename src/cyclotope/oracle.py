@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cycle import cycle_vertex
-from .errors import CapExceeded, CyclotopeError
+from .errors import CapExceeded, VerificationMismatch
 from .topes import Tope, _row_blocks
 
 ORACLE_CAP = 10
@@ -96,11 +96,12 @@ def bruteforce_minimal_decomposition(T: Tope) -> OracleResult:
     t = T.t
     least, ties, minimal, intruder = (int(column[T.bitmask]) for column in _search_table(t))
     if least < 0:
-        raise CyclotopeError(f"no vertex subset sums to {T}; table corrupt")
+        raise VerificationMismatch(f"no vertex subset sums to {T}; table corrupt")
     if least % 2 == 0:
-        raise CyclotopeError(f"minimal solution for {T} has even size {least}")
+        raise VerificationMismatch(f"minimal solution for {T} has even size {least}")
     if intruder >= 0:
-        raise CyclotopeError(f"solution {intruder:b} is not a superset of the minimal {minimal:b}")
+        raise VerificationMismatch(
+            f"solution {intruder:b} is not a superset of the minimal {minimal:b}")
     positions = frozenset(b for b in range(2 * t) if minimal >> b & 1)
     return OracleResult(
         minimal_set=positions,

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooSmall, EmptySetError
+from .errors import DimensionMismatch, DimensionTooSmall, EmptySetError, VerificationMismatch
 
 MIN_DIMENSION = 3
 
@@ -462,6 +462,15 @@ def _run_bounds(inside: np.ndarray) -> tuple:
     return (padded[..., 1:] != padded[..., :-1]).nonzero()
 
 
+def _exact_shift(values, bits: int, what: str):
+    # values >> bits, where every value is a multiple of 2^bits by the
+    # caller's construction: a remainder is a library fault, never bad
+    # input, so it raises VerificationMismatch(what).
+    if np.count_nonzero(values & ((1 << bits) - 1)):
+        raise VerificationMismatch(what)
+    return values >> bits
+
+
 def negpart_meet_join_cards(T1: Tope, T2: Tope) -> tuple:
     """Cardinalities (|T1- intersect T2-|, |T1- union T2-|) by inner products.
 
@@ -481,8 +490,5 @@ def _meet_join_cards(a: np.ndarray, b: np.ndarray) -> tuple:
     acc = np.int16 if 4 * t < 1 << 15 else np.int64
     dot = np.add.reduce(a * b, axis=-1, dtype=acc)
     total = np.add.reduce(a + b, axis=-1, dtype=acc)
-    meet4 = t + dot - total
-    join4 = 3 * t - dot - total
-    if np.count_nonzero((meet4 | join4) & 3):
-        raise ValueError("inner products of sign vectors must give multiples of 4")
-    return meet4 >> 2, join4 >> 2
+    return tuple(_exact_shift(v, 2, "inner products of sign vectors must give multiples of 4")
+                 for v in (t + dot - total, 3 * t - dot - total))

@@ -89,7 +89,7 @@ from .decomposition import (
 from .equinumerosity import _boundary_sum, _interval_count_rule
 from .errors import CapExceeded
 from .oracle import ORACLE_CAP, _search_table, bruteforce_minimal_decomposition
-from .topes import GroundSubset, Tope, _meet_join_cards, _row_blocks
+from .topes import GroundSubset, Tope, _check_dimension, _meet_join_cards, _row_blocks
 
 
 class _Mismatches(list):
@@ -648,12 +648,13 @@ _FIRST = 5
 def run_report(t: int) -> dict:
     """Run every sweep of _SWEEPS at dimension t, skipping those whose cap is below t.
 
-    Returns {sweep name: {"status", "mismatches", "first_mismatches",
-    "cases", "seconds", "cap"}}: "ok", "FAIL" or "skipped", the count of
-    mismatches and the messages of the first _FIRST (those verify prints),
-    the cases compared, the wall time and the cap; a skipped sweep has 0 of
-    each.  Above every cap it raises CapExceeded before any sweep runs.
+    Returns {sweep name: {"status", "mismatches", "first_mismatches", "cases",
+    "seconds", "cap"}}: "ok", "FAIL" or "skipped", the mismatch count and the
+    first _FIRST messages (those verify prints), the cases compared, the wall
+    time and the cap; a skipped sweep has 0 of each.  Before any sweep runs,
+    it raises DimensionTooSmall below t = 3 and CapExceeded above every cap.
     """
+    _check_dimension(t)
     top = max(cap for _, _, cap in _SWEEPS)
     if t > top:
         raise CapExceeded(f"verify at t = {t} is above every sweep's cap (the largest is {top})")

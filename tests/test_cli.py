@@ -16,6 +16,7 @@ from cyclotope import (
     ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
     Tope, enumerate_statistics, formula_table, spectrum_fast,
 )
+from cyclotope import decomposition
 from cyclotope.cycle import DENSE_CAP
 from cyclotope.topes import _BLOCK
 from cyclotope.verification import _SWEEPS
@@ -511,6 +512,20 @@ def test_a_memory_error_without_a_message_names_its_type(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "error: MemoryError\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--t", "5", "--tope", "+-+++"], ["bench", "--t", "64"],
+], ids=["decompose", "bench"])
+def test_a_kernel_guards_refusal_is_an_internal_fault_and_exits_1(capsys, monkeypatch, argv):
+    # The input is valid, so the telescope's parity guard refusing a
+    # planted transform is a library fault: exit 1, never the usage code.
+    real = decomposition._half_inverse_transform
+    for module in [m for name, m in sys.modules.items() if name.startswith("cyclotope.")]:
+        if getattr(module, "_half_inverse_transform", None) is real:
+            monkeypatch.setattr(module, "_half_inverse_transform", lambda v: real(v) + 1)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: sign entries must be exactly +1 or -1\n")
+
+
 @needs_proc_status
 def test_verify_at_the_oracle_cap_fits_in_32_mib_above_the_import_peak():
     # The oracle scans the 4^10 vertex subsets one row block at a time; a
@@ -699,6 +714,14 @@ class TestVerifyCommand:
         assert proc.stderr == (
             f"error: verify at t = {top + 1} is above every sweep's cap (the largest is {top})\n"
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("t", [2, 0, -3])
+    def test_below_the_smallest_dimension_is_a_usage_error(self, capsys, t, fmt):
+        # Refused before the harness, which would count each sweep's error
+        # as a mismatch and exit 1.
+        assert cli.main(["verify", "--t", str(t), "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: dimension must be >= 3, got {t}\n")
 
     def test_the_readme_cap_table_lists_each_sweeps_cap(self):
         # Rows of the table name their sweeps in backticks; the cap column

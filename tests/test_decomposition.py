@@ -11,8 +11,10 @@ from cyclotope import (
     Spectrum,
     SymmetricCycle,
     Tope,
+    VerificationMismatch,
     cycle_vertex,
     decomposition_set,
+    negpart_meet_join_cards,
     negpart_meet_join_from_spectra,
     negpart_size_from_spectrum,
     reconstruct_tope,
@@ -115,7 +117,8 @@ class TestSpectrumFast:
 
     def test_rejects_corrupt_signs(self):
         # _wrap trusts its input; the kernel's parity check still catches a 0
-        with pytest.raises(ValueError, match="exactly"):
+        with pytest.raises(VerificationMismatch,
+                           match=r"^sign entries must be exactly \+1 or -1$"):
             spectrum_fast(Tope._wrap(np.array([1, 0, 1], dtype=np.int8)))
 
 
@@ -405,9 +408,50 @@ class TestNegpartFromSpectrum:
         assert negpart_meet_join_from_spectra(x, -x) == (0, t)
 
     def test_rejects_non_tope_spectrum(self):
-        with pytest.raises(InvalidSpectrum):
+        with pytest.raises(VerificationMismatch,
+                           match=r"^tope spectra have coordinate sum \+-1, got 2$"):
             # sum 2; the constructor would reject it, so build it unchecked
             negpart_size_from_spectrum(Spectrum._wrap(np.array([1, 0, 1], dtype=np.int8)))
+
+
+class TestInternalGuards:
+    """Each kernel guard that only a library fault can trip raises
+    VerificationMismatch with its own message."""
+
+    def test_dense_product_with_an_odd_coordinate(self):
+        # The doubled product of (1, 0, 1) is (2, -1, 1).
+        with pytest.raises(VerificationMismatch,
+                           match="^matrix product produced a non-integer coordinate$"):
+            spectrum_dense(Tope._wrap(np.array([1, 0, 1], dtype=np.int8)))
+
+    def test_inner_products_that_are_not_multiples_of_4(self):
+        # 4 * meet = 0 passes, 4 * join = 2 does not.
+        with pytest.raises(VerificationMismatch,
+                           match="^inner products of sign vectors must give multiples of 4$"):
+            negpart_meet_join_cards(Tope._wrap(np.array([1, 0, 1], dtype=np.int8)),
+                                    Tope([1, 1, 1]))
+
+    def test_spectra_whose_coordinate_sum_is_not_pm1(self):
+        with pytest.raises(VerificationMismatch,
+                           match=r"^tope spectra have coordinate sum \+-1$"):
+            negpart_meet_join_from_spectra(Spectrum._wrap(np.array([1, 0, 1], dtype=np.int8)),
+                                           sigma(1, 3))
+
+    def test_cardinality_formulas_that_do_not_divide(self, monkeypatch):
+        # With coordinate sums +-1 the formulas always divide, so the vertex
+        # sum is planted: its first entry one too high keeps the sums (the
+        # last entries) and makes 4 * meet odd.
+        real = decomposition._vertex_sum
+
+        def planted(coords):
+            out = real(coords)
+            out[..., 0] += 1
+            return out
+
+        monkeypatch.setattr(decomposition, "_vertex_sum", planted)
+        with pytest.raises(VerificationMismatch,
+                           match="^cardinality formulas did not divide exactly$"):
+            negpart_meet_join_from_spectra(sigma(1, 3), sigma(1, 3))
 
 
 class TestReconstruction:

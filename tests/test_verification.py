@@ -20,11 +20,12 @@ import pytest
 
 from cyclotope import (
     CapExceeded,
-    CyclotopeError,
+    DimensionTooSmall,
     GroundSubset,
     ScaledIntMatrix,
     Spectrum,
     Tope,
+    VerificationMismatch,
     count_by_boundary_class,
     decomposition_set,
     negative_part,
@@ -331,11 +332,11 @@ def test_sweep_oracle_raises_the_searchs_error_for_a_broken_entry(monkeypatch):
     monkeypatch.setattr(oracle, "_search_table", lambda t: (even, ties, minimal, intruder))
     monkeypatch.setattr(verification, "_search_table", oracle._search_table)
     message = f"minimal solution for {Tope.from_bitmask(mask, t)} has even size 4"
-    with pytest.raises(CyclotopeError, match=re.escape(message)):
+    with pytest.raises(VerificationMismatch, match=re.escape(message)):
         oracle.bruteforce_minimal_decomposition(Tope.from_bitmask(mask, t))
     # The sweep counts the search's error as one mismatch and stops.
     found = verification.sweep_oracle(t)
-    assert found == [f"t={t}: CyclotopeError: {message}"]
+    assert found == [f"t={t}: VerificationMismatch: {message}"]
     assert (found.mismatches, found.cases) == (1, 0)
     oracle_row = verification.run_report(t)["oracle"]
     assert (oracle_row["status"], oracle_row["first_mismatches"]) == ("FAIL", found)
@@ -572,7 +573,7 @@ def _shift_run_bounds(monkeypatch):
 @pytest.mark.parametrize("plant, lines", [
     (_offset(decomposition, "_half_inverse_transform", 1),
      ["decompositions: FAIL (1 mismatches)",
-      "  t=5: ValueError: sign entries must be exactly +1 or -1"]),
+      "  t=5: VerificationMismatch: sign entries must be exactly +1 or -1"]),
     (_offset(decomposition, "_vertex_sum", 2),
      ["spectrum-methods: FAIL (1 mismatches)",
       "  t=5: InvalidSpectrum: vector is not the spectrum of any tope"]),
@@ -603,6 +604,23 @@ def test_a_kernel_guards_refusal_is_a_counted_mismatch_in_a_full_report(
     assert text[-1] == "verify t=5: FAIL"
     start = text.index(lines[0])
     assert text[start:start + len(lines)] == lines
+
+
+@pytest.mark.parametrize("t", [2, 0, -3])
+def test_run_report_refuses_a_too_small_dimension_before_any_sweep(monkeypatch, t):
+    def refuse(t):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(verification, "_SWEEPS", (("refuse", refuse, DENSE_CAP),))
+    with pytest.raises(DimensionTooSmall, match=f"^dimension must be >= 3, got {t}$"):
+        verification.run_report(t)
+
+
+@pytest.mark.parametrize("t", [2, 0, -3])
+def test_a_direct_sweep_below_the_smallest_dimension_keeps_the_harness_rule(t):
+    # Only run_report checks t first; a direct call counts the error.
+    found = verification.sweep_decompositions(t)
+    assert found.mismatches == 1 and found[0].startswith(f"t={t}: ")
 
 
 @pytest.mark.parametrize("error", [
