@@ -7,7 +7,6 @@ cannot skew a ratio.
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
@@ -49,7 +48,7 @@ def run_bench(t: int) -> dict:
             start = time.perf_counter()
             route(T)
             times.append(time.perf_counter() - start)
-        card[f"{name}_seconds"] = statistics.median(times)
+        card[f"{name}_seconds"] = sorted(times)[_REPS // 2]
     if t <= DENSE_CAP:
         card["speedup"] = card["dense_seconds"] / card["fast_seconds"]
     return card

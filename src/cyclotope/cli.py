@@ -158,21 +158,27 @@ def _decompose_parts(coords: np.ndarray):
     "size": number of terms}, with the terms at the nonzero coordinates in
     ascending index order.  Each list is rendered by _rows a block of at
     most _BLOCK bytes at a time, a rendered row being at most one byte
-    longer than its placeholder row.  The indices of d digits are one run,
-    whose term rows all have the same width, so no row carries a pad.
+    longer than its placeholder row.  The terms are found a window of
+    _BLOCK coordinates at a time, so no buffer grows with t; within a
+    window the indices of d digits are one run, whose term rows all have
+    the same width, so no row carries a pad.
     """
     yield '{"x": ['
     for s in _row_blocks(len(coords), len(b"-1, ")):
         yield _rows(b"0, ", coords[s], last=s.stop == len(coords))
     yield '], "terms": ['
-    nz = (coords != 0).nonzero()[0]
-    runs = np.split(nz, np.searchsorted(nz, [10**d for d in range(1, len(str(len(coords) - 1)))]))
-    for digits, run in enumerate(runs, 1):
-        row = _TERM_HEAD + b"0" * digits + b"}, "
-        for s in _row_blocks(run.shape[0], len(row) + 1):
-            index = run[s]
-            yield _rows(row, coords[index], index, last=index[-1] == nz[-1])
-    yield '], "size": %d}\n' % nz.shape[0]
+    size, done = np.count_nonzero(coords), 0
+    widths = [10**d for d in range(1, len(str(len(coords) - 1)))]
+    for window in _row_blocks(len(coords), 1):
+        nz = (coords[window] != 0).nonzero()[0]
+        nz += window.start
+        for digits, run in enumerate(np.split(nz, np.searchsorted(nz, widths)), 1):
+            row = _TERM_HEAD + b"0" * digits + b"}, "
+            for s in _row_blocks(run.shape[0], len(row) + 1):
+                index = run[s]
+                done += index.shape[0]
+                yield _rows(row, coords[index], index, last=done == size)
+    yield '], "size": %d}\n' % size
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

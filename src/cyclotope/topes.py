@@ -325,11 +325,12 @@ class GroundSubset(_Vector):
 class IntervalPartition:
     """The maximal-interval decomposition of a ground-set subset.
 
-    Intervals are closed pairs (start, end) in ascending order; consecutive
-    intervals are separated by a gap of at least 2, which is what makes the
-    decomposition unique.  Stored as the numpy slice bounds of the runs,
-    two read-only int64 vectors: run k is ``A.inside[starts[k]:ends[k]]``,
-    the closed interval (starts[k] + 1, ends[k]).  The pairs are derived.
+    Intervals are closed pairs (start, end) in ascending order, within
+    [1, 2^63 - 1]; consecutive intervals are separated by a gap of at least
+    2, which is what makes the decomposition unique.  Stored as the numpy
+    slice bounds of the runs, two read-only int64 vectors: run k is
+    ``A.inside[starts[k]:ends[k]]``, the closed interval
+    (starts[k] + 1, ends[k]).  The pairs are derived.
     """
 
     __slots__ = ("_starts", "_ends")
@@ -338,9 +339,12 @@ class IntervalPartition:
         ivs = tuple((_integer(a), _integer(b)) for a, b in intervals)
         if not ivs:
             raise EmptySetError("an interval partition needs at least one interval")
+        top = np.iinfo(np.int64).max
         for a, b in ivs:
             if a > b:
                 raise ValueError(f"interval ({a}, {b}) is reversed")
+            if a < 1 or b > top:
+                raise ValueError(f"interval ({a}, {b}) must lie in [1, {top}]")
         for (_, b), (a2, _) in zip(ivs, ivs[1:]):
             if b + 2 > a2:
                 raise ValueError(f"intervals ending at {b} and starting at {a2} are not separated")

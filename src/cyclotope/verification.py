@@ -18,26 +18,26 @@ ends that sweep; CapExceeded and MemoryError propagate.
 
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
-kernels on stacks of rows.  The 2^t sign and membership rows are built once
-per report from the masks 0..2^t-1 (_mask_rows keeps the rows of the last
-t), read-only and shared by the report's sweeps, which compare the
-kernels' results with plain mask arithmetic: sizes from popcounts of
-adjacent sign changes, meets and joins from popcounts of m1 & m2 and
-m1 | m2, interval counts from popcounts of run starts, vertex sums as
-x @ M.  Every stack is coordinate-major (a Fortran-ordered (2^t, t) array),
-and the kernels keep that layout, so each runs one long loop per
-coordinate instead of one loop of length t per row.  The per-tope sweeps
-run on row blocks of the tope rows, flip-spectra on row blocks of the
-subset rows, equinumerosity and size-difference on row blocks of the 4^t
-pair grid by broadcasting, negpart-cardinalities on square tiles of it,
+kernels on stacks of rows.  _mask_rows builds, once per report, the 2^t sign
+and membership rows of the masks 0..2^t-1 and four references read off each
+mask: the decomposition size, the negative-part size j, the interval count
+rho and the boundary overlap.  They are read-only and shared by the report's
+sweeps, which compare the kernels' results with them and with plain mask
+arithmetic: meets and joins from popcounts of m1 & m2 and m1 | m2, vertex
+sums as x @ M.  Every stack is coordinate-major (a Fortran-ordered (2^t, t)
+array), and the kernels keep that layout, so each runs one long loop per
+coordinate instead of one loop of length t per row.  The per-tope sweeps run
+on row blocks of the tope rows, flip-spectra on row blocks of the subset
+rows, equinumerosity and size-difference on row blocks of the 4^t pair grid
+by broadcasting, negpart-cardinalities on square tiles of it,
 spectrum-updates on one (step, path) stack of its random paths, all drawn
 from one block of random bytes, and cycle-structure on row blocks of the
 cycle's vertex rows.  An object is built only to name a mismatch, from a
 copy of its row.  The unit-flip and boundary-case displays are two kernels
-of their own, each checked against the dense route rather than against
-the other.  run_report caps every sweep of _SWEEPS, the oracle at
-ORACLE_CAP, at a dimension that keeps `verify` at desk scale and reports a
-capped sweep as skipped; above every cap it raises CapExceeded.
+of their own, each checked against the dense route rather than against the
+other.  run_report caps every sweep of _SWEEPS, the oracle at ORACLE_CAP, at
+a dimension that keeps `verify` at desk scale and reports a capped sweep as
+skipped; above every cap it raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -147,22 +147,28 @@ def _namer(cls, rows):
 
 @functools.lru_cache(maxsize=1)
 def _mask_rows(t):
-    """(masks, signs, members, sizes) for every t-bit mask, in mask order.
+    """(masks, signs, members, sizes, negatives, runs, overlap) for every t-bit mask.
 
     Bit e-1 of a mask set means entry e of the tope is -1 and coordinate e
     belongs to the subset; signs and members are the (2^t, t) int8 and bool
     rows, coordinate-major: Fortran-ordered, each coordinate's entries
-    contiguous across the rows.  The size of the minimal decomposition is
-    read off the mask: the adjacent sign changes plus one when T(1) = T(t).
-    The rows of the last t asked for are kept, so the sweeps of one report
-    share one build; all four arrays are read-only.
+    contiguous across the rows.  The references are read off each mask:
+    sizes, the minimal decomposition size, is the adjacent sign changes
+    plus one when T(1) = T(t); negatives, the negative-part size j, is the
+    popcount; runs, the interval count rho, counts the run starts, set bits
+    whose lower neighbour is clear; overlap counts the coordinates of 1 and
+    t the mask holds.  The rows of the last t asked for are kept, so the
+    sweeps of one report share one build; all seven arrays are read-only.
     """
     masks = np.arange(1 << t, dtype=np.int64)
     members = ((masks >> np.arange(t)[:, None]) & 1 == 1).T
     signs = 1 - 2 * members.view(np.int8)
     changes = np.bitwise_count((masks ^ (masks >> 1)) & ((1 << (t - 1)) - 1))
     sizes = changes.astype(np.int64) + ((masks ^ (masks >> (t - 1))) & 1 == 0)
-    rows = masks, signs, members, sizes
+    negatives = np.bitwise_count(masks).astype(np.int64)
+    runs = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
+    overlap = (masks & 1) + (masks >> (t - 1) & 1)
+    rows = masks, signs, members, sizes, negatives, runs, overlap
     for arr in rows:
         arr.flags.writeable = False
     return rows
@@ -248,11 +254,9 @@ def sweep_spectrum_methods(t: int):
     rows, x @ M, the prefix-sum map and, for the interval law, popcounts of
     the run starts of the masks.
     """
-    masks, signs, members, _ = _mask_rows(t)
+    masks, signs, members, _, _, runs, overlap = _mask_rows(t)
     m_entries = tope_matrix(t).entries
-    rho = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
-    boundary = (masks & 1) + (masks >> (t - 1) & 1)
-    interval_law = np.where(boundary > 0, 2 * rho - 1, 2 * rho + 1)
+    interval_law = np.where(overlap > 0, 2 * runs - 1, 2 * runs + 1)
     for rows in _row_blocks(masks.shape[0], t):
         s = signs[rows]
         dense = _spectrum_dense(s)
@@ -299,7 +303,7 @@ def sweep_decompositions(t: int):
     the tope and with the prefix-sum map behind Decomposition.vertex_sum;
     the size is compared with the popcount size of the tope's mask.
     """
-    masks, signs, _, sizes = _mask_rows(t)
+    masks, signs, _, sizes, *_ = _mask_rows(t)
     m_entries = tope_matrix(t).entries
     for rows in _row_blocks(masks.shape[0], t):
         s = signs[rows]
@@ -449,7 +453,7 @@ def sweep_boundary_classes(t: int):
     j, the class and the run starts are read off the masks.  The cases are
     the 2^t topes; each class total is checked just before its j = 0 cell.
     """
-    masks, signs, _, _ = _mask_rows(t)
+    masks, signs, _, _, negatives, runs, overlap = _mask_rows(t)
     sizes = np.concatenate([
         np.count_nonzero(_telescope(signs[rows]), axis=-1)
         for rows in _row_blocks(masks.shape[0], t)
@@ -457,12 +461,10 @@ def sweep_boundary_classes(t: int):
     left, right = masks & 1, masks >> (t - 1) & 1
     # The index into _CLASSES: 2 * [t in A] when 1 is in A, else 3 - 2 * [t in A].
     case = np.where(left == 1, 2 * right, 3 - 2 * right)
-    negatives = np.bitwise_count(masks).astype(np.int64)
-    runs = np.bitwise_count(masks & ~(masks << 1)).astype(np.int64)
     # Mask 0, the empty negative part, is left out of both tallies.
     w = t + 1
     tallies = np.bincount(((case * w + negatives) * w + sizes)[1:], minlength=4 * w * w)
-    subset_tallies = np.bincount(((left + right) * w + runs)[1:], minlength=3 * w).reshape(3, w)
+    subset_tallies = np.bincount((overlap * w + runs)[1:], minlength=3 * w).reshape(3, w)
     ls = range(3, t + 1, 2)
     got = tallies.reshape(4, w, w)[:, :, 3::2].transpose(2, 0, 1)  # (l, class, j) cells
     want = np.array([[[count_by_boundary_class(t, l, cls, j) for j in range(w)]
@@ -489,7 +491,7 @@ def sweep_equinumerosity(t: int):
     The criterion runs on every subset A, the full set included: there it
     reads 0 = 0, and T and its antipode have equal sizes.
     """
-    masks, signs, members, sizes = _mask_rows(t)
+    masks, signs, members, sizes, _, runs, overlap = _mask_rows(t)
     n = masks.shape[0]
     T, A = _namer(Tope, signs), _namer(GroundSubset, members)
     for rows in _row_blocks(n, n * t):
@@ -508,12 +510,8 @@ def sweep_equinumerosity(t: int):
             (ind != _size_difference(signs[rows, None], signs[None]),
              lambda i, j: f"{T(rows.start + i)}, {T(j)}: indicator != size difference"),
         ]
-    # Nonempty A and B, as reorientations of all-plus: mask m's tope.  The
-    # interval count is the number of run starts, set bits whose lower
-    # neighbour is clear.
-    nonempty = masks[1:]
-    rho = np.bitwise_count(nonempty & ~(nonempty << 1)).astype(np.int64)
-    touch = nonempty & (1 | 1 << (t - 1)) != 0
+    # Nonempty A and B, as reorientations of all-plus: mask m's tope.
+    rho, touch = runs[1:], overlap[1:] > 0
     for rows in _row_blocks(n - 1, (n - 1) * t):
         same = _interval_count_rule(rho[rows, None], touch[rows, None], rho, touch)
         yield same.size, [(same != (sizes[1:][rows, None] == sizes[1:]),
@@ -524,7 +522,7 @@ def sweep_equinumerosity(t: int):
 @_sweep
 def sweep_size_difference(t: int):
     """Inner-product size difference against popcount sizes, all pairs."""
-    masks, signs, _, sizes = _mask_rows(t)
+    masks, signs, _, sizes, *_ = _mask_rows(t)
     n = masks.shape[0]
     T = _namer(Tope, signs)
     for rows in _row_blocks(n, n * t):
@@ -541,10 +539,9 @@ def sweep_negpart_cardinalities(t: int):
     kernel takes each spectrum's prefix sums, its vertex sum, which row
     blocks of the whole grid would redo for all 2^t spectra in every block.
     """
-    masks, signs, _, _ = _mask_rows(t)
+    masks, signs, _, _, negatives, *_ = _mask_rows(t)
     n = masks.shape[0]
     spectra = _telescope(signs)
-    negatives = np.bitwise_count(masks)
     T = _namer(Tope, signs)
     yield n, [(_negpart_size(spectra) != negatives,
                lambda i: f"{T(i)}: negative-part size from spectrum != {negatives[i]}")]
@@ -575,7 +572,7 @@ def sweep_unit_flip_spectra(t: int):
     complement of mask m is mask 2^t - 1 - m, so the complement negation law
     reads the unit-flip rows in reversed mask order.
     """
-    _, signs, members, _ = _mask_rows(t)
+    _, signs, members, *_ = _mask_rows(t)
     n = members.shape[0]
     flips = np.empty_like(signs)
     wrong_flips = np.empty(n, dtype=bool)
@@ -603,7 +600,7 @@ def sweep_oracle(t: int):
     masks (position i for a + term at index i, i + t for a - term) and the
     support sizes of the telescoping rows.
     """
-    masks, signs, _, _ = _mask_rows(t)
+    _, signs, *_ = _mask_rows(t)
     least, ties, minimal, intruder = _search_table(t)
     broken = (least < 0) | (least % 2 == 0) | (intruder >= 0)
     if broken.any():

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cyclotope import (
     ORACLE_CAP, CountTable, cli, count_by_negpart_and_size, count_cycle_topes_by_negpart, cycle,
     Tope, enumerate_statistics, formula_table, spectrum_fast,
 )
-from cyclotope import decomposition, equinumerosity
+from cyclotope import bench, decomposition, equinumerosity
 from cyclotope.cycle import DENSE_CAP
 from cyclotope.topes import _BLOCK
 from cyclotope.verification import _SWEEPS
@@ -197,9 +198,11 @@ class TestDecomposeRecordBytes:
     the tope given in argv and read from stdin."""
 
     # 10, 100 and 1000 add an index digit, and with it a new run of term rows;
-    # the rest sit one below, at and one above a block boundary.
+    # the rest sit one below, at and one above a block boundary, _BLOCK
+    # coordinates being also the window the terms are found in.
     @pytest.mark.parametrize("t", [
-        3, 4, 5, 10, 11, 17, 100, 101, 1000, 1001, 1500, 65536,
+        3, 4, 5, 10, 11, 17, 100, 101, 1000, 1001, 1500,
+        _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
         _X_BLOCK - 1, _X_BLOCK, _X_BLOCK + 1, 2 * _X_BLOCK, 2 * _X_BLOCK + 1,
         _BLOCK // 3 - 1, _BLOCK // 3, _BLOCK // 3 + 1,
         _TERM_BLOCK - 1, _TERM_BLOCK, _TERM_BLOCK + 1,
@@ -498,6 +501,17 @@ def test_decompose_of_a_dense_tope_fits_in_16_mib_above_the_import_peak():
     rng = random.Random(16)
     tope = "".join(rng.choice("+-") for _ in range(t))
     proc = _run_under_budget(["decompose", "--t", str(t), "--tope", "-"], 16, stdin=tope)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_proc_status
+def test_decompose_of_a_dense_tope_fits_in_5_mib_above_the_import_peak():
+    # The terms are found a window of _BLOCK coordinates at a time; the
+    # index array of all 500,000 terms alone would take 3.8 MiB.
+    t = 10**6
+    rng = random.Random(16)
+    tope = "".join(rng.choice("+-") for _ in range(t))
+    proc = _run_under_budget(["decompose", "--t", str(t), "--tope", "-"], 5, stdin=tope)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -848,6 +862,23 @@ class TestBenchCommand:
         proc = run_cli("bench", "--t", "64", "--reps", "3")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "--reps" in proc.stderr
+
+    def test_each_route_reports_the_middle_of_its_nine_timings(self, monkeypatch):
+        # The unsorted middle (30) and the mean differ from the sorted middle.
+        # Each timed call reads the clock at its start and end; the warm-up
+        # calls read it not at all.
+        spans = [9, 1, 8, 2, 30, 3, 6, 4, 5] + [70, 10, 90, 20, 80, 40, 50, 30, 60]
+        ticks = iter([tick for k, span in enumerate(spans) for tick in (1000 * k, 1000 * k + span)])
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        card = bench.run_bench(5)
+        assert next(ticks, None) is None
+        assert card == {"t": 5, "reps": 9, "fast_seconds": 5, "dense_seconds": 50, "speedup": 10.0}
+
+    def test_importing_the_cli_loads_no_statistics_fractions_or_decimal(self):
+        probe = ("import sys, cyclotope.cli; "
+                 "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_missing_subcommand_is_usage_error():

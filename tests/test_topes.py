@@ -510,12 +510,24 @@ class TestIntervalPartition:
             ([(1, 2), (4, 6.0)], TypeError, "'float' object cannot be interpreted as an integer"),
             ([(True, 2)], TypeError, "expected an integer, got a bool: True"),
             ([(1, "2")], TypeError, "'str' object cannot be interpreted as an integer"),
+            ([(-5, -3), (0, 2)], ValueError,
+             "interval (-5, -3) must lie in [1, 9223372036854775807]"),
+            ([(0, 2)], ValueError, "interval (0, 2) must lie in [1, 9223372036854775807]"),
+            ([(1, 2**70)], ValueError,
+             f"interval (1, {2**70}) must lie in [1, 9223372036854775807]"),
+            ([(1, 2), (4, 2**63)], ValueError,
+             f"interval (4, {2**63}) must lie in [1, 9223372036854775807]"),
         ],
     )
     def test_constructor_rejections(self, intervals, error, message):
         with pytest.raises(error) as info:
             IntervalPartition(intervals)
         assert str(info.value) == message
+
+    def test_constructor_takes_intervals_up_to_the_int64_limit(self):
+        p = IntervalPartition([(1, 1), (3, 2**63 - 1)])
+        assert p.intervals == ((1, 1), (3, 2**63 - 1))
+        assert [b.tolist() for b in p.bounds] == [[0, 2], [1, 2**63 - 1]]
 
 
 class TestVectorBase:

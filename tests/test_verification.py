@@ -803,3 +803,26 @@ def test_a_kernel_planted_off_by_one_fails_exactly_the_sweeps_that_check_it(
             assert [line.split(": ")[0] for line in text[:-1]
                     if not line.startswith("  ")] == names, kernel
             assert text[-1] == "verify t=5: FAIL"
+
+
+# Mask 0b00100 holds coordinate 3 of t = 5 only: one run, neither end.
+_PLANTED_MASK = 0b00100
+
+
+@pytest.mark.parametrize("reference, failing", [
+    (3, {"decompositions", "equinumerosity", "size-difference"}),
+    (4, {"boundary-classes", "negpart-cardinalities"}),
+    (5, {"boundary-classes", "equinumerosity", "spectrum-methods"}),
+    (6, {"boundary-classes", "equinumerosity", "spectrum-methods"}),
+], ids=["sizes", "negatives", "runs", "overlap"])
+def test_a_mask_reference_planted_off_by_one_fails_exactly_the_sweeps_that_read_it(
+    monkeypatch, capsys, reference, failing
+):
+    rows = list(verification._mask_rows(5))
+    rows[reference] = rows[reference].copy()
+    rows[reference][_PLANTED_MASK] += 1
+    monkeypatch.setattr(verification, "_mask_rows", lambda t: tuple(rows))
+    report = verification.run_report(5)
+    assert {name for name, sweep in report.items() if sweep["status"] == "FAIL"} == failing
+    assert cli.main(["verify", "--t", "5"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verify t=5: FAIL"
