@@ -105,8 +105,10 @@ def _read_tope(args: argparse.Namespace) -> Tope:
     """The --tope argument as a Tope; '-' reads the string from stdin.
 
     One trailing newline is stripped from stdin, so `echo ... |` works.  The
-    argv route caps a string near 128 KiB; stdin has no such limit.
+    argv route caps a string near 128 KiB; stdin has no such limit.  A --t
+    below 3 is refused first, before stdin is read.
     """
+    _check_dimension(args.t)
     text = sys.stdin.read().removesuffix("\n") if args.tope == "-" else args.tope
     if len(text) != args.t:
         raise CyclotopeError(f"tope string has length {len(text)}, expected {args.t}")

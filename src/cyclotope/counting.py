@@ -32,6 +32,20 @@ def _binom0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _check_negpart(j: int, t: int) -> int:
+    """j, an int, unless it lies outside [0, t]: then ValueError."""
+    if not 0 <= j <= t:
+        raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
+    return j
+
+
+def _check_odd_l(l: int, t: int) -> int:
+    """l, an int, unless it is even or outside [3, t]: then ValueError."""
+    if l % 2 == 0 or not 3 <= l <= t:
+        raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
+    return l
+
+
 def composition_count(m: int, n: int) -> int:
     """Number of ways to write n as an ordered sum of m positive parts.
 
@@ -59,9 +73,8 @@ def count_cycle_topes_by_negpart(t: int, j: int) -> int:
     The size-1 topes are exactly the 2t cycle vertices; walking the cycle
     shows each negative-part size 1..t-1 occurs twice and sizes 0 and t once.
     """
-    t, j = _check_dimension(t), _integer(j)
-    if not 0 <= j <= t:
-        raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
+    t = _check_dimension(t)
+    j = _check_negpart(_integer(j), t)
     return 1 if j in (0, t) else 2
 
 
@@ -75,10 +88,8 @@ def count_by_negpart_and_size(t: int, j: int, l: int) -> int:
     symmetric under j <-> t-j.
     """
     t, j, l = _check_dimension(t), _integer(j), _integer(l)
-    if l % 2 == 0 or not 3 <= l <= t:
-        raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
-    if not 0 <= j <= t:
-        raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
+    _check_odd_l(l, t)
+    _check_negpart(j, t)
     h = (l - 1) // 2
     if j < h or j > t - h:
         return 0
@@ -93,18 +104,14 @@ def count_by_boundary_class(t: int, l: int, case: str, j: Optional[int] = None) 
     class totals are returned; with j the count is restricted to negative
     parts of size j (zero outside the class's j-window).
     """
-    t, l = _check_dimension(t), _integer(l)
-    if l % 2 == 0 or not 3 <= l <= t:
-        raise ValueError(f"this count needs odd l in [3, {t}], got {l}")
+    t, l = _check_dimension(t), _check_odd_l(_integer(l), t)
     if case not in _CLASSES:
         raise ValueError(f"unknown case {case!r}, expected one of {_CLASSES}")
     if j is None:
         if case in ("left-only", "right-only"):
             return _binom0(t - 1, l)
         return _binom0(t - 1, l - 1)
-    j = _integer(j)
-    if not 0 <= j <= t:
-        raise ValueError(f"negative-part size must lie in [0, {t}], got {j}")
+    j = _check_negpart(_integer(j), t)
     h = (l - 1) // 2
     p = (l + 1) // 2
     c = composition_count

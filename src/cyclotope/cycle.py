@@ -98,7 +98,10 @@ class ScaledIntMatrix:
 
 
 class SymmetricCycle:
-    """The distinguished symmetric cycle: 2t vertices, each derived on demand."""
+    """The distinguished symmetric cycle: 2t vertices, each derived on demand.
+
+    Two cycles are equal, and hash equal, exactly when their t agree.
+    """
 
     __slots__ = ("_t",)
 
@@ -118,6 +121,14 @@ class SymmetricCycle:
 
     def __iter__(self):
         return map(self.vertex, range(2 * self._t))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymmetricCycle):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self) -> int:
+        return hash(self._t)
 
 
 def cycle_vertex(t: int, k: int) -> np.ndarray:

@@ -49,8 +49,7 @@ class Spectrum(_Vector):
         _check_dimension(arr.shape[0])
         arr = arr.astype(np.int8)
         _tope_signs(arr)  # InvalidSpectrum unless arr is the spectrum of a tope
-        arr.flags.writeable = False
-        self._v = arr
+        self._store(arr)
 
     @classmethod
     def unit(cls, s: int, t: int) -> "Spectrum":
@@ -114,8 +113,7 @@ class Decomposition(_Vector):
         coords = np.zeros(t, dtype=np.int8)
         signs, indices = zip(*ts)
         coords[list(indices)] = signs
-        coords.flags.writeable = False
-        self._v = coords
+        self._store(coords)
 
     @property
     def terms(self) -> tuple:

@@ -135,30 +135,27 @@ def _row_blocks(n, width):
 _SIGN_CHARS = bytes(ord("+") if 0 < b < 128 else ord("-") for b in range(256))
 
 
-class _Vector:
-    """A value stored as one read-only numpy vector of length t.
+class _Frozen:
+    """A value stored as one read-only numpy array ``_v``, set by ``_store``.
 
-    Each subclass fixes the vector's dtype, so two values are equal exactly
-    when they are of the same class and their vectors have the same bytes.
+    Each subclass fixes the array's dtype and layout, so two values are
+    equal exactly when they are of the same class and their arrays have the
+    same bytes.
     """
 
     __slots__ = ("_v",)
 
     @classmethod
     def _wrap(cls, v: np.ndarray):
-        # Trusted constructor: v is already a valid vector of the class's layout.
+        # Trusted constructor: v is already a valid array of the class's layout.
         self = object.__new__(cls)
-        v.flags.writeable = False
-        self._v = v
+        self._store(v)
         return self
 
-    @property
-    def t(self) -> int:
-        return self._v.shape[0]
-
-    def _entry(self, i: int) -> int:
-        # The entry at 1-based coordinate i, range-checked.
-        return int(self._v[_coordinate(i, self.t) - 1])
+    def _store(self, v: np.ndarray) -> None:
+        # Every constructor keeps its array so: without a copy, read-only.
+        v.flags.writeable = False
+        self._v = v
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -167,6 +164,20 @@ class _Vector:
 
     def __hash__(self) -> int:
         return hash(self._v.tobytes())
+
+
+class _Vector(_Frozen):
+    """A value stored as one read-only numpy vector of length t, indexed 1..t."""
+
+    __slots__ = ()
+
+    @property
+    def t(self) -> int:
+        return self._v.shape[0]
+
+    def _entry(self, i: int) -> int:
+        # The entry at 1-based coordinate i, range-checked.
+        return int(self._v[_coordinate(i, self.t) - 1])
 
 
 class Tope(_Vector):
@@ -184,8 +195,7 @@ class Tope(_Vector):
         _check_dimension(arr.shape[0])
         if not arr.all():
             raise ValueError("tope entries must be exactly +1 or -1")
-        self._v = arr.astype(np.int8)
-        self._v.flags.writeable = False
+        self._store(arr.astype(np.int8))
 
     @classmethod
     def positive(cls, t: int) -> "Tope":
@@ -264,8 +274,7 @@ class GroundSubset(_Vector):
         if np.count_nonzero(inside) != arr.shape[0]:
             values, counts = np.unique(arr, return_counts=True)
             raise ValueError(f"duplicate member {values[counts > 1][0]}")
-        inside.flags.writeable = False
-        self._v = inside
+        self._store(inside)
 
     @classmethod
     def empty(cls, t: int) -> "GroundSubset":
@@ -322,18 +331,18 @@ class GroundSubset(_Vector):
         return f"GroundSubset(t={self.t}, members={self.members})"
 
 
-class IntervalPartition:
+class IntervalPartition(_Frozen):
     """The maximal-interval decomposition of a ground-set subset.
 
     Intervals are closed pairs (start, end) in ascending order, within
     [1, 2^63 - 1]; consecutive intervals are separated by a gap of at least
-    2, which is what makes the decomposition unique.  Stored as the numpy
-    slice bounds of the runs, two read-only int64 vectors: run k is
-    ``A.inside[starts[k]:ends[k]]``, the closed interval
-    (starts[k] + 1, ends[k]).  The pairs are derived.
+    2, which is what makes the decomposition unique.  Stored as one int64
+    vector interleaving the numpy slice bounds of the runs, starts at even
+    and ends at odd positions: run k is ``A.inside[starts[k]:ends[k]]``,
+    the closed interval (starts[k] + 1, ends[k]).  The pairs are derived.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ()
 
     def __init__(self, intervals: Iterable[tuple]):
         ivs = tuple((_integer(a), _integer(b)) for a, b in intervals)
@@ -350,50 +359,27 @@ class IntervalPartition:
                 raise ValueError(f"intervals ending at {b} and starting at {a2} are not separated")
         bounds = np.array(ivs, dtype=np.int64).reshape(-1)
         bounds[::2] -= 1
-        self._set_bounds(bounds)
-
-    @classmethod
-    def _wrap(cls, bounds: np.ndarray) -> "IntervalPartition":
-        # Trusted constructor: bounds interleaves the slice bounds of the
-        # nonempty runs of a membership vector, start, end, start, end, ...
-        self = object.__new__(cls)
-        self._set_bounds(bounds)
-        return self
-
-    def _set_bounds(self, bounds: np.ndarray) -> None:
-        bounds.flags.writeable = False
-        self._starts, self._ends = bounds[::2], bounds[1::2]
+        self._store(bounds)
 
     @property
     def bounds(self) -> tuple:
         """(starts, ends), the slice bounds of the runs in ascending order."""
-        return self._starts, self._ends
+        return self._v[::2], self._v[1::2]
 
     @property
     def intervals(self) -> tuple:
-        return tuple(zip((self._starts + 1).tolist(), self._ends.tolist()))
+        return tuple(zip((self._v[::2] + 1).tolist(), self._v[1::2].tolist()))
 
     @property
     def rho(self) -> int:
         """Number of intervals."""
-        return self._starts.shape[0]
+        return self._v.shape[0] // 2
 
     def __iter__(self):
         return iter(self.intervals)
 
     def __len__(self) -> int:
-        return self._starts.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalPartition):
-            return NotImplemented
-        return (
-            self._starts.tobytes() == other._starts.tobytes()
-            and self._ends.tobytes() == other._ends.tobytes()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._starts.tobytes(), self._ends.tobytes()))
+        return self.rho
 
     def __repr__(self) -> str:
         return f"IntervalPartition({list(self.intervals)!r})"

@@ -717,6 +717,21 @@ class TestEquinumCommand:
                                            "together with shapes (4,) (3,) \n")
 
 
+@pytest.mark.parametrize("route", ["argv", "stdin"])
+@pytest.mark.parametrize("t, tope", [("2", "+++"), ("-1", "+"), ("2", "++")])
+@pytest.mark.parametrize("command", [["decompose"], ["equinum", "--subset", "1"]])
+def test_a_too_small_t_is_refused_before_the_tope_is_read(capsys, monkeypatch, command, t,
+                                                          tope, route):
+    # The dimension line, as stats and verify give it, whatever the tope's
+    # length, and stdin is left unread.
+    stdin = io.StringIO(tope + "\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = [command[0], "--t", t, "--tope", tope if route == "argv" else "-", *command[1:]]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: dimension must be >= 3, got {t}\n")
+    assert stdin.tell() == 0
+
+
 class TestVerifyCommand:
     def test_smallest_instance_passes(self):
         proc = run_cli("verify", "--t", "3")

@@ -60,6 +60,15 @@ def test_cycle_iteration_and_vertices_walk_the_cycle():
     assert list(cycle) == list(cycle) == walk  # each iteration starts afresh
 
 
+def test_cycles_are_equal_and_hash_equal_exactly_when_their_t_agree():
+    assert SymmetricCycle(5) == SymmetricCycle(5) and not SymmetricCycle(5) != SymmetricCycle(5)
+    assert hash(SymmetricCycle(5)) == hash(SymmetricCycle(np.int64(5)))
+    assert SymmetricCycle(5) != SymmetricCycle(6)
+    assert len({SymmetricCycle(t) for t in (5, 5, 6, 5, 6)}) == 2
+    assert SymmetricCycle(5).__eq__(5) is NotImplemented
+    assert SymmetricCycle(3) != Tope.positive(3) and SymmetricCycle(3) != 3
+
+
 def test_cycle_vertex_index_bounds():
     cycle = SymmetricCycle(4)
     with pytest.raises(IndexError):

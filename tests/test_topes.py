@@ -488,6 +488,27 @@ class TestIntervalPartition:
         assert hash(p) == hash(IntervalPartition([(2, 3), (5, 5)]))
         assert len({interval_partition(A) for A in _all_subsets(6)[1:]}) == 63
 
+    def test_compares_hashes_and_wraps_by_the_tope_vectors_base(self):
+        for name in ("__eq__", "__hash__"):
+            assert getattr(IntervalPartition, name) is getattr(Tope, name), name
+        assert IntervalPartition._wrap.__func__ is Tope._wrap.__func__
+        assert "_wrap" not in vars(IntervalPartition)
+
+    def test_has_no_t_and_no_instance_dict(self):
+        for p in (interval_partition(GroundSubset(6, [2, 3, 5])), IntervalPartition([(1, 4)])):
+            assert not hasattr(p, "t") and not hasattr(p, "__dict__")
+            with pytest.raises(AttributeError):
+                p.extra = 1
+
+    def test_compares_with_a_non_partition_by_not_implemented(self):
+        p = IntervalPartition([(2, 3), (5, 5)])
+        # The Tope holds the bytes of the partition's bounds 1, 3, 4, 5.
+        same_bytes = Tope._wrap(np.array([1, 3, 4, 5], dtype=np.int64).view(np.int8))
+        for other in ((2, 3, 5, 5), ((2, 3), (5, 5)), same_bytes,
+                      GroundSubset(6, [2, 3, 5])):
+            assert p.__eq__(other) is NotImplemented
+            assert p != other and not p == other
+
     def test_constructor_agrees_with_the_partition(self):
         for t in (3, 6):
             for A in _all_subsets(t)[1:]:
@@ -528,6 +549,13 @@ class TestIntervalPartition:
         p = IntervalPartition([(1, 1), (3, 2**63 - 1)])
         assert p.intervals == ((1, 1), (3, 2**63 - 1))
         assert [b.tolist() for b in p.bounds] == [[0, 2], [1, 2**63 - 1]]
+
+    def test_a_constructed_partitions_bounds_are_read_only(self):
+        starts, ends = IntervalPartition([(1, 3), (5, 6), (9, 9)]).bounds
+        assert starts.dtype == ends.dtype == np.int64
+        for bound in (starts, ends):
+            with pytest.raises(ValueError):
+                bound[0] = 1
 
 
 class TestVectorBase:
