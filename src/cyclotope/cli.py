@@ -13,7 +13,8 @@ refusing it, is one more mismatch, so a broken route exits 1 with the full
 report.  The cases are the rows or pairs of rows each sweep compared.
 
 decompose and stats write their records a block at a time, so a failure
-partway through leaves a truncated record on stdout and exits 2.
+partway through leaves a truncated record on stdout; it exits by the codes
+below, 2 for MemoryError or OSError and 1 for a library fault.
 
 Exit codes: 0 success, 1 mismatch or internal fault (a kernel guard refusing
 what the library computed), 2 usage error, verify below t = 3 included.  The
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--enumerate", dest="enumerate_counts", action="store_true",
                    help="cross-check the formulas against an exact tally of all 2^t topes, "
-                        f"each half enumerated (t <= {ENUMERATION_CAP})")
+                        f"in one pass over the coordinates (t <= {ENUMERATION_CAP})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write the table to this path instead of stdout")
 

@@ -2,8 +2,8 @@
 
 The central table counts topes by (j, l) where j is the size of the negative
 part and l the size of the minimal decomposition.  Closed forms exist for
-every cell; enumerate_statistics tallies all 2^t topes exactly, each half of
-the coordinates enumerated, as an independent check.  Counts are exact
+every cell; enumerate_statistics tallies all 2^t topes exactly, in one pass
+over the coordinates, as an independent check.  Counts are exact
 arbitrary-precision integers throughout.
 """
 
@@ -244,23 +244,33 @@ def formula_table(t: int) -> CountTable:
     return CountTable._wrap(t, tuple(_table_rows(t)))
 
 
+def _pass(length: int, width: int) -> tuple:
+    """The transfer-matrix pass: the sign vectors of the given length counted
+    by their last sign, as (plus, minus), each indexed [first sign (+ as 0),
+    j * width + c], where j counts the -1's and c the adjacent sign changes.
+    One coordinate is appended at a time: a + adds a change after a -; a -
+    adds 1 to j, and a change after a +.  For width > length no shift, by 1
+    (c + 1) or by width (j + 1), leaves its row: j <= length and c < length.
+    """
+    plus, minus = np.zeros((2, 2, width * width), dtype=np.int64)
+    plus[0, 0] = minus[1, width] = 1
+    for _ in range(length - 1):
+        grown = np.zeros_like(minus)
+        grown[:, width:] = minus[:, :-width]
+        grown[:, width + 1 :] += plus[:, : -width - 1]
+        plus[:, 1:] += minus[:, :-1]
+        minus = grown
+    return plus, minus
+
+
 def enumerate_statistics(t: int) -> CountTable:
     """Tally all 2^t topes by (negative-part size, decomposition size).
 
-    Bit e-1 of a mask set means coordinate e is -1, so j is the popcount and
-    l the number of adjacent sign changes plus one when the first and last
-    coordinates agree.  The tally runs by halves, the two-block form of the
-    transfer-matrix method: a mask is one pair of its low a = t//2 bits
-    (coordinates 1..a) and its high t-a bits, so every mask of each half is
-    enumerated and tallied with one bincount keyed by (first bit, last bit,
-    popcount, internal sign changes).  Over a pair, j = j_lo + j_hi and
-    l = c_lo + c_hi + [last_lo != first_hi] + [first_lo == last_hi], the seam
-    and the corner terms.  A class is a polynomial with one term
-    x^(j(t+1) + c) per mask of its half, so a low class times a high class,
-    times x for each of the seam and corner terms that is 1, has one term
-    x^(j(t+1) + l) per pair: the table is a sum of products of classes, int64
-    convolutions that are exact, since no count exceeds 2^t.  Raises
-    CapExceeded above ENUMERATION_CAP; use the formula path beyond it.
+    j is the number of -1 coordinates and l the number of adjacent sign
+    changes c, plus one when the first and last signs agree.  One _pass over
+    the coordinates counts them all in int64, exact since no count exceeds
+    2^t.  Raises CapExceeded above ENUMERATION_CAP; use the formula path
+    beyond it.
     """
     _check_dimension(t)
     if t > ENUMERATION_CAP:
@@ -268,29 +278,11 @@ def enumerate_statistics(t: int) -> CountTable:
             f"enumeration over 2^{t} topes exceeds the cap of 2^{ENUMERATION_CAP}; "
             "use formula_table instead"
         )
-    a = t // 2
     width = t + 1
-    size = (t - a + 1) * width  # one class: popcount * width + changes, popcount <= t-a
-    m = np.arange(1 << (t - a))
-    # popcount(m ^ m >> 1) counts a half's internal sign changes plus its last
-    # bit, the change to the zero above it; (size - 1) * last takes that back.
-    # bitwise_count gives uint8, so popcount * width is taken in int64.
-    key = ((m & 1) * (2 * size) + np.bitwise_count(m).astype(np.int64) * width
-           + np.bitwise_count(m >> 1 ^ m))
-    lo, hi = (np.bincount(key[: 1 << bits] + (m[: 1 << bits] >> (bits - 1)) * (size - 1),
-                          minlength=4 * size).reshape(2, 2, size) for bits in (a, t - a))
-    # lo and hi are indexed [first bit, last bit].  seam[ll, lh] is hi summed
-    # over its first bit fh, times x where ll != fh; fold[fl, ll] is seam
-    # summed over lh, times x where fl == lh; so lo[fl, ll] pairs with
-    # fold[fl, ll].  Times x is a shift by one entry, which stays inside its
-    # popcount block, as c + 2 <= t-a+1 < width.
-    seam = hi.copy()
-    seam[..., 1:] += hi[::-1, :, :-1]
-    seam = seam.transpose(1, 0, 2)
-    fold = seam[::-1].copy()
-    fold[..., 1:] += seam[..., :-1]
-    counts = sum(map(np.convolve, lo.reshape(4, size), fold.reshape(4, size)))
-    columns = counts[: width * width].reshape(width, width).T.tolist()
+    plus, minus = _pass(t, width)
+    counts, agree = plus[1] + minus[0], plus[0] + minus[1]
+    counts[1:] += agree[:-1]  # l = c, plus one where the first and last signs agree
+    columns = counts.reshape(width, width).T.tolist()
     total = sum(map(sum, columns))
     if total != 1 << t:
         raise VerificationMismatch(f"tally lost topes: {total} != 2^{t}")

@@ -113,6 +113,7 @@ class Decomposition(_Vector):
         coords = np.zeros(t, dtype=np.int8)
         signs, indices = zip(*ts)
         coords[list(indices)] = signs
+        _tope_signs(coords)  # InvalidSpectrum unless the terms sum to a tope
         self._store(coords)
 
     @property

@@ -403,12 +403,11 @@ def _closed_form_column(t: int, l: int) -> list:
 def sweep_counting(t: int):
     """The exact (j, l) tally of all 2^t topes against every closed form.
 
-    enumerate_statistics counts each tope once, as a pair of a low and a high
-    half whose masks are all enumerated.  Each cell of that tally is compared
-    with the production table formula_table, with the scalar count
-    count_by_negpart_and_size and with each of the four printed forms from
-    _closed_form_column, built once per l.  The cases are the 2^t tallied
-    topes.
+    enumerate_statistics counts each tope once, in one pass over the
+    coordinates.  Each cell of that tally is compared with the production
+    table formula_table, with the scalar count count_by_negpart_and_size and
+    with each of the four printed forms from _closed_form_column, built once
+    per l.  The cases are the 2^t tallied topes.
     """
     table = enumerate_statistics(t)
     total = table.total()

@@ -252,6 +252,24 @@ class TestDecomposeStreaming:
         assert len(out) > 2 * _X_BLOCK * len("0, ")
         assert _decompose_record(tope).startswith(out)
 
+    def test_a_library_fault_mid_record_leaves_its_prefix_and_exits_1(self, capsys, monkeypatch):
+        rows, calls = cli._rows, []
+
+        def fail_on_the_third_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return rows(*args, **kwargs)
+
+        t = 3 * _X_BLOCK
+        tope = ("+-" * t)[:t]
+        monkeypatch.setattr(cli, "_rows", fail_on_the_third_block)
+        assert cli.main(["decompose", "--t", str(t), "--tope=" + tope]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: RuntimeError: boom\n"
+        assert len(out) > 2 * _X_BLOCK * len("0, ")
+        assert _decompose_record(tope).startswith(out)
+
 
 class TestStatsCommand:
     def test_csv_formula_only(self):
@@ -291,6 +309,22 @@ class TestStatsCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_a_library_fault_mid_record_leaves_its_prefix_and_exits_1(self, capsys, monkeypatch):
+        columns = cli._table_columns
+
+        def fail_at_the_third_column(t):
+            for k, column in enumerate(columns(t)):
+                if k == 2:
+                    raise RuntimeError("boom")
+                yield column
+
+        monkeypatch.setattr(cli, "_table_columns", fail_at_the_third_column)
+        assert cli.main(["stats", "--t", "12"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: RuntimeError: boom\n"
+        assert out.count("\n") > 12
+        assert _stats_reference(12, "csv", None).startswith(out)
 
     def test_determinism(self):
         a = run_cli("stats", "--t", "7", "--enumerate")
@@ -774,7 +808,8 @@ class TestVerifyCommand:
     def test_the_readme_cap_table_lists_each_sweeps_cap(self):
         # Rows of the table name their sweeps in backticks; the cap column
         # starts with the cap or "none".
-        text = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as readme:
+            text = readme.read()
         table = text[text.index("| sweep | cap |"):].split("\n\n", 1)[0]
         caps = {}
         for row in table.splitlines()[2:]:

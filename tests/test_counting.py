@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -211,21 +212,28 @@ def test_tables_hash_by_value(t):
     assert len({formula_table(t), enumerate_statistics(t), formula_table(t + 1)}) == 2
 
 
-def _kept_by_the_lost_tally(t):
-    # Each half's bincount loses the key of its mask 0, so only the pairs of
-    # two nonzero halves, of t//2 and t - t//2 bits, are tallied.
-    return (2 ** (t // 2) - 1) * (2 ** (t - t // 2) - 1)
-
-
 def test_lost_tally_is_a_mismatch_with_exit_code_1(monkeypatch, capsys):
-    real = counting.np.bincount
-    monkeypatch.setattr(counting.np, "bincount", lambda keys, minlength: real(keys[1:], minlength=minlength))
+    # The pass drops its last coordinate step, so it tallies 2^4 vectors.
+    real = counting._pass
+    monkeypatch.setattr(counting, "_pass", lambda length, width: real(length - 1, width))
     with pytest.raises(VerificationMismatch, match="tally lost topes"):
         enumerate_statistics(5)
     assert main(["stats", "--t", "5", "--enumerate"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: tally lost topes: {_kept_by_the_lost_tally(5)} != 2^5\n"
+    assert err == "error: tally lost topes: 16 != 2^5\n"
+
+
+def test_the_tally_at_the_cap_peaks_below_256_kib():
+    # The pass holds three arrays of 2 x 33^2 int64 counts at t = 32, 17 KiB
+    # each; with the rows, the call peaks near 80 KiB.
+    tracemalloc.start()
+    try:
+        enumerate_statistics(ENUMERATION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
 
 
 class TestCycleVertexCounts:
@@ -313,14 +321,13 @@ def _tally_per_mask(t):
 
 
 @pytest.mark.parametrize("t", range(3, 21))
-def test_the_tally_by_halves_equals_the_per_mask_tally(t):
+def test_the_one_pass_tally_equals_the_per_mask_tally(t):
     assert enumerate_statistics(t) == _tally_per_mask(t)
 
 
 @pytest.mark.parametrize("t", [34, 36])
-def test_the_tally_by_halves_holds_past_the_cap(monkeypatch, t):
-    # Its keys must not wrap where a raised cap would take it: a popcount
-    # times t + 1 passes 255 from t = 23 on.
+def test_the_one_pass_tally_holds_past_the_cap(monkeypatch, t):
+    # Its counts must stay exact where a raised cap would take it.
     monkeypatch.setattr(counting, "ENUMERATION_CAP", 36)
     assert enumerate_statistics(t) == formula_table(t)
 
@@ -345,7 +352,7 @@ class TestEnumerateStatistics:
             assert enumerate_statistics(t).rows == formula_table(t).rows
 
     def test_matches_formulas_at_cap(self):
-        # the largest halves, 16 bits each
+        # the longest pass, over 32 coordinates
         table = enumerate_statistics(ENUMERATION_CAP)
         assert table.total() == 1 << ENUMERATION_CAP
         assert table == formula_table(ENUMERATION_CAP)

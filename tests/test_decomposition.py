@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -226,10 +228,12 @@ class TestDecompositionSet:
     ])
     @pytest.mark.parametrize("k", [0, 100, 200])
     def test_a_fault_in_a_long_term_list_keeps_its_message(self, fault, error, message, k):
+        # The base is the decomposition of a seeded tope with 201 sign changes.
         rng = np.random.default_rng(k)
-        indices = np.sort(rng.choice(1000, size=201, replace=False)).tolist()
-        terms = [(int(s), i) for s, i in zip(rng.choice([-1, 1], size=201), indices)]
-        assert Decomposition(1000, terms).terms == tuple(terms)
+        changes = np.zeros(1000, dtype=np.int64)
+        changes[1 + rng.choice(999, size=201, replace=False)] = 1
+        terms = list(decomposition_set(Tope(1 - 2 * (np.cumsum(changes) % 2))).terms)
+        assert len(terms) == 201 and Decomposition(1000, terms).terms == tuple(terms)
         terms[k] = fault(*terms[k], terms[k - 1][1])
         with pytest.raises(error) as info:
             Decomposition(1000, terms)
@@ -245,11 +249,28 @@ class TestDecompositionSet:
             assert np.array_equal(d.vertex_sum(), T.signs)
 
     def test_vertex_sum_of_any_terms(self):
-        # The constructor does not ask for a tope: the sum is still the
-        # signed sum of the cycle vertices, here +v0 - v2 + v3 at t = 4.
+        # The sum is the signed sum of the cycle vertices, here +v0 - v2 + v3
+        # at t = 4, which is the spectrum of the tope it sums to.
         d = Decomposition(4, [(1, 0), (-1, 2), (1, 3)])
         want = cycle_vertex(4, 0) - cycle_vertex(4, 2) + cycle_vertex(4, 3)
         assert d.vertex_sum().tolist() == want.tolist()
+
+    def test_only_the_terms_of_a_tope_are_accepted(self):
+        # Of the 122 vectors over {-1, 0, 1}^5 with odd support, the 32 tope
+        # spectra build a decomposition, each that of its vertex sum; the
+        # other 90 are refused.
+        accepted, refused = [], 0
+        for x in itertools.product((-1, 0, 1), repeat=5):
+            terms = [(s, i) for i, s in enumerate(x) if s]
+            if len(terms) % 2 == 0:
+                continue
+            try:
+                accepted.append(Decomposition(5, terms))
+            except InvalidSpectrum as error:
+                assert str(error) == "vector is not the spectrum of any tope"
+                refused += 1
+        assert (len(accepted), refused) == (32, 90)
+        assert all(d == decomposition_set(Tope(d.vertex_sum())) for d in accepted)
 
 
 class TestSpectrumUpdate:

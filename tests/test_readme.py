@@ -13,7 +13,8 @@ README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 def _command_lines():
     """The `cyclotope ...` lines of the first sh block after "## Command line"."""
-    text = open(README, encoding="utf-8").read()
+    with open(README, encoding="utf-8") as readme:
+        text = readme.read()
     block = text[text.index("## Command line"):].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("cyclotope ")]
 

@@ -551,11 +551,10 @@ def _offset(module, name, k):
 
 
 def _lose_a_tally(monkeypatch):
-    # The lost tally of test_lost_tally_is_a_mismatch_with_exit_code_1: each
-    # half's bincount, of 2 and 3 bits at t = 5, drops its mask 0.
-    real = counting.np.bincount
-    monkeypatch.setattr(counting.np, "bincount",
-                        lambda keys, minlength: real(keys[1:], minlength=minlength))
+    # The lost tally of test_lost_tally_is_a_mismatch_with_exit_code_1: the
+    # pass drops its last coordinate step.
+    real = counting._pass
+    monkeypatch.setattr(counting, "_pass", lambda length, width: real(length - 1, width))
 
 
 def _shift_run_bounds(monkeypatch):
@@ -585,7 +584,7 @@ def _shift_run_bounds(monkeypatch):
         for m in range(5))]),
     (_lose_a_tally,
      ["counting: FAIL (1 mismatches)",
-      f"  t=5: VerificationMismatch: tally lost topes: {(2**2 - 1) * (2**3 - 1)} != 2^5"]),
+      "  t=5: VerificationMismatch: tally lost topes: 16 != 2^5"]),
     (_shift_run_bounds,
      ["spectrum-methods: FAIL (1 mismatches)",
       "  t=5: IndexError: index 32 is out of bounds for axis 0 with size 32"]),
@@ -740,10 +739,12 @@ _PACKAGE_MODULES = (
 )
 
 
-def _binding_modules(name):
-    """Every module of the package that binds the package function name."""
-    real = getattr(next(m for m in _PACKAGE_MODULES if hasattr(m, name)), name)
-    return [m for m in _PACKAGE_MODULES if getattr(m, name, None) is real]
+def _binding_modules(module, name):
+    """The function name that module defines, and every module of the
+    package that binds that same function under the name."""
+    real = getattr(module, name)
+    assert real.__module__ == module.__name__, f"{module.__name__} does not define {name}"
+    return real, [m for m in _PACKAGE_MODULES if getattr(m, name, None) is real]
 
 
 def _off_by_one(real):
@@ -757,27 +758,35 @@ def _off_by_one(real):
 
 
 @pytest.mark.parametrize("kernels, failing", [
-    (["_half_inverse_transform"],
+    ([(decomposition, "_half_inverse_transform")],
      {"boundary-classes", "decompositions", "equinumerosity", "negpart-cardinalities", "oracle",
       "size-difference", "spectrum-methods", "spectrum-updates"}),
-    (["_telescope"],
+    ([(decomposition, "_telescope")],
      {"boundary-classes", "decompositions", "negpart-cardinalities", "oracle", "spectrum-methods"}),
-    (["_vertex_sum"], {"decompositions", "negpart-cardinalities", "spectrum-methods"}),
-    (["_matrix_entries"], {"decompositions", "matrix-identities", "spectrum-methods"}),
-    (["_inverse_entries"], {"flip-spectra", "matrix-identities", "spectrum-methods"}),
-    (["_spectrum_dense"], {"flip-spectra", "spectrum-methods"}),
-    (["_spectrum_intervals", "_tope_signs"], {"spectrum-methods"}),
-    (["_spectrum_update"], {"spectrum-updates"}),
-    (["_unit_flip_sum", "_boundary_case_display"], {"flip-spectra"}),
-    (["_size_difference"], {"equinumerosity", "size-difference"}),
-    (["_negpart_size", "_meet_join_from_spectra", "_meet_join_cards"], {"negpart-cardinalities"}),
-    (["_boundary_sum", "_interval_count_rule"], {"equinumerosity"}),
-    (["cycle_vertex"], {"cycle-structure", "oracle"}),
-    (["composition_count", "_binom0"], {"boundary-classes", "counting"}),
-    (["count_by_negpart_and_size", "count_topes_by_size", "count_cycle_topes_by_negpart"],
+    ([(decomposition, "_vertex_sum")],
+     {"decompositions", "negpart-cardinalities", "spectrum-methods"}),
+    ([(cycle, "_matrix_entries")], {"decompositions", "matrix-identities", "spectrum-methods"}),
+    ([(cycle, "_inverse_entries")], {"flip-spectra", "matrix-identities", "spectrum-methods"}),
+    ([(decomposition, "_spectrum_dense")], {"flip-spectra", "spectrum-methods"}),
+    ([(decomposition, "_spectrum_intervals"), (decomposition, "_tope_signs")],
+     {"spectrum-methods"}),
+    ([(decomposition, "_spectrum_update")], {"spectrum-updates"}),
+    ([(decomposition, "_unit_flip_sum"), (decomposition, "_boundary_case_display")],
+     {"flip-spectra"}),
+    ([(decomposition, "_size_difference")], {"equinumerosity", "size-difference"}),
+    ([(decomposition, "_negpart_size"), (decomposition, "_meet_join_from_spectra"),
+      (topes, "_meet_join_cards")],
+     {"negpart-cardinalities"}),
+    ([(equinumerosity, "_boundary_sum"), (equinumerosity, "_interval_count_rule")],
+     {"equinumerosity"}),
+    ([(cycle, "cycle_vertex")], {"cycle-structure", "oracle"}),
+    ([(counting, "composition_count"), (counting, "_binom0")], {"boundary-classes", "counting"}),
+    ([(counting, "count_by_negpart_and_size"), (counting, "count_topes_by_size"),
+      (counting, "count_cycle_topes_by_negpart")],
      {"counting"}),
-    (["count_by_boundary_class", "count_subsets_by_boundary"], {"boundary-classes"}),
-    (["gram_entry", "inverse_gram_entry"], {"matrix-identities"}),
+    ([(counting, "count_by_boundary_class"), (counting, "count_subsets_by_boundary")],
+     {"boundary-classes"}),
+    ([(cycle, "gram_entry"), (cycle, "inverse_gram_entry")], {"matrix-identities"}),
 ], ids=["half-inverse", "telescope", "vertex-sum", "matrix-entries", "inverse-entries",
         "spectrum-dense", "intervals-signs", "spectrum-update", "flip-sums", "size-difference",
         "negpart-meet-join", "boundary-sum-rule",
@@ -788,12 +797,11 @@ def test_a_kernel_planted_off_by_one_fails_exactly_the_sweeps_that_check_it(
     # The oracle's table is built from cycle_vertex, so it is cleared before
     # each plant, and once more by the fixture after the last.
     names = sorted(name for name, _, _ in verification._SWEEPS)
-    for kernel in kernels:
+    for home, kernel in kernels:
         oracle._search_table.cache_clear()
         verification._mask_rows.cache_clear()
         with monkeypatch.context() as patch:
-            modules = _binding_modules(kernel)
-            real = getattr(modules[0], kernel)
+            real, modules = _binding_modules(home, kernel)
             for module in modules:
                 patch.setattr(module, kernel, _off_by_one(real))
             report = verification.run_report(5)
