@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True, help="dimension (>= 3)")
     p.add_argument("--tope", required=True,
                    help="sign string over '+'/'-' of length t, or '-' to read it from stdin")
+    p.set_defaults(command=_cmd_decompose)
 
     p = sub.add_parser("stats", help="counts of topes by negative-part size and term count")
     p.add_argument("--t", type=int, required=True)
@@ -65,30 +66,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"in one pass over the coordinates (t <= {ENUMERATION_CAP})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="write the table to this path instead of stdout")
+    p.set_defaults(command=_cmd_stats)
 
     p = sub.add_parser("verify", help="run every invariant sweep at dimension t")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="json: one object with each sweep's status, mismatches, cases, "
                         "seconds and cap")
+    p.set_defaults(command=_cmd_verify)
 
     p = sub.add_parser("equinum", help="equal-size criterion for a tope and a reorientation set")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tope", required=True, help="as for decompose, including '-' for stdin")
     p.add_argument("--subset", required=True, help="comma-separated 1-based indices, or 'none'")
+    p.set_defaults(command=_cmd_equinum)
 
     p = sub.add_parser("cycle", help="print the cycle vertices or one of the exact matrices")
     p.add_argument("--t", type=int, required=True)
     kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--matrix", action="store_const", dest="matrix_kind", const="matrix",
+    kind.add_argument("--matrix", action="store_const", dest="build", const=tope_matrix,
                       help="rows are the first t cycle vertices")
-    kind.add_argument("--inverse", action="store_const", dest="matrix_kind", const="inverse",
+    kind.add_argument("--inverse", action="store_const", dest="build", const=inverse_rows,
                       help="inverse of the vertex matrix, scaled by 2")
-    kind.add_argument("--omega", action="store_const", dest="matrix_kind", const="omega",
+    kind.add_argument("--omega", action="store_const", dest="build", const=inverse_gram_matrix,
                       help="inverse Gram matrix, scaled by 4")
+    p.set_defaults(command=_cmd_cycle)
 
     p = sub.add_parser("bench", help="time the spectrum routes")
     p.add_argument("--t", type=int, required=True)
+    p.set_defaults(command=_cmd_bench)
 
     return parser
 
@@ -269,15 +275,11 @@ def _cmd_equinum(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
-    if args.matrix_kind is None:
+    if args.build is None:
         for vertex in SymmetricCycle(args.t):
             print(vertex)
         return 0
-    matrix = {
-        "matrix": tope_matrix,
-        "inverse": inverse_rows,
-        "omega": inverse_gram_matrix,
-    }[args.matrix_kind](args.t)
+    matrix = args.build(args.t)
     print(f"denom: {matrix.denom}")
     for row in matrix.entries:
         print(" ".join(map(str, row.tolist())))
@@ -290,16 +292,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "stats": _cmd_stats,
-    "verify": _cmd_verify,
-    "equinum": _cmd_equinum,
-    "cycle": _cmd_cycle,
-    "bench": _cmd_bench,
-}
-
-
 def run(args: argparse.Namespace) -> int:
     """Dispatch parsed arguments; returns the process exit status.
 
@@ -307,7 +299,7 @@ def run(args: argparse.Namespace) -> int:
     above a cap.  Any other exception is a fault, named as verify names one.
     """
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.command(args)
     except (CyclotopeError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1 if isinstance(exc, VerificationMismatch) else 2

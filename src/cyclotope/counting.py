@@ -46,6 +46,13 @@ def _check_odd_l(l: int, t: int) -> int:
     return l
 
 
+def _check_size(l: int, t: int) -> int:
+    """l, an int, unless it is even or outside [1, t]: then ValueError."""
+    if l % 2 == 0 or not 1 <= l <= t:
+        raise ValueError(f"decomposition sizes are odd and in [1, {t}], got {l}")
+    return l
+
+
 def composition_count(m: int, n: int) -> int:
     """Number of ways to write n as an ordered sum of m positive parts.
 
@@ -61,10 +68,8 @@ def composition_count(m: int, n: int) -> int:
 
 def count_topes_by_size(t: int, l: int) -> int:
     """Number of topes whose minimal decomposition has exactly l terms: 2*C(t,l)."""
-    t, l = _check_dimension(t), _integer(l)
-    if l % 2 == 0 or not 1 <= l <= t:
-        raise ValueError(f"decomposition sizes are odd and in [1, {t}], got {l}")
-    return 2 * math.comb(t, l)
+    t = _check_dimension(t)
+    return 2 * math.comb(t, _check_size(_integer(l), t))
 
 
 def count_cycle_topes_by_negpart(t: int, j: int) -> int:
@@ -158,6 +163,11 @@ class CountTable:
         for j, l, c in rs:
             if c < 0:
                 raise ValueError(f"negative count at (j={j}, l={l})")
+        for k, (j, l, _) in enumerate(rs):
+            _check_negpart(j, self._t)
+            _check_size(l, self._t)
+            if k and rs[k - 1][:2] == (j, l):
+                raise ValueError(f"repeated cell (j={j}, l={l})")
         self._rows = rs
 
     @classmethod

@@ -334,7 +334,8 @@ def _size_difference(signs1: np.ndarray, signs2: np.ndarray) -> np.ndarray:
     acc = np.int16 if 4 * signs1.shape[-1] < 1 << 15 else np.int64
     both = _half_inverse_transform(signs1 + signs2)
     both *= _half_inverse_transform(signs1 - signs2)
-    return np.add.reduce(both, axis=-1, dtype=acc) >> 2
+    return _exact_shift(np.add.reduce(both, axis=-1, dtype=acc), 2,
+                        "inner products of transforms must give multiples of 4")
 
 
 def negpart_size_from_spectrum(x: Spectrum) -> int:

@@ -19,25 +19,25 @@ ends that sweep; CapExceeded and MemoryError propagate.
 Each formula is one private kernel along the last axis of its arrays, and
 the public scalar function calls it on one vector; the sweeps call the
 kernels on stacks of rows.  _mask_rows builds, once per report, the 2^t sign
-and membership rows of the masks 0..2^t-1 and four references read off each
-mask: the decomposition size, the negative-part size j, the interval count
-rho and the boundary overlap.  They are read-only and shared by the report's
-sweeps, which compare the kernels' results with them and with plain mask
-arithmetic: meets and joins from popcounts of m1 & m2 and m1 | m2, vertex
-sums as x @ M.  Every stack is coordinate-major (a Fortran-ordered (2^t, t)
-array), and the kernels keep that layout, so each runs one long loop per
-coordinate instead of one loop of length t per row.  The per-tope sweeps run
-on row blocks of the tope rows, flip-spectra on row blocks of the subset
-rows, equinumerosity and size-difference on row blocks of the 4^t pair grid
-by broadcasting, negpart-cardinalities on square tiles of it,
-spectrum-updates on one (step, path) stack of its random paths, all drawn
-from one block of random bytes, and cycle-structure on row blocks of the
-cycle's vertex rows.  An object is built only to name a mismatch, from a
-copy of its row.  The unit-flip and boundary-case displays are two kernels
-of their own, each checked against the dense route rather than against the
-other.  run_report caps every sweep of _SWEEPS, the oracle at ORACLE_CAP, at
-a dimension that keeps `verify` at desk scale and reports a capped sweep as
-skipped; above every cap it raises CapExceeded.
+and membership rows of the masks 0..2^t-1 and four read-only references read
+off each mask: sizes, negatives (j), runs (rho) and overlap (with {1, t}).
+decompositions and size-difference read sizes, negpart-cardinalities reads
+negatives and popcounts of m1 & m2 and m1 | m2, spectrum-methods runs and
+overlap, boundary-classes all four and equinumerosity all but negatives, so
+neither of the last two runs a size kernel.  The others read none: by design
+spectrum-updates checks its update kernel against recomputation by the
+telescoping route, flip-spectra its displays against the dense route.
+Every stack is coordinate-major (a Fortran-ordered (2^t, t) array), and the
+kernels keep that layout, so each runs one long loop per coordinate instead
+of one loop of length t per row.  The per-tope sweeps run on row blocks of
+the tope rows, flip-spectra on row blocks of the subset rows, equinumerosity
+and size-difference on row blocks of the 4^t pair grid, negpart-cardinalities
+on square tiles of it, spectrum-updates on one (step, path) stack of its
+random paths, all drawn from one block of random bytes, and cycle-structure
+on row blocks of the cycle's vertex rows.  An object is built only to name a
+mismatch, from a copy of its row.  run_report caps every sweep of _SWEEPS,
+the oracle at ORACLE_CAP, at a dimension that keeps `verify` at desk scale
+and reports a capped sweep as skipped; above every cap it raises CapExceeded.
 """
 
 from __future__ import annotations
@@ -260,10 +260,9 @@ def sweep_spectrum_methods(t: int):
     for rows in _row_blocks(masks.shape[0], t):
         s = signs[rows]
         dense = _spectrum_dense(s)
-        fast = _telescope(s)
+        x = _telescope(s)
         ivls = _spectrum_intervals(members[rows])
-        agree = (dense == fast).all(axis=-1) & (dense == ivls).all(axis=-1)
-        x = fast
+        agree = (dense == x).all(axis=-1) & (dense == ivls).all(axis=-1)
         support = np.count_nonzero(x, axis=-1)
         total = x.sum(axis=-1, dtype=np.int64)
         back = x.astype(np.int64) @ m_entries
@@ -274,7 +273,7 @@ def sweep_spectrum_methods(t: int):
         T = _namer(Tope, s)
         yield len(s), [
             (~agree, lambda i: f"{T(i)}: routes disagree: "
-             + " / ".join(str(_namer(Spectrum, route)(i)) for route in (dense, fast, ivls))),
+             + " / ".join(str(_namer(Spectrum, route)(i)) for route in (dense, x, ivls))),
             (agree & (support % 2 != 1), lambda i: f"{T(i)}: even support {support[i]}"),
             (agree & (total != s[:, -1]),
              lambda i: f"{T(i)}: coordinate sum {total[i]} != last entry {s[i, -1]}"),
@@ -447,16 +446,12 @@ def sweep_boundary_classes(t: int):
     """Counts refined by boundary class and j, against direct enumeration.
 
     Every tope with a nonempty negative part is tallied by its boundary
-    class, j and decomposition size l (from the telescoping kernel on row
-    blocks), and its negative part by boundary overlap and interval count;
-    j, the class and the run starts are read off the masks.  The cases are
-    the 2^t topes; each class total is checked just before its j = 0 cell.
+    class, read off its mask, and by the negatives (j) and sizes (l)
+    references, and its negative part by the overlap and runs references;
+    no spectrum kernel runs: it checks closed forms only.  The cases are the
+    2^t topes; each class total is checked just before its j = 0 cell.
     """
-    masks, signs, _, _, negatives, runs, overlap = _mask_rows(t)
-    sizes = np.concatenate([
-        np.count_nonzero(_telescope(signs[rows]), axis=-1)
-        for rows in _row_blocks(masks.shape[0], t)
-    ])
+    masks, _, _, sizes, negatives, runs, overlap = _mask_rows(t)
     left, right = masks & 1, masks >> (t - 1) & 1
     # The index into _CLASSES: 2 * [t in A] when 1 is in A, else 3 - 2 * [t in A].
     case = np.where(left == 1, 2 * right, 3 - 2 * right)
@@ -485,10 +480,11 @@ def sweep_boundary_classes(t: int):
 
 @_sweep
 def sweep_equinumerosity(t: int):
-    """Criterion, indicator and interval rule against popcount sizes, all pairs.
+    """Criterion, indicator and interval rule against the sizes reference, all pairs.
 
-    The criterion runs on every subset A, the full set included: there it
-    reads 0 = 0, and T and its antipode have equal sizes.
+    The interval rule is fed the runs and overlap references.  The criterion
+    runs on every subset A, the full set included: there it reads 0 = 0, and
+    T and its antipode have equal sizes.
     """
     masks, signs, members, sizes, _, runs, overlap = _mask_rows(t)
     n = masks.shape[0]
@@ -506,7 +502,7 @@ def sweep_equinumerosity(t: int):
             ((ind == 0) != (sizes[rows, None] == sizes),
              lambda i, j: f"{T(rows.start + i)}, {T(j)}: indicator {ind[i, j]} vs sizes "
                           f"{sizes[rows.start + i]}, {sizes[j]}"),
-            (ind != _size_difference(signs[rows, None], signs[None]),
+            (ind != sizes[rows, None] - sizes,
              lambda i, j: f"{T(rows.start + i)}, {T(j)}: indicator != size difference"),
         ]
     # Nonempty A and B, as reorientations of all-plus: mask m's tope.

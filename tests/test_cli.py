@@ -772,12 +772,19 @@ class TestVerifyCommand:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "verify t=3: ok" in proc.stdout
 
-    def test_oracle_max_skips(self):
+    def test_the_oracle_sweep_runs_up_to_its_cap_and_is_skipped_above_it(self):
         # The oracle sweep runs up to ORACLE_CAP and is skipped above it.
         for t, status in ((8, "ok"), (ORACLE_CAP + 1, "skipped")):
             proc = run_cli("verify", "--t", str(t))
             assert proc.returncode == 0
             assert f"oracle: {status}\n" in proc.stdout
+
+    def test_determinism(self):
+        # The text report never shows a time, so two runs give the same bytes.
+        a = run_cli("verify", "--t", "11")
+        b = run_cli("verify", "--t", "11")
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout != ""
 
     @pytest.mark.parametrize("t", sorted({t for _, _, cap in _SWEEPS for t in (cap, cap + 1)
                                           if t <= DENSE_CAP}))

@@ -437,6 +437,15 @@ class TestCountTable:
             ([(1, 1, "2")], TypeError, "'str' object cannot be interpreted as an integer"),
             ([(1, 3, 2), (0, 1, 1)], ValueError, "rows must be sorted by (l, j)"),
             ([(0, 1, 1), (1, 3, -2)], ValueError, "negative count at (j=1, l=3)"),
+            ([(-3, -1, 1)], ValueError, "negative-part size must lie in [0, 4], got -3"),
+            ([(5, 1, 1)], ValueError, "negative-part size must lie in [0, 4], got 5"),
+            ([(0, 9, 1)], ValueError, "decomposition sizes are odd and in [1, 4], got 9"),
+            ([(0, 2, 1)], ValueError, "decomposition sizes are odd and in [1, 4], got 2"),
+            ([(0, -1, 1)], ValueError, "decomposition sizes are odd and in [1, 4], got -1"),
+            ([(0, 1, 1), (0, 1, 2)], ValueError, "repeated cell (j=0, l=1)"),
+            ([(0, 1, 1), (2, 3, 4), (2, 3, 0)], ValueError, "repeated cell (j=2, l=3)"),
+            # The range checks come after every row's sign check.
+            ([(9, 1, 1), (0, 3, -1)], ValueError, "negative count at (j=0, l=3)"),
         ],
     )
     def test_constructor_rejections(self, rows, error, message):
@@ -467,3 +476,12 @@ class TestCountTable:
         assert [table.count(j, 1) for j in range(6)] == [7, 0, 0, 0, 2, 0]
         assert table.count(2, 3) == 5 and table.count(1, 5) == 1
         assert table.count(1, 3) == table.count(3, 3) == table.count(0, 5) == 0
+
+    def test_the_dimension_is_the_one_given(self):
+        assert CountTable(np.int64(6), []).t == 6 and formula_table(9).t == 9
+
+    def test_a_table_equals_only_a_table(self):
+        table = formula_table(5)
+        assert table.__eq__(table.rows) is NotImplemented
+        assert table != table.rows and (formula_table(5) == object()) is False
+        assert table == CountTable(5, table.rows) != CountTable(6, table.rows)

@@ -69,6 +69,11 @@ def test_cycles_are_equal_and_hash_equal_exactly_when_their_t_agree():
     assert SymmetricCycle(3) != Tope.positive(3) and SymmetricCycle(3) != 3
 
 
+def test_cycle_dimension_is_the_one_given():
+    assert SymmetricCycle(np.int64(7)).t == 7
+    assert type(SymmetricCycle(np.int64(7)).t) is int
+
+
 def test_cycle_vertex_index_bounds():
     cycle = SymmetricCycle(4)
     with pytest.raises(IndexError):
@@ -203,6 +208,18 @@ class TestScaledIntMatrix:
         # entries 2I with denom 2 reduce to I with denom 1
         assert product.denom == 1
         assert np.array_equal(product.entries, np.eye(4, dtype=np.int64))
+
+    def test_matmul_and_equality_take_only_a_matrix(self):
+        m = tope_matrix(3)
+        assert m.__matmul__(m.entries) is NotImplemented
+        assert m.__eq__(m.entries) is NotImplemented
+        with pytest.raises(TypeError):
+            m @ [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert (m == object()) is False and m != m.entries.tolist()
+
+    def test_repr_names_the_shape_and_denominator(self):
+        assert repr(inverse_gram_matrix(4)) == "ScaledIntMatrix(shape=(4, 4), denom=4)"
+        assert repr(ScaledIntMatrix([[1, 2, 3]])) == "ScaledIntMatrix(shape=(1, 3), denom=1)"
 
     def test_matmul_rejects_unrepresentable_denominator(self):
         omega = inverse_gram_matrix(4)

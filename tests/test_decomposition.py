@@ -474,6 +474,17 @@ class TestInternalGuards:
                            match="^cardinality formulas did not divide exactly$"):
             negpart_meet_join_from_spectra(sigma(1, 3), sigma(1, 3))
 
+    def test_transforms_whose_inner_product_is_not_a_multiple_of_4(self, monkeypatch):
+        # With the transform one too high, the inner product of no pair of
+        # topes at t = 5 is a multiple of 4; the quarter is never floored.
+        real = decomposition._half_inverse_transform
+        monkeypatch.setattr(decomposition, "_half_inverse_transform", lambda v: real(v) + 1)
+        topes = [Tope.from_bitmask(m, 5) for m in range(32)]
+        for T1, T2 in itertools.product(topes, repeat=2):
+            with pytest.raises(VerificationMismatch,
+                               match="^inner products of transforms must give multiples of 4$"):
+                size_difference(T1, T2)
+
 
 class TestReconstruction:
     def test_roundtrip_exhaustive(self):

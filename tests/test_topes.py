@@ -171,6 +171,10 @@ class TestGroundSubset:
         assert len(A) == 2
         assert str(A) == "1,3"
 
+    def test_repr_names_the_dimension_and_members(self):
+        assert repr(GroundSubset(5, [4, 2])) == "GroundSubset(t=5, members=(2, 4))"
+        assert repr(GroundSubset.empty(3)) == "GroundSubset(t=3, members=())"
+
     def test_empty_and_full(self):
         assert str(GroundSubset.empty(4)) == "none"
         assert GroundSubset.full(4).members == (1, 2, 3, 4)
