@@ -88,9 +88,9 @@ def count_by_negpart_and_size(t: int, j: int, l: int) -> int:
 
     Zero outside the window (l-1)/2 <= j <= t-(l-1)/2.  Inside it, the
     count is C(j-1, h) C(t-j, h) + C(t-j-1, h) C(j, h) with h = (l-1)/2, the
-    cheapest of the printed closed forms; the agreement of all of them is
-    checked by verification.sweep_counting and the tests.  The count is
-    symmetric under j <-> t-j.
+    cheapest of the printed closed forms, form 2; verification.sweep_counting
+    and the tests check it and forms 1 and 3 against the tally.  The count
+    is symmetric under j <-> t-j.
     """
     t, j, l = _check_dimension(t), _integer(j), _integer(l)
     _check_odd_l(l, t)

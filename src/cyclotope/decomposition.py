@@ -127,12 +127,12 @@ class Decomposition(_Vector):
 
     def vertex_indices(self) -> frozenset:
         """Positions on the full 2t-cycle: index i for +, index i+t for -."""
-        t = self.t
-        return frozenset(i if s > 0 else i + t for s, i in self.terms)
+        nz = (self._v != 0).nonzero()[0]
+        return frozenset((nz + self.t * (self._v[nz] < 0)).tolist())
 
     def vertex_sum(self) -> np.ndarray:
         """Entrywise sum of the signed cycle vertices, as int64, in O(t)."""
-        return _vertex_sum(self._v)
+        return _vertex_sum(self._v).astype(np.int64)
 
     def __len__(self) -> int:
         return self.size
@@ -362,8 +362,15 @@ def _negpart_size(coords: np.ndarray) -> np.ndarray:
 
 def _vertex_sum(coords: np.ndarray) -> np.ndarray:
     # coords times the cycle-vertex matrix M along the last axis, in O(t):
-    # entry e is twice the prefix sum through e minus the total.
-    prefix = np.add.accumulate(coords, axis=-1, dtype=np.int64)
+    # entry e is twice the prefix sum p_e through e minus the total p_t.
+    # int8 gives the int64 verdict on coordinates in {-1, 0, 1}.  A tope's
+    # spectrum has p_t = +-1 (the last entry), so its prefixes lie in
+    # {-1, 0, 1} and nothing wraps.  Any other vector keeps an entry that is
+    # not +-1: the last, when its int8 total (p_t mod 256) is not +-1; else
+    # an entry up to its first prefix outside [-1, 1], or any entry if there
+    # is none, since the prefixes before it are exact and that prefix, with
+    # steps of at most 1, is +-2, giving 2(+-2) - (+-1).
+    prefix = np.add.accumulate(coords, axis=-1, dtype=np.int8)
     return 2 * prefix - prefix[..., -1:]
 
 
@@ -386,12 +393,13 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     #   s1 = s2 = +1:  4 meet = -t - 4 + g + 2w,  4 join = t - 4 - g + 2w
     #   mixed:         4 meet = t + g + 2w,       4 join = 3t - g + 2w
     # which is 4 meet = t - (s1 + s2)(t + 2) + g + 2w, 4 join = 4 meet + 2t - 2g.
-    # x1 G x2 with G = M M^T is the inner product of the vertex sums x M,
-    # and a coordinate sum is the last entry of its vertex sum.
-    v1, v2 = _vertex_sum(x1), _vertex_sum(x2)
-    # Integer sums lie in {-1, 1} exactly when their product does.
-    if np.count_nonzero(np.abs(v1[..., -1] * v2[..., -1]) != 1):
+    # x1 G x2 with G = M M^T is the inner product of the vertex sums x M.
+    # Integer sums lie in {-1, 1} exactly when their product does; they are
+    # taken in int64, as the int8 vertex sums' last entries hold them mod 256.
+    s1, s2 = (x.sum(axis=-1, dtype=np.int64) for x in (x1, x2))
+    if np.count_nonzero(np.abs(s1 * s2) != 1):
         raise VerificationMismatch("tope spectra have coordinate sum +-1")
+    v1, v2 = _vertex_sum(x1), _vertex_sum(x2)
     # Integer arithmetic wraps: only the results, in [0, 4t], must fit acc.
     t = x1.shape[-1]
     acc = np.int16 if 4 * t < 1 << 15 else np.int64
@@ -410,7 +418,7 @@ def _tope_signs(coords: np.ndarray) -> np.ndarray:
     signs = _vertex_sum(coords)
     if np.count_nonzero(np.abs(signs) != 1):
         raise InvalidSpectrum("vector is not the spectrum of any tope")
-    return signs.astype(np.int8)
+    return signs
 
 
 def reconstruct_tope(x: Spectrum) -> Tope:

@@ -138,7 +138,7 @@ def test_closed_forms_agree_past_the_enumeration_cap(t):
 
 def test_sweep_counting_reports_a_disagreeing_closed_form(monkeypatch):
     def skewed(t, l):
-        return [values[:3] + (values[3] + 1,) for values in real(t, l)]
+        return [values[:-1] + (values[-1] + 1,) for values in real(t, l)]
 
     real = verification._closed_form_column
     assert verification.sweep_counting(6) == []

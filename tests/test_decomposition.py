@@ -68,6 +68,11 @@ class TestSpectrum:
         with pytest.raises(InvalidSpectrum):
             Spectrum(coords)
 
+    def test_rejects_a_vector_whose_int8_total_wraps_to_one(self):
+        # 257 ones sum to 1 mod 256; the second prefix, 2, already gives 3.
+        with pytest.raises(InvalidSpectrum, match="^vector is not the spectrum of any tope$"):
+            Spectrum([1] * 257 + [0] * 743)
+
     def test_rejects_mixed_bool_list(self):
         # numpy reads [1, True, -1] as the integers [1, 1, -1]
         with pytest.raises(TypeError):
@@ -174,6 +179,11 @@ class TestDecompositionSet:
     def test_vertex_indices_fold_negatives(self):
         d = Decomposition(4, [(1, 0), (-1, 1), (1, 3)])
         assert d.vertex_indices() == frozenset({0, 5, 3})
+
+    def test_vertex_sum_is_int64_though_its_kernel_sums_in_int8(self):
+        d = decomposition_set(Tope.from_bitmask(0b0110, 4))
+        assert d.vertex_sum().dtype == np.int64
+        assert d.vertex_sum().tolist() == [1, -1, -1, 1]
 
     @pytest.mark.parametrize(
         "t, terms, error, message",

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclotope import (
@@ -388,3 +388,35 @@ def test_spectrum_accepts_exactly_the_tope_spectra(coords):
     else:
         with pytest.raises(InvalidSpectrum):
             Spectrum(coords)
+
+
+@st.composite
+def run_vectors(draw):
+    """A tope spectrum at t <= 1024, or runs of one value over {-1, 0, 1},
+    each up to 300 long, so that a prefix can drift past 127."""
+    if draw(st.booleans()):
+        t = draw(st.integers(3, 1024))
+        return _spectrum(_mask(draw, (1 << t) - 1), t)
+    runs = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 300)),
+                         min_size=1, max_size=6))
+    coords = [v for v, length in runs for _ in range(length)]
+    return coords + [0] * (3 - len(coords))
+
+
+@relaxed
+@given(run_vectors())
+@example([1] * 257 + [0] * 743)
+@example([-1] * 255 + [0] * 2)
+@example([0] * 200 + [1] * 128 + [-1] * 256 + [1] * 129)
+def test_int8_vertex_sums_accept_and_reject_as_int64_ones(coords):
+    # The int64 prefix sums are the reference: a vector is a tope spectrum
+    # exactly when 2 p_e - p_t is +-1 at every e, and then that is the tope.
+    prefix = np.add.accumulate(np.array(coords, dtype=np.int64))
+    wide = (2 * prefix - prefix[-1]).tolist()
+    if set(wide) <= {-1, 1}:
+        assert _tope_signs(np.array(coords, dtype=np.int8)).tolist() == wide
+        assert reconstruct_tope(Spectrum(coords)).signs.tolist() == wide
+        return
+    for route in (lambda: _tope_signs(np.array(coords, dtype=np.int8)), lambda: Spectrum(coords)):
+        with pytest.raises(InvalidSpectrum, match="^vector is not the spectrum of any tope$"):
+            route()

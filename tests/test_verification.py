@@ -763,7 +763,7 @@ def _off_by_one(real):
      {"decompositions", "negpart-cardinalities", "oracle", "spectrum-methods"}),
     ([(decomposition, "_vertex_sum")],
      {"decompositions", "negpart-cardinalities", "spectrum-methods"}),
-    ([(cycle, "_matrix_entries")], {"decompositions", "matrix-identities", "spectrum-methods"}),
+    ([(cycle, "_matrix_entries")], {"decompositions", "matrix-identities"}),
     ([(cycle, "_inverse_entries")], {"flip-spectra", "matrix-identities", "spectrum-methods"}),
     ([(decomposition, "_spectrum_dense")], {"flip-spectra", "spectrum-methods"}),
     ([(decomposition, "_spectrum_intervals"), (decomposition, "_tope_signs")],
