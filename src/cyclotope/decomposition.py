@@ -34,6 +34,7 @@ from .topes import (
     _exact_shift,
     _int_array,
     _integer,
+    _meet_join_cards,
     _require_same_t,
     _run_bounds,
 )
@@ -377,9 +378,13 @@ def _vertex_sum(coords: np.ndarray) -> np.ndarray:
 def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
     """(|T1- intersect T2-|, |T1- union T2-|) from the two spectra alone.
 
-    Uses the three-case quarter-integer formulas keyed on the coordinate
-    sums, with the Gram pairing x1 G x2 supplying the tope inner product.
-    Divisions are checked to be exact.
+    With coordinate sums s1, s2, Gram pairing g = x1 G x2 and weight
+    w = sum_i (x1_i + x2_i) * i, the paper's three cases
+      s1 = s2 = -1:  4 meet = 3t + 4 + g + 2w,  4 join = 5t + 4 - g + 2w
+      s1 = s2 = +1:  4 meet = -t - 4 + g + 2w,  4 join = t - 4 - g + 2w
+      mixed:         4 meet = t + g + 2w,       4 join = 3t - g + 2w
+    are evaluated as the sign identity of negpart_meet_join_cards on the
+    reconstructed topes x1 M and x2 M; its divisions are checked to be exact.
     """
     _require_same_t(x1, x2)
     meet, join = _meet_join_from_spectra(x1.coords, x2.coords)
@@ -387,29 +392,16 @@ def negpart_meet_join_from_spectra(x1: Spectrum, x2: Spectrum) -> tuple:
 
 
 def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
-    # The meet/join formulas along the last axis.  With sums s1, s2 in
-    # {-1, 1}, Gram pairing g and weight w = sum_i (x1_i + x2_i) * i:
-    #   s1 = s2 = -1:  4 meet = 3t + 4 + g + 2w,  4 join = 5t + 4 - g + 2w
-    #   s1 = s2 = +1:  4 meet = -t - 4 + g + 2w,  4 join = t - 4 - g + 2w
-    #   mixed:         4 meet = t + g + 2w,       4 join = 3t - g + 2w
-    # which is 4 meet = t - (s1 + s2)(t + 2) + g + 2w, 4 join = 4 meet + 2t - 2g.
-    # x1 G x2 with G = M M^T is the inner product of the vertex sums x M.
+    # Along the last axis.  The three cases are 4 meet = t - (s1 + s2)(t + 2)
+    # + g + 2w and 4 join = 4 meet + 2t - 2g.  With v = x M the vertex sums,
+    # g = <v1, v2> as G = M M^T, and sum(v) = (t + 2) s - 2 sum_i i x_i as
+    # v_e = 2 p_e - s; so 2w - (t + 2)(s1 + s2) = -sum(v1) - sum(v2).
     # Integer sums lie in {-1, 1} exactly when their product does; they are
     # taken in int64, as the int8 vertex sums' last entries hold them mod 256.
     s1, s2 = (x.sum(axis=-1, dtype=np.int64) for x in (x1, x2))
     if np.count_nonzero(np.abs(s1 * s2) != 1):
         raise VerificationMismatch("tope spectra have coordinate sum +-1")
-    v1, v2 = _vertex_sum(x1), _vertex_sum(x2)
-    # Integer arithmetic wraps: only the results, in [0, 4t], must fit acc.
-    t = x1.shape[-1]
-    acc = np.int16 if 4 * t < 1 << 15 else np.int64
-    g = np.add.reduce(v1 * v2, axis=-1, dtype=acc)
-    # 2w - (t + 2)(s1 + s2) is the inner product of x1 + x2 with the
-    # weights 2i - t - 2.
-    weights = np.arange(-t, t, 2, dtype=acc)
-    meet4 = np.add.reduce((x1 + x2) * weights, axis=-1, dtype=acc) + g + t
-    return tuple(_exact_shift(v, 2, "cardinality formulas did not divide exactly")
-                 for v in (meet4, meet4 + 2 * (t - g)))
+    return _meet_join_cards(_vertex_sum(x1), _vertex_sum(x2))
 
 
 def _tope_signs(coords: np.ndarray) -> np.ndarray:

@@ -481,7 +481,7 @@ class TestInternalGuards:
 
         monkeypatch.setattr(decomposition, "_vertex_sum", planted)
         with pytest.raises(VerificationMismatch,
-                           match="^cardinality formulas did not divide exactly$"):
+                           match="^inner products of sign vectors must give multiples of 4$"):
             negpart_meet_join_from_spectra(sigma(1, 3), sigma(1, 3))
 
     def test_transforms_whose_inner_product_is_not_a_multiple_of_4(self, monkeypatch):

@@ -11,6 +11,9 @@ the last path; the oracle sweep reads the oracle's table, so its faults sit
 in one table entry.
 """
 
+import importlib
+import inspect
+import pkgutil
 import random
 import re
 import tracemalloc
@@ -32,6 +35,7 @@ from cyclotope import (
     reorient,
     spectrum_fast,
 )
+import cyclotope
 from cyclotope import (
     cli, counting, cycle, decomposition, equinumerosity, oracle, topes, verification,
 )
@@ -732,9 +736,23 @@ def test_sweep_cycle_structure_names_each_broken_law(monkeypatch, t, law):
     assert (found.mismatches, found.cases) == (len(want), 2 * t)
 
 
-_PACKAGE_MODULES = (
-    cli, counting, cycle, decomposition, equinumerosity, oracle, topes, verification,
+# Every module of the package but __main__, whose import runs the CLI.
+_PACKAGE_MODULES = tuple(
+    importlib.import_module(f"cyclotope.{info.name}")
+    for info in pkgutil.iter_modules(cyclotope.__path__) if info.name != "__main__"
 )
+
+
+def test_each_function_and_class_name_has_one_home():
+    # _binding_modules finds a kernel by its name in every module, so a
+    # name that two modules define would plant the wrong one.
+    homes = {}
+    for module in _PACKAGE_MODULES:
+        for name, obj in vars(module).items():
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                homes.setdefault(name, []).append(module.__name__)
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {}
 
 
 def _binding_modules(module, name):
