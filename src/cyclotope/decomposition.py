@@ -90,7 +90,9 @@ class Decomposition(_Vector):
     Terms are (sign, index) pairs with sign in {-1, +1} and index the 0-based
     position among the first t cycle vertices, kept in ascending index order.
     A term (sign, i) stands for the cycle vertex at position i when sign is
-    +1, and for its antipode (position i + t) when sign is -1.
+    +1, and for its antipode (position i + t) when sign is -1.  The signs of
+    consecutive terms alternate, as the nonzero coordinates of every
+    spectrum do: coordinate i > 0 is half the sign change T(i + 1) - T(i).
 
     Stored as its read-only int8 coordinate vector, the layout of
     ``Spectrum.coords``: the term (sign, i) is the entry sign at position i.

@@ -522,6 +522,15 @@ class TestSpectrumLaws:
                     if x.coord(e) != 0:
                         assert x.coord(e) == T.sign(e)
 
+    def test_nonzero_coordinates_alternate_in_sign_exhaustive(self):
+        # So the terms of every minimal decomposition alternate + and -.
+        for t in range(3, 13):
+            for mask in range(1 << t):
+                T = Tope.from_bitmask(mask, t)
+                x = spectrum_fast(T).coords
+                nonzero = x[x != 0]
+                assert (nonzero[1:] == -nonzero[:-1]).all(), T
+
     def test_antipodal_law(self):
         for mask in range(1 << 6):
             T = Tope.from_bitmask(mask, 6)

@@ -144,6 +144,19 @@ def test_terms_are_the_nonzero_spectrum_entries(case):
 
 @relaxed
 @given(masks(1))
+@example((65536, random.Random(5).getrandbits(65536)))  # one random tope past the drawn t
+def test_the_terms_alternate_in_sign(case):
+    # The terms are the spectrum's nonzero coordinates, which alternate:
+    # coordinate i > 0 is half the sign change T(i + 1) - T(i), and
+    # coordinate 0, when nonzero, is T(1), the sign before the first change.
+    t, m = case
+    x = spectrum_fast(Tope.from_bitmask(m, t)).coords
+    nonzero = x[x != 0]
+    assert (nonzero[1:] == -nonzero[:-1]).all()
+
+
+@relaxed
+@given(masks(1))
 def test_decompose_record_is_the_json_dumps_of_its_dict(case):
     t, m = case
     x = _spectrum(m, t)

@@ -664,7 +664,7 @@ def test_every_trusted_constructor_call_stores_its_layout(monkeypatch):
     monkeypatch.setattr(ScaledIntMatrix, "_wrap", classmethod(checked_matrix))
     verification.run_report(4)
     for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
-                 "_meet_join_from_spectra", "_meet_join_cards"):
+                 "_meet_join_from_spectra"):
         monkeypatch.setattr(verification, name, _off_by_one(getattr(verification, name)))
     for sweep in (verification.sweep_equinumerosity, verification.sweep_size_difference,
                   verification.sweep_negpart_cardinalities):
@@ -705,7 +705,7 @@ def test_a_named_row_is_a_contiguous_copy_of_its_row(monkeypatch):
 
         monkeypatch.setattr(cls, "_wrap", classmethod(recording))
     for name in ("_boundary_sum", "_interval_count_rule", "_size_difference",
-                 "_meet_join_from_spectra", "_meet_join_cards"):
+                 "_meet_join_from_spectra"):
         monkeypatch.setattr(verification, name, _off_by_one(getattr(verification, name)))
     for sweep in (verification.sweep_equinumerosity, verification.sweep_size_difference,
                   verification.sweep_negpart_cardinalities):
