@@ -35,7 +35,6 @@ from .cycle import (
     tope_matrix,
 )
 from .decomposition import (
-    Decomposition,
     Spectrum,
     decomposition_set,
     negpart_meet_join_from_spectra,
@@ -86,7 +85,6 @@ __all__ = [
     "CountTable",
     "CriterionReport",
     "CyclotopeError",
-    "Decomposition",
     "DimensionMismatch",
     "DimensionTooSmall",
     "EmptySetError",

@@ -33,7 +33,6 @@ from .topes import (
     _coordinate,
     _exact_shift,
     _int_array,
-    _integer,
     _meet_join_cards,
     _require_same_t,
     _run_bounds,
@@ -41,7 +40,13 @@ from .topes import (
 
 
 class Spectrum(_Vector):
-    """Immutable coordinate vector of a tope over the cycle basis."""
+    """Immutable coordinate vector of a tope over the cycle basis.
+
+    Its nonzero entries are the tope's decomposition: the entry s at 0-based
+    position i is the term (s, i), the cycle vertex at position i when s is
+    +1 and its antipode (position i + t) when s is -1.  Consecutive terms
+    alternate in sign: coordinate i > 0 is half the sign change T(i + 1) - T(i).
+    """
 
     __slots__ = ()
 
@@ -77,56 +82,10 @@ class Spectrum(_Vector):
     def coord(self, i: int) -> int:
         return self._entry(i)
 
-    def __neg__(self) -> "Spectrum":
-        return Spectrum._wrap(-self._v)
-
-    def __repr__(self) -> str:
-        return f"Spectrum({self._v.tolist()!r})"
-
-
-class Decomposition(_Vector):
-    """The signed cycle vertices that sum to a tope.
-
-    Terms are (sign, index) pairs with sign in {-1, +1} and index the 0-based
-    position among the first t cycle vertices, kept in ascending index order.
-    A term (sign, i) stands for the cycle vertex at position i when sign is
-    +1, and for its antipode (position i + t) when sign is -1.  The signs of
-    consecutive terms alternate, as the nonzero coordinates of every
-    spectrum do: coordinate i > 0 is half the sign change T(i + 1) - T(i).
-
-    Stored as its read-only int8 coordinate vector, the layout of
-    ``Spectrum.coords``: the term (sign, i) is the entry sign at position i.
-    The terms, the size and the vertex indices are derived from it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, t: int, terms: Iterable[tuple]):
-        t = _check_dimension(t)
-        ts = tuple((_integer(s), _integer(i)) for s, i in terms)
-        if len(ts) % 2 == 0:
-            raise ValueError("a decomposition has an odd number of terms")
-        for s, i in ts:
-            if s not in (-1, 1):
-                raise ValueError(f"term sign must be +-1, got {s}")
-            if not 0 <= i < t:
-                raise ValueError(f"term index {i} out of range [0, {t})")
-        if any(a[1] >= b[1] for a, b in zip(ts, ts[1:])):
-            raise ValueError("terms must be in strictly ascending index order")
-        coords = np.zeros(t, dtype=np.int8)
-        signs, indices = zip(*ts)
-        coords[list(indices)] = signs
-        _tope_signs(coords)  # InvalidSpectrum unless the terms sum to a tope
-        self._store(coords)
-
     @property
     def terms(self) -> tuple:
         nz = (self._v != 0).nonzero()[0]
         return tuple(zip(self._v[nz].tolist(), nz.tolist()))
-
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self._v))
 
     def vertex_indices(self) -> frozenset:
         """Positions on the full 2t-cycle: index i for +, index i+t for -."""
@@ -137,11 +96,11 @@ class Decomposition(_Vector):
         """Entrywise sum of the signed cycle vertices, as int64, in O(t)."""
         return _vertex_sum(self._v).astype(np.int64)
 
-    def __len__(self) -> int:
-        return self.size
+    def __neg__(self) -> "Spectrum":
+        return Spectrum._wrap(-self._v)
 
     def __repr__(self) -> str:
-        return f"Decomposition(t={self.t}, terms={list(self.terms)!r})"
+        return f"Spectrum({self._v.tolist()!r})"
 
 
 def spectrum_dense(T: Tope) -> Spectrum:
@@ -212,9 +171,10 @@ def _spectrum_intervals(inside: np.ndarray) -> np.ndarray:
     return coords
 
 
-def decomposition_set(T: Tope) -> Decomposition:
-    """The unique inclusion-minimal signed set of cycle vertices summing to T."""
-    return Decomposition._wrap(spectrum_fast(T).coords)
+def decomposition_set(T: Tope) -> Spectrum:
+    """The paper's Q(T), the unique inclusion-minimal signed set of cycle
+    vertices summing to T, as its spectrum: spectrum_fast(T)."""
+    return spectrum_fast(T)
 
 
 def _half_inverse_transform(v: np.ndarray) -> np.ndarray:
@@ -398,10 +358,10 @@ def _meet_join_from_spectra(x1: np.ndarray, x2: np.ndarray) -> tuple:
     # + g + 2w and 4 join = 4 meet + 2t - 2g.  With v = x M the vertex sums,
     # g = <v1, v2> as G = M M^T, and sum(v) = (t + 2) s - 2 sum_i i x_i as
     # v_e = 2 p_e - s; so 2w - (t + 2)(s1 + s2) = -sum(v1) - sum(v2).
-    # Integer sums lie in {-1, 1} exactly when their product does; they are
-    # taken in int64, as the int8 vertex sums' last entries hold them mod 256.
-    s1, s2 = (x.sum(axis=-1, dtype=np.int64) for x in (x1, x2))
-    if np.count_nonzero(np.abs(s1 * s2) != 1):
+    # The coordinate sums are checked on each side, not on the pair grid;
+    # they are taken in int64, as the int8 vertex sums' last entries hold
+    # them mod 256.
+    if any(np.count_nonzero(np.abs(x.sum(axis=-1, dtype=np.int64)) != 1) for x in (x1, x2)):
         raise VerificationMismatch("tope spectra have coordinate sum +-1")
     return _meet_join_cards(_vertex_sum(x1), _vertex_sum(x2))
 

@@ -290,7 +290,7 @@ def sweep_spectrum_methods(t: int):
 def sweep_decompositions(t: int):
     """All 2^t topes: term structure and entrywise vertex-sum reconstruction.
 
-    On row blocks, the terms (the telescoping rows that decomposition_set
+    On row blocks, the terms (the telescoping rows that spectrum_fast
     wraps) are summed as signed cycle-vertex rows, x @ M, and compared with
     the tope (no other sweep checks x * M = T) and the prefix-sum map; the
     size with the mask's sign-change size (spectrum-methods checks parity).
@@ -302,7 +302,7 @@ def sweep_decompositions(t: int):
         coords = _telescope(s)
         size = np.count_nonzero(coords, axis=-1)
         summed = coords.astype(np.int64) @ m_entries
-        # Read through the module, as Decomposition.vertex_sum reads it.
+        # Read through the module, as Spectrum.vertex_sum reads it.
         prefix = decomposition._vertex_sum(coords)
         want = sizes[rows]
         T = _namer(Tope, s)

@@ -5,7 +5,6 @@ import pytest
 
 from cyclotope import (
     CapExceeded,
-    Decomposition,
     DimensionMismatch,
     DimensionTooSmall,
     GroundSubset,
@@ -160,24 +159,19 @@ class TestDecompositionSet:
         T = Tope([1, -1, -1, 1, 1])
         d = decomposition_set(T)
         assert d.terms == ((1, 0), (-1, 1), (1, 3))
-        assert d.size == 3
+        assert d.support_size == 3
         assert np.array_equal(d.vertex_sum(), T.signs)
 
-    def test_size_shortcut(self):
-        for mask in range(1 << 5):
-            T = Tope.from_bitmask(mask, 5)
-            assert decomposition_set(T).size == spectrum_fast(T).support_size
-
-    def test_decomposition_validation(self):
-        with pytest.raises(ValueError):
-            Decomposition(4, [(1, 0), (1, 2)])  # even term count
-        with pytest.raises(ValueError):
-            Decomposition(4, [(1, 2), (1, 0), (1, 3)])  # out of order
-        with pytest.raises(ValueError):
-            Decomposition(4, [(2, 0)])  # bad sign
+    @pytest.mark.parametrize("t", range(3, 9))
+    def test_is_the_fast_spectrum(self, t):
+        for mask in range(1 << t):
+            T = Tope.from_bitmask(mask, t)
+            d = decomposition_set(T)
+            assert type(d) is Spectrum and d == spectrum_fast(T)
+            assert len(d.vertex_indices()) == d.support_size == len(d.terms)
 
     def test_vertex_indices_fold_negatives(self):
-        d = Decomposition(4, [(1, 0), (-1, 1), (1, 3)])
+        d = Spectrum([1, -1, 0, 1])
         assert d.vertex_indices() == frozenset({0, 5, 3})
 
     def test_vertex_sum_is_int64_though_its_kernel_sums_in_int8(self):
@@ -185,102 +179,109 @@ class TestDecompositionSet:
         assert d.vertex_sum().dtype == np.int64
         assert d.vertex_sum().tolist() == [1, -1, -1, 1]
 
+    def test_vertex_sum_of_any_terms(self):
+        # The sum is the signed sum of the cycle vertices, here +v0 - v2 + v3
+        # at t = 4, which is the spectrum of the tope it sums to.
+        d = Spectrum([1, 0, -1, 1])
+        want = cycle_vertex(4, 0) - cycle_vertex(4, 2) + cycle_vertex(4, 3)
+        assert d.vertex_sum().tolist() == want.tolist()
+
+    def test_only_the_terms_of_a_tope_are_accepted(self):
+        # Of the 243 vectors over {-1, 0, 1}^5, the 32 tope spectra build a
+        # Spectrum, each that of its vertex sum; the other 211 are refused.
+        accepted, refused = [], 0
+        for x in itertools.product((-1, 0, 1), repeat=5):
+            try:
+                accepted.append(Spectrum(x))
+            except InvalidSpectrum as error:
+                assert str(error) == "vector is not the spectrum of any tope"
+                refused += 1
+        assert (len(accepted), refused) == (32, 211)
+        assert all(d == spectrum_fast(Tope(d.vertex_sum())) for d in accepted)
+
+    def test_decomposition_validation(self):
+        with pytest.raises(InvalidSpectrum):
+            Spectrum([1, 0, 1, 0])  # even term count
+        with pytest.raises(InvalidSpectrum):
+            Spectrum([1, 0, 1, 1])  # terms that do not alternate in sign
+        with pytest.raises(InvalidSpectrum):
+            Spectrum([2, 0, 0, 0])  # bad sign
+
+    # Spectrum(coords) is the one validated way to build a decomposition:
+    # the term (s, i) is the entry s at position i.
     @pytest.mark.parametrize(
-        "t, terms, error, message",
+        "coords, error, message",
         [
-            (2, [(1, 0)], DimensionTooSmall, "dimension must be >= 3, got 2"),
-            (4, [], ValueError, "a decomposition has an odd number of terms"),
-            (4, [(1, 0), (1, 2)], ValueError, "a decomposition has an odd number of terms"),
-            (4, [(2, 0)], ValueError, "term sign must be +-1, got 2"),
-            (4, [(1, 0), (0, 1), (1, 2)], ValueError, "term sign must be +-1, got 0"),
-            (4, [(1, 4)], ValueError, "term index 4 out of range [0, 4)"),
-            (4, [(-1, -1)], ValueError, "term index -1 out of range [0, 4)"),
-            (4, [(1, 2), (1, 0), (1, 3)], ValueError,
-             "terms must be in strictly ascending index order"),
-            (4, [(1, 0), (1, 0), (1, 3)], ValueError,
-             "terms must be in strictly ascending index order"),
-            (4, [("+", 0)], ValueError, "invalid literal for int() with base 10: '+'"),
-            (4, [(1,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
-            # A reading through zip(*terms) would drop the middle term's third entry.
-            (4, [(1, 0), (-1, 1, 9), (1, 3)], ValueError, "too many values to unpack (expected 2)"),
-            (4, [(1, None)], TypeError, "int() argument must be a string, a bytes-like object "
-                                        "or a real number, not 'NoneType'"),
+            ([1, 0], DimensionTooSmall, "dimension must be >= 3, got 2"),
+            ([], DimensionTooSmall, "dimension must be >= 3, got 0"),
+            ([0, 0, 0, 0], InvalidSpectrum, "vector is not the spectrum of any tope"),
+            ([1, 0, -1, 0], InvalidSpectrum, "vector is not the spectrum of any tope"),
+            ([1, 1, 1, 0], InvalidSpectrum, "vector is not the spectrum of any tope"),
+            ([2, 0, 0, 0], InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+            ([1, 0, 0, -2], InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+            # 256 is 0 in int8 and 2**70 is beyond int64: neither may wrap.
+            ([1, 0, 0, 256], InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+            ([1, 0, 0, 2**70], InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
             # Entries go through operator.index: nothing is truncated or parsed.
-            (4, [(1.0, 0)], TypeError, "'float' object cannot be interpreted as an integer"),
-            (4, [(1, 2.9)], TypeError, "'float' object cannot be interpreted as an integer"),
-            (4, [(True, 0)], TypeError, "expected an integer, got a bool: True"),
-            (4, [(1, np.False_)], TypeError, "expected an integer, got a bool: np.False_"),
-            (4, [(1, "0")], TypeError, "'str' object cannot be interpreted as an integer"),
+            ([1.0, 0, 0, 0], TypeError, "spectrum entries must be integers, got dtype float64"),
+            ([1, 0, 0, 2.9], TypeError, "spectrum entries must be integers, got dtype float64"),
+            ([True, 0, 0, 0], TypeError, "spectrum entries must be integers, got a bool"),
+            ([1, 0, 0, np.False_], TypeError, "spectrum entries must be integers, got a bool"),
+            (["1", 0, 0, 0], TypeError, "spectrum entries must be integers, got dtype <U21"),
+            ([None, 0, 0, 0], TypeError, "spectrum entries must be integers, got dtype object"),
+            (np.array([1.0, 0, 0]), TypeError, "spectrum entries must be integers, got dtype float64"),
+            (np.array([True, False, False]), TypeError,
+             "spectrum entries must be integers, got dtype bool"),
+            (np.array([1, 0, 0], dtype=object), TypeError,
+             "spectrum entries must be integers, got dtype object"),
+            (np.array([[1, 0, 0]]), ValueError, "a spectrum is a one-dimensional vector"),
         ],
     )
-    def test_constructor_rejections_and_messages(self, t, terms, error, message):
+    def test_constructor_rejections_and_messages(self, coords, error, message):
         with pytest.raises(error) as info:
-            Decomposition(t, terms)
+            Spectrum(coords)
         assert str(info.value) == message
 
-    # Each fault planted in the term (s, i) at position k of 201 valid terms
-    # at t = 1000, where j is the index of the term before it (of the last
-    # term for k = 0), with the error the term-by-term checks give.
+    # Each fault planted in the entry s of the term at position k of a
+    # 201-term spectrum at t = 1000, with the error the checks give.
     @pytest.mark.parametrize("fault, error, message", [
-        (lambda s, i, j: (0, i), ValueError, "term sign must be +-1, got 0"),
-        (lambda s, i, j: (2, i), ValueError, "term sign must be +-1, got 2"),
-        (lambda s, i, j: (s, 1000), ValueError, "term index 1000 out of range [0, 1000)"),
-        (lambda s, i, j: (s, -1), ValueError, "term index -1 out of range [0, 1000)"),
-        (lambda s, i, j: (s, 2**70), ValueError,
-         f"term index {2**70} out of range [0, 1000)"),
-        (lambda s, i, j: (s, j), ValueError,
-         "terms must be in strictly ascending index order"),
-        (lambda s, i, j: (float(s), i), TypeError,
-         "'float' object cannot be interpreted as an integer"),
-        (lambda s, i, j: (s, True), TypeError, "expected an integer, got a bool: True"),
-        (lambda s, i, j: (s, i, 0), ValueError, "too many values to unpack (expected 2)"),
-        (lambda s, i, j: (s,), ValueError, "not enough values to unpack (expected 2, got 1)"),
+        (lambda s: 0, InvalidSpectrum, "vector is not the spectrum of any tope"),
+        (lambda s: -s, InvalidSpectrum, "vector is not the spectrum of any tope"),
+        (lambda s: 2, InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+        (lambda s: -2, InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+        (lambda s: s + 256, InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+        (lambda s: s * 2**70, InvalidSpectrum, "spectrum entries must lie in [-1, 1]"),
+        (lambda s: float(s), TypeError, "spectrum entries must be integers, got dtype float64"),
+        (lambda s: s > 0, TypeError, "spectrum entries must be integers, got a bool"),
+        (lambda s: str(s), TypeError, "spectrum entries must be integers, got dtype <U21"),
+        (lambda s: None, TypeError, "spectrum entries must be integers, got dtype object"),
     ])
     @pytest.mark.parametrize("k", [0, 100, 200])
     def test_a_fault_in_a_long_term_list_keeps_its_message(self, fault, error, message, k):
-        # The base is the decomposition of a seeded tope with 201 sign changes.
+        # The base is the spectrum of a seeded tope with 201 sign changes.
         rng = np.random.default_rng(k)
         changes = np.zeros(1000, dtype=np.int64)
         changes[1 + rng.choice(999, size=201, replace=False)] = 1
-        terms = list(decomposition_set(Tope(1 - 2 * (np.cumsum(changes) % 2))).terms)
-        assert len(terms) == 201 and Decomposition(1000, terms).terms == tuple(terms)
-        terms[k] = fault(*terms[k], terms[k - 1][1])
+        coords = decomposition_set(Tope(1 - 2 * (np.cumsum(changes) % 2))).coords.tolist()
+        terms = [i for i, s in enumerate(coords) if s]
+        assert len(terms) == 201 and Spectrum(coords).coords.tolist() == coords
+        coords[terms[k]] = fault(coords[terms[k]])
         with pytest.raises(error) as info:
-            Decomposition(1000, terms)
+            Spectrum(coords)
         assert str(info.value) == message
 
     def test_constructor_matches_decomposition_set(self):
         for mask in range(1 << 6):
             T = Tope.from_bitmask(mask, 6)
             d = decomposition_set(T)
-            built = Decomposition(6, d.terms)
-            assert built == d and built.terms == d.terms and built.size == len(d) == d.size
-            assert repr(built) == f"Decomposition(t=6, terms={list(d.terms)!r})"
+            coords = [0] * 6
+            for s, i in d.terms:
+                coords[i] = s
+            built = Spectrum(coords)
+            assert built == d and built.terms == d.terms
+            assert built.support_size == d.support_size == len(d.terms)
+            assert repr(built) == f"Spectrum({coords!r})"
             assert np.array_equal(d.vertex_sum(), T.signs)
-
-    def test_vertex_sum_of_any_terms(self):
-        # The sum is the signed sum of the cycle vertices, here +v0 - v2 + v3
-        # at t = 4, which is the spectrum of the tope it sums to.
-        d = Decomposition(4, [(1, 0), (-1, 2), (1, 3)])
-        want = cycle_vertex(4, 0) - cycle_vertex(4, 2) + cycle_vertex(4, 3)
-        assert d.vertex_sum().tolist() == want.tolist()
-
-    def test_only_the_terms_of_a_tope_are_accepted(self):
-        # Of the 122 vectors over {-1, 0, 1}^5 with odd support, the 32 tope
-        # spectra build a decomposition, each that of its vertex sum; the
-        # other 90 are refused.
-        accepted, refused = [], 0
-        for x in itertools.product((-1, 0, 1), repeat=5):
-            terms = [(s, i) for i, s in enumerate(x) if s]
-            if len(terms) % 2 == 0:
-                continue
-            try:
-                accepted.append(Decomposition(5, terms))
-            except InvalidSpectrum as error:
-                assert str(error) == "vector is not the spectrum of any tope"
-                refused += 1
-        assert (len(accepted), refused) == (32, 90)
-        assert all(d == decomposition_set(Tope(d.vertex_sum())) for d in accepted)
 
 
 class TestSpectrumUpdate:
@@ -467,6 +468,25 @@ class TestInternalGuards:
                            match=r"^tope spectra have coordinate sum \+-1$"):
             negpart_meet_join_from_spectra(Spectrum._wrap(np.array([1, 0, 1], dtype=np.int8)),
                                            sigma(1, 3))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_spectra_on_a_pair_grid_with_one_bad_row_or_column(self, side):
+        # A (3, 1, t) stack against a (1, 4, t) stack: one row of the first
+        # side, or one column of the second, sums to 3 and breaks the guard.
+        t = 5
+        x1 = np.tile(sigma(1, t).coords, (3, 1, 1))
+        x2 = np.tile(-sigma(2, t).coords, (1, 4, 1))
+        bad = np.ones(t, dtype=np.int8)
+        bad[1::2] = 0
+        meet, join = decomposition._meet_join_from_spectra(x1, x2)
+        assert meet.shape == join.shape == (3, 4)
+        if side == 0:
+            x1[1, 0] = bad
+        else:
+            x2[0, 2] = bad
+        with pytest.raises(VerificationMismatch,
+                           match=r"^tope spectra have coordinate sum \+-1$"):
+            decomposition._meet_join_from_spectra(x1, x2)
 
     def test_cardinality_formulas_that_do_not_divide(self, monkeypatch):
         # With coordinate sums +-1 the formulas always divide, so the vertex

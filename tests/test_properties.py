@@ -139,7 +139,7 @@ def test_terms_are_the_nonzero_spectrum_entries(case):
     t, m = case
     d = decomposition_set(Tope.from_bitmask(m, t))
     assert d.terms == tuple((c, i) for i, c in enumerate(_spectrum(m, t)) if c)
-    assert d.size == _size(m, t)
+    assert d.support_size == _size(m, t)
 
 
 @relaxed

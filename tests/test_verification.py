@@ -137,7 +137,7 @@ def test_sweep_negpart_cardinalities_reports_a_wrong_pair(monkeypatch, kernel, f
 
 @pytest.mark.parametrize("mask", [0b00000000, 0b10110010, 0b11111111])
 def test_sweep_decompositions_reports_a_wrong_prefix_sum(monkeypatch, mask):
-    # Decomposition.vertex_sum is the prefix-sum map; the sweep's reference
+    # Spectrum.vertex_sum is the prefix-sum map; the sweep's reference
     # sums the signed cycle-vertex rows of the terms one by one.
     wrong_tope = Tope.from_bitmask(mask, T)
     target = spectrum_fast(wrong_tope).coords
